@@ -2,17 +2,20 @@
 
 Two storage regimes share one interface: small matrices live as Python lists
 of exact scalars (int or Fraction), big 0/1 matrices live as numpy integer
-arrays. Rational rank and determinant go through fraction-free (Bareiss)
-elimination, so no rounding ever happens; prime-field work reduces to
-vectorized integer row elimination on machine words.
+arrays. Each field has one elimination kernel, and rank, determinant,
+inverse, nullity and full-rank extraction all read its pivots:
 
-Key choices:
-  * rank() over Q first tries a single mod-p elimination; if that already
-    reaches min(m, n) the rational rank is certified exactly (rank can only
-    drop under reduction), which avoids Bareiss on huge full-rank inputs.
-  * inverses use exact Gauss-Jordan (Fraction or mod-p), not Bareiss.
-  * the large elimination tier chunks row updates to bound temporary
-    allocations and honors a memory ceiling from the environment.
+  * GF(p): `_eliminate_mod`, vectorized row reduction on machine words. Row
+    updates run in int64 chunks of `_CHUNK_ROWS` rows; the work array is
+    int32 above `_INT32_ENTRIES` entries. Every call checks the memory
+    ceiling from the environment first.
+  * Q: `_bareiss`, fraction-free elimination over Z after clearing row
+    denominators, so no rounding ever happens. Its Gauss-Jordan form on
+    [A | I] gives the inverse as adj(A)/det(A).
+
+rank() over Q first tries one elimination mod a prime; if that already
+reaches min(m, n) the rational rank is certified exactly (rank can only drop
+under reduction), which avoids Bareiss on huge full-rank inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from math import lcm, prod
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,7 +49,7 @@ __all__ = [
     "is_prime",
 ]
 
-# Memory ceiling for the large elimination tier, in megabytes.
+# Memory ceiling for every modular elimination, in megabytes.
 MEMORY_ENV_VAR = "MATCHCONN_MEMORY_MB"
 DEFAULT_MEMORY_MB = 4096
 
@@ -146,6 +150,15 @@ def _memory_limit_bytes() -> int:
     return mb * (1 << 20)
 
 
+def _residue(x, p: int) -> int:
+    """An int or Fraction entry mod p; rejects a denominator divisible by p."""
+    if isinstance(x, Fraction):
+        if x.denominator % p == 0:
+            raise ValidationError(f"denominator divisible by {p}; cannot reduce")
+        return x.numerator * pow(x.denominator, -1, p) % p
+    return int(x) % p
+
+
 # ---------------------------------------------------------------------------
 # matrix container
 
@@ -187,8 +200,7 @@ class ExactMatrix:
                 if len(r) != self.ncols:
                     raise ValidationError("ragged rows in matrix data")
             if isinstance(field, PrimeField):
-                p = field.p
-                rows = [[int(x) % p for x in r] for r in rows]
+                rows = [[_residue(x, field.p) for x in r] for r in rows]
             self._rows = rows
             self._arr = None
         self.row_labels = list(row_labels) if row_labels is not None else list(range(self.nrows))
@@ -234,31 +246,11 @@ class ExactMatrix:
         return int(self._arr[i, j])
 
     def with_field(self, field: FieldSpec) -> "ExactMatrix":
-        """Same entries reinterpreted over another field (ints reduced mod p)."""
+        """Same entries reinterpreted over another field (reduced mod p)."""
         if field == self.field:
             return self
-        if self._arr is not None:
-            return ExactMatrix(field, self._arr, self.row_labels, self.col_labels)
-        if isinstance(field, PrimeField):
-            for r in self._rows:
-                for x in r:
-                    if isinstance(x, Fraction) and x.denominator != 1:
-                        if x.denominator % field.p == 0:
-                            raise ValidationError(
-                                f"denominator divisible by {field.p}; cannot reduce"
-                            )
-            p = field.p
-            rows = [
-                [
-                    (int(x) % p)
-                    if not isinstance(x, Fraction) or x.denominator == 1
-                    else int(x.numerator) * pow(x.denominator, -1, p) % p
-                    for x in r
-                ]
-                for r in self._rows
-            ]
-            return ExactMatrix(field, rows, self.row_labels, self.col_labels)
-        return ExactMatrix(field, self.rows(), self.row_labels, self.col_labels)
+        data = self._arr if self._arr is not None else self._rows
+        return ExactMatrix(field, data, self.row_labels, self.col_labels)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
         rl = [self.row_labels[i] for i in row_idx]
@@ -299,162 +291,137 @@ def identity(n: int, field: FieldSpec = RATIONALS) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination engines
+# elimination engines: one per field
 
 
-def _bareiss(rows: list[list], want_det: bool) -> tuple[int, object]:
-    """Fraction-free elimination on a scratch copy. Returns (rank, det).
+def _bareiss(rows: list[list[int]], jordan: bool = False) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free elimination over Z on a scratch copy.
 
-    det is only meaningful for square input; it is 0 when rank < n and
-    otherwise the signed final pivot, which Bareiss guarantees equals the
-    determinant. Works verbatim for Fraction entries too (divisions exact
-    over a field, and still exact over Z by the Bareiss divisibility lemma).
+    Returns (work, pivot columns, sign * last pivot). For square input of full
+    rank the last value is the determinant, and every division is exact by the
+    Bareiss divisibility lemma. With `jordan` every row but the pivot row is
+    updated, which on [A | I] leaves [d*I | d*A^-1] for the last pivot d.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(r) for r in rows]
     prev = 1
     sign = 1
-    r = 0
+    pivots: list[int] = []
     for c in range(n):
+        r = len(pivots)
         if r == m:
             break
-        piv = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        p = a[r][c]
-        use_int = isinstance(p, int) and isinstance(prev, int)
-        for i in range(r + 1, m):
+        ar = a[r]
+        p = ar[c]
+        lo = 0 if jordan else c + 1
+        for i in range(0 if jordan else r + 1, m):
+            if i == r:
+                continue
             ai = a[i]
             f = ai[c]
-            ar = a[r]
-            if f == 0:
-                if use_int:
-                    for j in range(c + 1, n):
-                        ai[j] = (ai[j] * p) // prev
-                else:
-                    for j in range(c + 1, n):
-                        ai[j] = (ai[j] * p) / prev
-            else:
-                if use_int:
-                    for j in range(c + 1, n):
-                        ai[j] = (ai[j] * p - f * ar[j]) // prev
-                else:
-                    for j in range(c + 1, n):
-                        ai[j] = (ai[j] * p - f * ar[j]) / prev
+            for j in range(lo, n):
+                ai[j] = (ai[j] * p - f * ar[j]) // prev
             ai[c] = 0
         prev = p
-        r += 1
-    if not want_det:
-        return r, 0
-    if m != n:
-        raise ValidationError("determinant of a non-square matrix")
-    if r < n:
-        return r, 0
-    d = sign * prev
-    if isinstance(d, Fraction) and d.denominator == 1:
-        d = int(d)
-    return r, d
+        pivots.append(c)
+    return a, pivots, sign * prev
 
 
-def _clear_denominators(rows: list[list]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
-    from math import lcm
+def _clear_denominators(rows: list[list]) -> tuple[list[list[int]], list[int]]:
+    """Scale each row by the lcm of its denominators: (integer rows, scales).
 
-    out = []
+    Row scaling keeps the rank and the pivot columns, and divides the
+    determinant by the product of the scales.
+    """
+    out, scales = [], []
     for r in rows:
-        dens = [x.denominator for x in r if isinstance(x, Fraction)]
-        if dens:
-            s = lcm(*dens)
-            out.append([int(x * s) if isinstance(x, Fraction) else int(x) * s for x in r])
-        else:
-            out.append([int(x) for x in r])
-    return out
+        s = lcm(*(x.denominator for x in r if isinstance(x, Fraction)))
+        out.append([int(x * s) for x in r])
+        scales.append(s)
+    return out, scales
 
 
-def _rank_mod_numpy(a: np.ndarray, p: int, progress: Callable[[int], None] | None = None) -> int:
-    """Row elimination mod p on an int array. Chunked updates for big inputs."""
+# Rows updated per step of the modular elimination; bounds the int64
+# temporaries to a few row blocks whatever the matrix size.
+_CHUNK_ROWS = 2048
+# Above this many entries the work array is int32 (every residue is below
+# 2^31), which halves the footprint of the order-12 matrices.
+_INT32_ENTRIES = 16_000_000
+
+
+def _eliminate_mod(
+    a: np.ndarray, p: int, jordan: bool = False
+) -> tuple[np.ndarray, list[int], int]:
+    """Row reduction mod p on a copy of an integer array.
+
+    Returns (work, pivot columns, determinant factor). Every pivot row is
+    scaled to a leading 1 and cleared below (and above, with `jordan`), and
+    pivots are taken left to right, so the pivot columns are exactly the
+    greedy choice of columns independent of those before them. The factor is
+    the row-swap sign times the product of the pivots, mod p: the determinant
+    of square input of full rank. Raises CapacityError when the work array
+    and the row-chunk temporaries would exceed the memory ceiling.
+    """
     m, n = a.shape
-    if m == 0 or n == 0:
-        return 0
-    big = m * n > 16_000_000
-    if big:
-        need = a.size * 4 + min(m, 4096) * n * 4
-        if need > _memory_limit_bytes():
-            raise CapacityError(
-                f"elimination needs about {need >> 20} MB, over the "
-                f"{_memory_limit_bytes() >> 20} MB ceiling ({MEMORY_ENV_VAR})"
-            )
-        work = np.ascontiguousarray(a.astype(np.int32) % p)
-    else:
-        work = np.ascontiguousarray(a.astype(np.int64) % p)
-    r = 0
-    chunk = 2048
+    dtype = np.int32 if a.size > _INT32_ENTRIES else np.int64
+    need = a.size * np.dtype(dtype).itemsize + 2 * min(m, _CHUNK_ROWS) * n * 8
+    if need > _memory_limit_bytes():
+        raise CapacityError(
+            f"elimination needs about {need >> 20} MB, over the "
+            f"{_memory_limit_bytes() >> 20} MB ceiling ({MEMORY_ENV_VAR})"
+        )
+    if not np.can_cast(a.dtype, dtype):
+        a = a % p
+    # Not an in-place %=: freeing the astype temporary here measured a 3 MB
+    # lower peak RSS over a certify round (allocator reuse of the chunks).
+    work = a.astype(dtype) % p
+    pivots: list[int] = []
+    d = 1
     for c in range(n):
-        col = work[r:, c]
-        nz = np.nonzero(col)[0]
+        r = len(pivots)
+        if r == m:
+            break
+        nz = np.flatnonzero(work[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            tmp = work[r].copy()
-            work[r] = work[i]
-            work[i] = tmp
-        inv = pow(int(work[r, c]), -1, p)
-        row = (work[r, c:].astype(np.int64) * inv) % p
+            work[[r, i]] = work[[i, r]]
+            d = -d
+        piv = int(work[r, c])
+        d = d * piv % p
+        row = work[r, c:].astype(np.int64) * pow(piv, -1, p) % p
         work[r, c:] = row
-        if big:
-            row32 = row.astype(np.int32)
-            for lo in range(r + 1, m, chunk):
-                hi = min(lo + chunk, m)
-                f = work[lo:hi, c]
-                mask = f != 0
-                if not mask.any():
-                    continue
-                blk = work[lo:hi, c:]
-                upd = blk[mask].astype(np.int64)
-                upd -= np.multiply.outer(f[mask].astype(np.int64), row)
-                upd %= p
-                blk[mask] = upd.astype(np.int32)
-        else:
-            f = work[r + 1 :, c]
+        for lo in range(0 if jordan else r + 1, m, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, m)
+            f = work[lo:hi, c]
             mask = f != 0
-            if mask.any():
-                blk = work[r + 1 :, c:]
-                sel = blk[mask]
-                sel -= np.multiply.outer(f[mask], row)
-                sel %= p
-                blk[mask] = sel
-        r += 1
-        if progress is not None:
-            progress(r)
-        if r == m:
-            break
-    return r
+            if lo <= r < hi:
+                mask[r - lo] = False
+            if not mask.any():
+                continue
+            blk = work[lo:hi, c:]
+            upd = blk[mask].astype(np.int64, copy=False)
+            upd -= np.multiply.outer(f[mask].astype(np.int64, copy=False), row)
+            upd %= p
+            blk[mask] = upd
+        pivots.append(c)
+    return work, pivots, d % p
 
 
-def _rows_mod(matrix: ExactMatrix, p: int) -> list[list[int]]:
-    if matrix._rows is not None:
-        out = []
-        for r in matrix._rows:
-            row = []
-            for x in r:
-                if isinstance(x, Fraction) and x.denominator != 1:
-                    if x.denominator % p == 0:
-                        raise ValidationError(f"denominator divisible by {p}")
-                    row.append(int(x.numerator) * pow(x.denominator, -1, p) % p)
-                else:
-                    row.append(int(x) % p)
-            out.append(row)
-        return out
-    return (matrix._arr.astype(np.int64) % p).tolist()
+def _pivot_columns(matrix: ExactMatrix) -> list[int]:
+    """Pivot columns of the row echelon form over the matrix's own field."""
+    if isinstance(matrix.field, PrimeField):
+        arr = matrix._arr if matrix._arr is not None else matrix.numpy()
+        return _eliminate_mod(arr, matrix.field.p)[1]
+    return _bareiss(_clear_denominators(matrix.rows())[0])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -463,24 +430,20 @@ def _rows_mod(matrix: ExactMatrix, p: int) -> list[list[int]]:
 
 def rank(matrix: ExactMatrix) -> int:
     """Exact rank over the matrix's own field."""
-    if matrix.nrows == 0 or matrix.ncols == 0:
-        return 0
-    if isinstance(matrix.field, PrimeField):
-        arr = matrix._arr if matrix._arr is not None else matrix.numpy()
-        return _rank_mod_numpy(arr, matrix.field.p)
-    # Rationals: certify via one modular elimination when full rank, which is
-    # exact (rank mod p never exceeds rational rank); otherwise Bareiss.
-    try:
-        r_mod = _rank_mod_numpy(matrix.numpy() % _CERT_PRIME, _CERT_PRIME)
-        if r_mod == min(matrix.nrows, matrix.ncols):
-            return r_mod
-    except (ValidationError, OverflowError):
-        pass
-    rows = matrix.rows() if matrix._rows is None else matrix._rows
-    if any(isinstance(x, Fraction) for r in rows for x in r):
-        rows = _clear_denominators(rows)
-    r, _ = _bareiss(rows, want_det=False)
-    return r
+    if isinstance(matrix.field, Rationals):
+        # Certify via one modular elimination when full rank, which is exact
+        # (rank mod p never exceeds rational rank); otherwise Bareiss. Only
+        # non-integer or huge entries skip the shortcut, never the memory
+        # ceiling.
+        try:
+            arr = matrix.numpy()
+        except (ValidationError, OverflowError):
+            arr = None
+        if arr is not None:
+            r_mod = len(_eliminate_mod(arr, _CERT_PRIME)[1])
+            if r_mod == min(matrix.nrows, matrix.ncols):
+                return r_mod
+    return len(_pivot_columns(matrix))
 
 
 def det(matrix: ExactMatrix):
@@ -488,76 +451,41 @@ def det(matrix: ExactMatrix):
     if matrix.nrows != matrix.ncols:
         raise ValidationError("determinant of a non-square matrix")
     n = matrix.nrows
-    if n == 0:
-        return 1 if isinstance(matrix.field, Rationals) else 1 % matrix.field.p
     if isinstance(matrix.field, PrimeField):
-        p = matrix.field.p
-        a = [r[:] for r in _rows_mod(matrix, p)]
-        d = 1
-        for c in range(n):
-            piv = next((i for i in range(c, n) if a[i][c]), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                d = (p - d) % p
-            d = d * a[c][c] % p
-            inv = pow(a[c][c], -1, p)
-            for i in range(c + 1, n):
-                f = a[i][c] * inv % p
-                if f:
-                    ai, ac = a[i], a[c]
-                    for j in range(c, n):
-                        ai[j] = (ai[j] - f * ac[j]) % p
-        return d
-    rows = matrix.rows() if matrix._rows is None else [r[:] for r in matrix._rows]
-    fracs = [x for r in rows for x in r if isinstance(x, Fraction) and x.denominator != 1]
-    if fracs:
-        _, d = _bareiss(rows, want_det=True)
-        return Fraction(d) if not isinstance(d, Fraction) else d
-    _, d = _bareiss([[int(x) for x in r] for r in rows], want_det=True)
-    return d
+        _, pivots, d = _eliminate_mod(matrix.numpy(), matrix.field.p)
+        return d if len(pivots) == n else 0
+    rows, scales = _clear_denominators(matrix.rows())
+    _, pivots, d = _bareiss(rows)
+    if len(pivots) < n:
+        d = 0
+    scale = prod(scales)
+    return d if scale == 1 else Fraction(d, scale)
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan; raises on singular input."""
+    """Exact inverse by Gauss-Jordan on [A | I]; raises on singular input."""
     if matrix.nrows != matrix.ncols:
         raise ValidationError("inverse of a non-square matrix")
     n = matrix.nrows
     fld = matrix.field
     if isinstance(fld, PrimeField):
-        p = fld.p
-        a = _rows_mod(matrix, p)
-        aug = [a[i][:] + [int(j == i) for j in range(n)] for i in range(n)]
-        for c in range(n):
-            piv = next((i for i in range(c, n) if aug[i][c]), None)
-            if piv is None:
-                raise ValidationError("matrix is singular over " + repr(fld))
-            aug[c], aug[piv] = aug[piv], aug[c]
-            inv = pow(aug[c][c], -1, p)
-            aug[c] = [x * inv % p for x in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    row_c = aug[c]
-                    aug[i] = [(x - f * y) % p for x, y in zip(aug[i], row_c)]
-        rows = [r[n:] for r in aug]
-        return ExactMatrix(fld, rows, matrix.col_labels, matrix.row_labels)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(j == i)) for j in range(n)]
-           for i, row in enumerate(matrix.rows() if matrix._rows is None else matrix._rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValidationError("matrix is singular over Q")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                row_c = aug[c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], row_c)]
-    rows = [[x if x.denominator != 1 else int(x) for x in r[n:]] for r in aug]
+        aug = np.hstack([matrix.numpy(), np.eye(n, dtype=np.int64)])
+        work, pivots, _ = _eliminate_mod(aug, fld.p, jordan=True)
+    else:
+        # [DA | D] for the denominator-clearing row scales D: the right block
+        # ends as d * (DA)^-1 * D = d * A^-1.
+        rows, scales = _clear_denominators(matrix.rows())
+        aug = [r + [s if i == j else 0 for j in range(n)]
+               for i, (r, s) in enumerate(zip(rows, scales))]
+        work, pivots, _ = _bareiss(aug, jordan=True)
+    if pivots != list(range(n)):
+        raise ValidationError("matrix is singular over " + repr(fld))
+    if isinstance(fld, PrimeField):
+        rows = work[:, n:].tolist()
+    else:
+        # Every diagonal entry ends as the last pivot d.
+        rows = [[Fraction(x, r[i]) for x in r[n:]] for i, r in enumerate(work)]
+        rows = [[x if x.denominator != 1 else int(x) for x in r] for r in rows]
     return ExactMatrix(fld, rows, matrix.col_labels, matrix.row_labels)
 
 
@@ -591,50 +519,14 @@ def nullity_shift(matrix: ExactMatrix, shift) -> int:
     if isinstance(matrix.field, PrimeField):
         p = matrix.field.p
         a = matrix.numpy()
-        a = (a - (int(shift) % p) * np.eye(n, dtype=a.dtype)) % p
-        return n - _rank_mod_numpy(a, p)
+        a[np.diag_indices(n)] -= int(shift) % p
+        return n - len(_eliminate_mod(a, p)[1])
     rows = matrix.rows()
     s = shift if isinstance(shift, (int, Fraction)) else Fraction(shift)
     for i in range(n):
         rows[i][i] = rows[i][i] - s
     shifted = ExactMatrix(RATIONALS, rows)
     return n - rank(shifted)
-
-
-class _IncrementalBasis:
-    """Row space basis maintained in reduced form for greedy extraction."""
-
-    def __init__(self, field: FieldSpec, width: int) -> None:
-        self.field = field
-        self.width = width
-        self.pivots: dict[int, list] = {}
-
-    def try_add(self, row: Sequence) -> bool:
-        fld = self.field
-        if isinstance(fld, PrimeField):
-            p = fld.p
-            v = [int(x) % p for x in row]
-            for c, basis_row in self.pivots.items():
-                f = v[c]
-                if f:
-                    v = [(x - f * y) % p for x, y in zip(v, basis_row)]
-            lead = next((c for c, x in enumerate(v) if x), None)
-            if lead is None:
-                return False
-            inv = pow(v[lead], -1, p)
-            self.pivots[lead] = [x * inv % p for x in v]
-            return True
-        v = [Fraction(x) for x in row]
-        for c, basis_row in self.pivots.items():
-            f = v[c]
-            if f != 0:
-                v = [x - f * y for x, y in zip(v, basis_row)]
-        lead = next((c for c, x in enumerate(v) if x != 0), None)
-        if lead is None:
-            return False
-        pv = v[lead]
-        self.pivots[lead] = [x / pv for x in v]
-        return True
 
 
 def full_rank_submatrix(
@@ -644,10 +536,12 @@ def full_rank_submatrix(
 ) -> tuple[list[int], list[int]]:
     """Greedy maximal nonsingular submatrix within filtered rows/columns.
 
-    Filters are predicates on labels (None keeps everything). Scans rows in
-    canonical order keeping each row that grows the row space of the filtered
-    column block, then symmetrically prunes columns; the result is a square
-    index pair with nonzero determinant, deterministic for fixed input.
+    Filters are predicates on labels (None keeps everything). Keeps, in
+    canonical order, each filtered row that grows the row space of the
+    filtered column block, then each column that grows the column space of
+    the kept rows: the pivot columns of the transposed block, then of the
+    kept rows. The result is a square index pair with nonzero determinant,
+    deterministic for fixed input.
     """
     rows_ok = [
         i for i in range(matrix.nrows) if row_filter is None or row_filter(matrix.row_labels[i])
@@ -658,18 +552,13 @@ def full_rank_submatrix(
     if not rows_ok or not cols_ok:
         return [], []
     sub = matrix.submatrix(rows_ok, cols_ok)
-    data = sub.rows()
-    basis = _IncrementalBasis(matrix.field, len(cols_ok))
-    kept_rows = [i for pos, i in enumerate(rows_ok) if basis.try_add(data[pos])]
-    pos_of = {i: pos for pos, i in enumerate(rows_ok)}
-    cols_data = [
-        [data[pos_of[i]][jj] for i in kept_rows] for jj in range(len(cols_ok))
-    ]
-    basis_c = _IncrementalBasis(matrix.field, len(kept_rows))
-    kept_cols = [j for jj, j in enumerate(cols_ok) if basis_c.try_add(cols_data[jj])]
-    if len(kept_rows) != len(kept_cols):
+    kept = _pivot_columns(sub.transpose())
+    if not kept:
+        return [], []
+    kept_cols = _pivot_columns(sub.submatrix(kept, list(range(len(cols_ok)))))
+    if len(kept) != len(kept_cols):
         raise AssertionError("row and column ranks disagree; elimination bug")
-    return kept_rows, kept_cols
+    return [rows_ok[i] for i in kept], [cols_ok[j] for j in kept_cols]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ File format ("hcgraph v1"), plain ASCII text:
     e <u> <v>          (one line per edge, 1-based contiguous ids)
     bag <v1> <v2> ...  (one line per decomposition bag, in order)
 
+A file may declare at most MAX_HCGRAPH_VERTICES vertices.
+
 An optional JSON sidecar next to the graph records reduction metadata.
 """
 
@@ -21,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .exactalg import ValidationError
+from .exactalg import CapacityError, ValidationError
 
 __all__ = [
     "AnnotatedGraph",
@@ -32,6 +34,12 @@ __all__ = [
     "write_sidecar",
     "read_sidecar",
 ]
+
+
+# Ceiling on the vertex count a graph file may declare. Each vertex costs a
+# few hundred bytes of sets and dicts before any edge is read, and compiled
+# graphs stay in the tens of thousands of vertices.
+MAX_HCGRAPH_VERTICES = 1_000_000
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -202,6 +210,13 @@ def write_hcgraph(path, graph: AnnotatedGraph, decomposition: PathDecomposition 
                 fh.write("bag " + " ".join(str(renum[v]) for v in bag) + "\n")
 
 
+def _line_ints(fields: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ValidationError(f"line {lineno}: non-integer field in {fields}") from None
+
+
 def read_hcgraph(path) -> AnnotatedGraph:
     g = AnnotatedGraph()
     bags: list[tuple[int, ...]] = []
@@ -216,15 +231,22 @@ def read_hcgraph(path) -> AnnotatedGraph:
                 continue
             tag = parts[0]
             if tag == "n":
-                declared = int(parts[1])
+                if len(parts) != 2:
+                    raise ValidationError(f"line {lineno}: bad vertex-count line")
+                (declared,) = _line_ints(parts[1:], lineno)
+                if declared > MAX_HCGRAPH_VERTICES:
+                    raise CapacityError(
+                        f"line {lineno}: {declared} vertices exceed the "
+                        f"{MAX_HCGRAPH_VERTICES} ceiling"
+                    )
                 for v in range(1, declared + 1):
                     g.add_vertex(v)
             elif tag == "e":
                 if len(parts) != 3:
                     raise ValidationError(f"line {lineno}: bad edge line")
-                g.add_edge(int(parts[1]), int(parts[2]))
+                g.add_edge(*_line_ints(parts[1:], lineno))
             elif tag == "bag":
-                bags.append(tuple(int(x) for x in parts[1:]))
+                bags.append(tuple(_line_ints(parts[1:], lineno)))
             else:
                 raise ValidationError(f"line {lineno}: unknown tag {tag!r}")
     if declared is None:

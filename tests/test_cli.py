@@ -45,6 +45,29 @@ def test_bad_field_token(capsys):
     assert "error:" in err
 
 
+def test_non_numeric_prime_is_bad_input(capsys):
+    code, _, err = run(capsys, "rank", "--k", "4", "--field", "p:x")
+    assert code == 2
+    assert "error:" in err
+
+
+def test_field_token_is_case_insensitive(capsys):
+    code, out, _ = run(capsys, "rank", "--k", "4", "--field", "Q")
+    assert code == 0
+    assert out.splitlines()[-1] == "3"
+
+
+@pytest.mark.parametrize(
+    "body", ["n abc", "n", "n 3\ne 1 x", "n 3\nbag 1 x", "n 1000000000000"]
+)
+def test_malformed_graph_lines_are_bad_input(tmp_path, capsys, body):
+    graph = tmp_path / "bad.hcg"
+    graph.write_text(f"hcgraph v1\n{body}\n", encoding="ascii")
+    code, _, err = run(capsys, "count", "--graph", str(graph))
+    assert code == 2
+    assert err.startswith("error: line ")
+
+
 def test_spectrum_table(capsys):
     code, out, _ = run(capsys, "spectrum", "4")
     assert code == 0

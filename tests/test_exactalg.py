@@ -1,13 +1,20 @@
-"""Exact linear algebra against independent fraction-arithmetic oracles."""
+"""Exact linear algebra against independent fraction-arithmetic oracles,
+and the one-kernel-per-field eliminations against the separate loops they
+replaced, which stay here as references."""
 
+import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from matchconn import exactalg
+from matchconn.cli import CNF_CORPUS
 from matchconn.exactalg import (
     RATIONALS,
+    CapacityError,
     ExactMatrix,
     PrimeField,
     ValidationError,
@@ -19,6 +26,8 @@ from matchconn.exactalg import (
     nullity_shift,
     rank,
 )
+from matchconn.graphs import write_hcgraph
+from matchconn.reduction import assemble
 
 small_entries = st.integers(min_value=-6, max_value=6)
 
@@ -187,3 +196,299 @@ def test_prime_field_rejects_composites():
 def test_ragged_rows_rejected():
     with pytest.raises(ValidationError):
         square([[1, 2], [3]])
+
+
+def test_det_mod_p_counts_row_swaps():
+    assert det(square([[0, 1], [1, 0]], PrimeField(5))) == 4
+
+
+def test_prime_field_constructor_reduces_fractions_like_with_field():
+    rows = [[Fraction(1, 2), 1], [1, 1]]
+    direct = ExactMatrix(PrimeField(5), rows)
+    assert direct[0, 0] == 3
+    assert direct == square(rows).with_field(PrimeField(5))
+    assert det(direct) == 2
+    with pytest.raises(ValidationError):
+        ExactMatrix(PrimeField(2), rows)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), RATIONALS])
+def test_memory_ceiling_covers_every_elimination(monkeypatch, field):
+    m = square([[2, 1], [1, 3]], field)
+    monkeypatch.setenv("MATCHCONN_MEMORY_MB", "0")
+    with pytest.raises(CapacityError):
+        rank(m)
+
+
+# ---------------------------------------------------------------------------
+# references: the separate GF(p) eliminations used before the single kernel
+
+
+def ref_rank_mod(a: np.ndarray, p: int, big: bool = False, chunk: int = 2048) -> int:
+    """Column-at-a-time row elimination; `big` takes the chunked int32 branch."""
+    m, n = a.shape
+    if m == 0 or n == 0:
+        return 0
+    work = np.ascontiguousarray(a.astype(np.int32 if big else np.int64) % p)
+    r = 0
+    for c in range(n):
+        nz = np.nonzero(work[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            tmp = work[r].copy()
+            work[r] = work[i]
+            work[i] = tmp
+        inv = pow(int(work[r, c]), -1, p)
+        row = (work[r, c:].astype(np.int64) * inv) % p
+        work[r, c:] = row
+        if big:
+            for lo in range(r + 1, m, chunk):
+                hi = min(lo + chunk, m)
+                f = work[lo:hi, c]
+                mask = f != 0
+                if not mask.any():
+                    continue
+                blk = work[lo:hi, c:]
+                upd = blk[mask].astype(np.int64)
+                upd -= np.multiply.outer(f[mask].astype(np.int64), row)
+                upd %= p
+                blk[mask] = upd.astype(np.int32)
+        else:
+            f = work[r + 1 :, c]
+            mask = f != 0
+            if mask.any():
+                blk = work[r + 1 :, c:]
+                sel = blk[mask]
+                sel -= np.multiply.outer(f[mask], row)
+                sel %= p
+                blk[mask] = sel
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def ref_det_mod(rows, p: int) -> int:
+    n = len(rows)
+    a = [[x % p for x in r] for r in rows]
+    d = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            d = (p - d) % p
+        d = d * a[c][c] % p
+        inv = pow(a[c][c], -1, p)
+        for i in range(c + 1, n):
+            f = a[i][c] * inv % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
+    return d % p
+
+
+def ref_inverse_mod(rows, p: int):
+    """Gauss-Jordan on [A | I] as row lists; None when singular."""
+    n = len(rows)
+    aug = [[x % p for x in r] + [int(j == i) for j in range(n)] for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c]), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = pow(aug[c][c], -1, p)
+        aug[c] = [x * inv % p for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[c])]
+    return [r[n:] for r in aug]
+
+
+def ref_inverse_q(rows):
+    """Fraction Gauss-Jordan; None when singular."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in r] + [Fraction(int(j == i)) for j in range(n)]
+           for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        pv = aug[c][c]
+        aug[c] = [x / pv for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [r[n:] for r in aug]
+
+
+class RefIncrementalBasis:
+    """Row space basis kept in reduced form, grown one candidate at a time."""
+
+    def __init__(self, p: int | None) -> None:
+        self.p = p
+        self.pivots: dict[int, list] = {}
+
+    def try_add(self, row) -> bool:
+        p = self.p
+        v = [x % p for x in row] if p else [Fraction(x) for x in row]
+        for c, basis_row in self.pivots.items():
+            f = v[c]
+            if f:
+                v = [x - f * y for x, y in zip(v, basis_row)]
+                if p:
+                    v = [x % p for x in v]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            return False
+        inv = pow(v[lead], -1, p) if p else 1 / v[lead]
+        self.pivots[lead] = [x * inv % p for x in v] if p else [x * inv for x in v]
+        return True
+
+
+def ref_full_rank_submatrix(rows, p, rows_ok, cols_ok):
+    basis = RefIncrementalBasis(p)
+    kept_rows = [i for i in rows_ok if basis.try_add([rows[i][j] for j in cols_ok])]
+    basis_c = RefIncrementalBasis(p)
+    kept_cols = [j for j in cols_ok if basis_c.try_add([rows[i][j] for i in kept_rows])]
+    return kept_rows, kept_cols
+
+
+# ---------------------------------------------------------------------------
+# differential tests: one kernel per field against the references
+
+PRIMES = (2, 3, 65521)
+CERT_PRIME = 1_000_003
+entries = st.one_of(small_entries, st.integers(min_value=-(10**6), max_value=10**6))
+
+
+@st.composite
+def low_rank_arrays(draw, max_dim=7):
+    """B @ C with an inner dimension k <= min(m, n), half the time plus a
+    small perturbation: rank-deficient, non-square and empty shapes."""
+
+    def array(rows, cols, elements):
+        data = draw(st.lists(st.lists(elements, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+        return np.array(data, dtype=np.int64).reshape(rows, cols)
+
+    m = draw(st.integers(min_value=0, max_value=max_dim))
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    k = draw(st.integers(min_value=0, max_value=min(m, n)))
+    a = array(m, k, entries) @ array(k, n, entries)
+    if draw(st.booleans()):
+        a += array(m, n, small_entries)
+    return a
+
+
+def check_against_references(a: np.ndarray) -> None:
+    m, n = a.shape
+    for p in PRIMES + (CERT_PRIME,):
+        pivots = exactalg._eliminate_mod(a, p)[1]
+        assert len(pivots) == ref_rank_mod(a % p, p) == ref_rank_mod(a % p, p, big=True, chunk=3)
+    for p in PRIMES:
+        mat = ExactMatrix(PrimeField(p), a)
+        rows = (a % p).tolist()
+        assert rank(mat) == ref_rank_mod(a % p, p)
+        assert full_rank_submatrix(mat) == ref_full_rank_submatrix(
+            rows, p, range(m), range(n)
+        )
+        if m == n:
+            assert det(mat) == ref_det_mod(rows, p)
+            want = ref_inverse_mod(rows, p)
+            if want is None:
+                with pytest.raises(ValidationError):
+                    inverse(mat)
+            else:
+                assert inverse(mat).rows() == want
+
+
+EMPTY = [np.zeros(shape, dtype=np.int64) for shape in ((0, 0), (0, 3), (3, 0))]
+
+
+@given(low_rank_arrays())
+@example(EMPTY[0])
+@example(EMPTY[1])
+@example(EMPTY[2])
+@settings(max_examples=150, deadline=None)
+def test_mod_p_kernel_matches_references(a):
+    check_against_references(a)
+
+
+@given(low_rank_arrays(max_dim=9), st.sampled_from([16_000_000, 0]))
+@settings(max_examples=60, deadline=None)
+def test_mod_p_kernel_multi_chunk_paths(a, int32_entries):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg, "_CHUNK_ROWS", 3)
+        mp.setattr(exactalg, "_INT32_ENTRIES", int32_entries)
+        check_against_references(a)
+
+
+@given(low_rank_arrays(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_full_rank_submatrix_filters_match_reference(a, data):
+    m, n = a.shape
+    keep_r = data.draw(st.sets(st.integers(min_value=0, max_value=max(m - 1, 0))))
+    keep_c = data.draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0))))
+    rows_ok = [i for i in range(m) if i in keep_r]
+    cols_ok = [j for j in range(n) if j in keep_c]
+    for p in (3, 65521, None):
+        field = PrimeField(p) if p else RATIONALS
+        mat = ExactMatrix(field, a)
+        rows = (a % p).tolist() if p else a.tolist()
+        got = full_rank_submatrix(mat, lambda i: i in keep_r, lambda j: j in keep_c)
+        assert got == ref_full_rank_submatrix(rows, p, rows_ok, cols_ok)
+
+
+fractions = st.builds(Fraction, small_entries, st.integers(min_value=1, max_value=4))
+
+
+@given(st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(small_entries, fractions), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+))
+@example([[1, Fraction(1, 2)], [1, 1]])
+@settings(max_examples=150, deadline=None)
+def test_rational_gauss_jordan_matches_fraction_reference(rows):
+    m = square(rows) if rows else ExactMatrix(RATIONALS, np.zeros((0, 0), dtype=np.int64))
+    assert Fraction(det(m)) == oracle_det(rows)
+    want = ref_inverse_q(rows)
+    if want is None:
+        with pytest.raises(ValidationError):
+            inverse(m)
+    else:
+        got = inverse(m).rows()
+        assert got == want
+        assert all(type(x) is int for r in got for x in r if x.denominator == 1)
+
+
+@given(low_rank_arrays())
+@example(EMPTY[1])
+@example(EMPTY[2])
+@settings(max_examples=80, deadline=None)
+def test_rational_rank_of_low_rank_shapes(a):
+    assert rank(ExactMatrix(RATIONALS, a)) == oracle_rank(a.tolist())
+
+
+# write_hcgraph output measured before the single kernel: select_basis must
+# keep choosing the same interface basis, so the compiled graphs stay equal.
+GOLDEN_HCGRAPH_SHA256 = {
+    (4, 5): "906a6ac9afef3fa3b2d8b7d0501a499d3801f88c922e6d544a22859c486bbea9",
+    (3, 3): "b05ca8d199c0ea9fbf9e9f78b4f308415390e53df333ff36e20f166ecd0b04d9",
+}
+
+
+@pytest.mark.parametrize("corpus_index,p", sorted(GOLDEN_HCGRAPH_SHA256))
+def test_compiled_graph_bytes_unchanged(tmp_path, corpus_index, p):
+    result = assemble(CNF_CORPUS[corpus_index][1], p)
+    path = tmp_path / "g.hcg"
+    write_hcgraph(path, result.graph, result.decomposition)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_HCGRAPH_SHA256[(corpus_index, p)]

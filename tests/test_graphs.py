@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchconn.exactalg import ValidationError
+from matchconn.exactalg import CapacityError, ValidationError
 from matchconn.graphs import (
     AnnotatedGraph,
     DecompositionError,
@@ -150,6 +150,17 @@ class TestFileFormats:
         p = tmp_path / "bad.hcg"
         p.write_text("hcgraph v1\nn 2\ne 1 3\n")
         with pytest.raises(ValidationError):
+            read_hcgraph(p)
+
+    def test_vertex_ceiling_checked_before_any_vertex(self, tmp_path, monkeypatch):
+        p = tmp_path / "huge.hcg"
+        p.write_text("hcgraph v1\nn 1000000000000\n")
+
+        def no_vertices(self, v):
+            raise AssertionError("a vertex was added before the ceiling check")
+
+        monkeypatch.setattr(AnnotatedGraph, "add_vertex", no_vertices)
+        with pytest.raises(CapacityError, match="line 2"):
             read_hcgraph(p)
 
     def test_sidecar_round_trip(self, tmp_path):
