@@ -700,7 +700,7 @@ def _cmd_basis(args) -> int:
     lines.append("# interface matrix rows (left basis order, mod p):")
     for i, fl in enumerate(params.left_basis):
         row = ",".join(
-            str(params.f_matrix[i, j] % args.p)
+            str(params.f_matrix[i, j])
             for j in range(len(params.right_basis))
         )
         lines.append(f"# F[{i}] = {row}")

@@ -171,7 +171,8 @@ class ExactMatrix:
     constrained submatrix extraction filters on them.
 
     Storage is either a numpy integer array (`_arr`) or a list of row lists
-    of Python scalars (`_rows`); exactly one is set.
+    of Python scalars (`_rows`); exactly one is set. Over Z/p both hold
+    residues in 0..p-1.
     """
 
     __slots__ = ("field", "nrows", "ncols", "row_labels", "col_labels", "_arr", "_rows")
@@ -189,13 +190,23 @@ class ExactMatrix:
                 raise ValidationError("matrix data must be 2-dimensional")
             if not np.issubdtype(data.dtype, np.integer):
                 raise ValidationError("numpy-backed matrices must have integer dtype")
+            # copy only to reduce, so the 0/1 matrices most callers pass
+            # share their array
+            if isinstance(field, PrimeField) and data.size and (
+                data.min() < 0 or data.max() >= field.p
+            ):
+                data = data % field.p
             self._arr = data
             self._rows = None
             self.nrows, self.ncols = data.shape
         else:
             rows = [list(r) for r in data]
             self.nrows = len(rows)
-            self.ncols = len(rows[0]) if rows else 0
+            # zero rows carry no width, so it comes from the column labels
+            if rows:
+                self.ncols = len(rows[0])
+            else:
+                self.ncols = len(col_labels) if col_labels is not None else 0
             for r in rows:
                 if len(r) != self.ncols:
                     raise ValidationError("ragged rows in matrix data")

@@ -66,34 +66,59 @@ class PathDecomposition:
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
 
+    def occurrence_intervals(self) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+        """Each vertex's first and last bag, and where its run breaks.
+
+        Returns (first, last, gap) from one pass over the bags. `gap` maps
+        each vertex whose bags are not contiguous to the first bag between
+        its first and last that lacks it; a vertex listed twice in one bag
+        counts once. Costs O(sum of bag sizes).
+        """
+        first: dict[int, int] = {}
+        last: dict[int, int] = {}
+        gap: dict[int, int] = {}
+        for i, bag in enumerate(self.bags):
+            for v in bag:
+                j = last.get(v)
+                if j is None:
+                    first[v] = i
+                elif j == i:
+                    continue
+                elif j != i - 1 and v not in gap:
+                    gap[v] = j + 1
+                last[v] = i
+        return first, last, gap
+
     def violations(self, graph: "AnnotatedGraph") -> list[str]:
         """Empty list iff this is a valid path decomposition of the graph.
 
         Checks: every bag vertex belongs to the graph, every vertex occurs in
         a nonempty contiguous run of bags, and every edge fits inside some bag.
+        Two contiguous runs share a bag exactly when their intervals meet, so
+        only an edge at a broken run scans bags; on a valid decomposition the
+        cost is O(sum of bag sizes + |E|).
         """
         probs: list[str] = []
-        first: dict[int, int] = {}
-        last: dict[int, int] = {}
         vset = graph.vertices
-        for i, bag in enumerate(self.bags):
-            for v in bag:
-                if v not in vset:
-                    probs.append(f"bag {i} contains unknown vertex {v}")
-                first.setdefault(v, i)
-                last[v] = i
-        for v in vset:
-            if v not in first:
-                probs.append(f"vertex {v} appears in no bag")
-        for v, f in first.items():
-            for i in range(f, last[v] + 1):
-                if v not in self.bags[i]:
-                    probs.append(f"vertex {v} missing from bag {i} inside its run")
-                    break
-        bag_sets = [frozenset(b) for b in self.bags]
+        first, last, gap = self.occurrence_intervals()
+        if not vset.issuperset(first):
+            for i, bag in enumerate(self.bags):
+                probs += [f"bag {i} contains unknown vertex {v}" for v in bag if v not in vset]
+        probs += [f"vertex {v} appears in no bag" for v in vset if v not in first]
+        if gap:
+            probs += [
+                f"vertex {v} missing from bag {gap[v]} inside its run" for v in first if v in gap
+            ]
         for u, v in graph.edges:
-            if not any(u in b and v in b for b in bag_sets):
-                probs.append(f"edge {u}-{v} fits in no bag")
+            if u in first and v in first:
+                lo = max(first[u], first[v])
+                hi = min(last[u], last[v])
+                if lo <= hi and (
+                    (u not in gap and v not in gap)
+                    or any(u in b and v in b for b in self.bags[lo : hi + 1])
+                ):
+                    continue
+            probs.append(f"edge {u}-{v} fits in no bag")
         return probs
 
     def validate(self, graph: "AnnotatedGraph") -> None:

@@ -12,7 +12,8 @@ other:
   * count_hc_pathdp / count_partial_solutions with a decomposition: dynamic
     programming along the bags with states (degrees, endpoint pairing,
     closed flag), closing a cycle only on the take that would empty the
-    pairing. Optional modulus for residue counting.
+    pairing. Optional modulus for residue counting. Capacity
+    MAX_DP_STATES live states.
 
 Conventions: the empty graph has exactly one Hamiltonian cycle; graphs on
 one or two vertices have none.
@@ -39,10 +40,15 @@ __all__ = [
     "layered_decomposition",
     "MAX_BRUTEFORCE_VERTICES",
     "MAX_SUBSET_EDGES",
+    "MAX_DP_STATES",
 ]
 
 MAX_BRUTEFORCE_VERTICES = 20
 MAX_SUBSET_EDGES = 24
+# Ceiling on the live state table of the bag sweep. A state costs a few
+# hundred bytes of tuples and dict slots, and compiled graphs peak at a few
+# thousand states.
+MAX_DP_STATES = 1_000_000
 
 
 @dataclass
@@ -248,24 +254,22 @@ def _count_partial_bruteforce(
 
 
 def _bag_schedule(graph: AnnotatedGraph, bags: list[tuple[int, ...]]):
-    """Per-bag introduce/edge/forget lists from a validated bag sequence."""
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for i, bag in enumerate(bags):
-        for v in bag:
-            first.setdefault(v, i)
-            last[v] = i
+    """Per-bag introduce/edge/forget lists from a validated bag sequence.
+
+    An edge's home is the first bag holding both ends, max(first[u],
+    first[v]) once every run is contiguous. Costs O(sum of bag sizes +
+    |E|) plus the sort that fixes the edge order.
+    """
+    first, last, _ = PathDecomposition(bags).occurrence_intervals()
     intro = [[] for _ in bags]
     forget = [[] for _ in bags]
     edges_at = [[] for _ in bags]
     for v in graph.vertices:
         intro[first[v]].append(v)
         forget[last[v]].append(v)
-    bag_sets = [frozenset(b) for b in bags]
     for e in sorted(graph.edges):
         u, v = e
-        home = next(i for i, b in enumerate(bag_sets) if u in b and v in b)
-        edges_at[home].append(e)
+        edges_at[max(first[u], first[v])].append(e)
     for lst in intro:
         lst.sort()
     for lst in forget:
@@ -286,7 +290,8 @@ def _sweep(
     pairing, closed) and hashing stays cheap; the final states are decoded
     back to (sorted degree items, sorted vertex pairing, closed) -> count.
     Vertices in `keep` are never forgotten even at their last bag. The skip
-    branch of an edge is a wholesale dict copy; only takes allocate.
+    branch of an edge is a wholesale dict copy; only takes allocate. Raises
+    CapacityError once the table holds more than MAX_DP_STATES states.
     """
     intro, edges_at, forget = _bag_schedule(graph, bags)
     slot_of: dict[int, int] = {}
@@ -298,7 +303,8 @@ def _sweep(
     remaining = {v: graph.degree(v) for v in graph.vertices}
 
     def forget_now(verts: list[int]) -> None:
-        nonlocal states, peak
+        # merging states never grows the table, so the peak cannot move here
+        nonlocal states
         mask = 0
         for w in verts:
             mask |= 1 << slot_of[w]
@@ -314,8 +320,6 @@ def _sweep(
                 cur %= modulus
             nxt[nk] = cur
         states = nxt
-        if len(states) > peak:
-            peak = len(states)
         for w in verts:
             heapq.heappush(free_slots, slot_of.pop(w))
 
@@ -392,6 +396,10 @@ def _sweep(
             states = nxt
             if len(states) > peak:
                 peak = len(states)
+                if peak > MAX_DP_STATES:
+                    raise CapacityError(
+                        f"{peak} DP states at bag {i} exceed the {MAX_DP_STATES} ceiling"
+                    )
             done = []
             for w in (u, v):
                 remaining[w] -= 1

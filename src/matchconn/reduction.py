@@ -16,8 +16,10 @@ close to the number of variables. The stages:
     boundary, expands all label gadgets, and returns the final graph with
     its decomposition and the predicted residue.
 
-Label annotations (1..4) survive until the final expansion step so that the
-intermediate graphs stay small enough to validate.
+Label annotations (1..4) survive until the final expansion step, so a label
+site stays one vertex instead of nine while gadgets, clause columns and the
+assembly are built. Each of those stages validates its path decomposition,
+which costs O(sum of bag sizes + edges).
 """
 
 from __future__ import annotations

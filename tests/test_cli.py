@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from matchconn import hcount
 from matchconn.cli import main
+from matchconn.graphs import AnnotatedGraph, PathDecomposition, write_hcgraph
 
 
 def run(capsys, *argv):
@@ -66,6 +68,19 @@ def test_malformed_graph_lines_are_bad_input(tmp_path, capsys, body):
     code, _, err = run(capsys, "count", "--graph", str(graph))
     assert code == 2
     assert err.startswith("error: line ")
+
+
+def test_dp_state_ceiling_is_over_capacity(tmp_path, capsys, monkeypatch):
+    g = AnnotatedGraph()
+    for u in range(1, 6):
+        for v in range(u + 1, 6):
+            g.add_edge(u, v)
+    graph = tmp_path / "k5.hcg"
+    write_hcgraph(graph, g, PathDecomposition([(1, 2, 3, 4, 5)]))
+    monkeypatch.setattr(hcount, "MAX_DP_STATES", 3)
+    code, _, err = run(capsys, "count", "--graph", str(graph))
+    assert code == 2
+    assert "ceiling" in err
 
 
 def test_spectrum_table(capsys):

@@ -212,6 +212,36 @@ def test_prime_field_constructor_reduces_fractions_like_with_field():
         ExactMatrix(PrimeField(2), rows)
 
 
+def test_numpy_backed_prime_matrix_holds_residues():
+    rows = [[7, -3, 0], [12, 4, -10]]
+    from_array = ExactMatrix(PrimeField(5), np.array(rows, dtype=np.int64))
+    from_lists = ExactMatrix(PrimeField(5), rows)
+    assert from_array.is_numpy() and not from_lists.is_numpy()
+    assert from_array[0, 0] == 2 and from_array[0, 1] == 2
+    assert from_array == from_lists
+    assert from_array.rows() == from_lists.rows() == [[2, 2, 0], [2, 4, 0]]
+    assert square(rows).with_field(PrimeField(5)) == from_lists
+
+
+def test_reduced_numpy_data_is_shared_not_copied():
+    data = np.array([[0, 1], [1, 0]], dtype=np.int8)
+    assert ExactMatrix(PrimeField(2), data)._arr is data
+    assert ExactMatrix(RATIONALS, data).with_field(PrimeField(3))._arr is data
+
+
+@pytest.mark.parametrize("as_numpy", [True, False])
+def test_submatrix_with_no_rows_keeps_its_columns(as_numpy):
+    rows = [[1, 2, 3], [4, 5, 6]]
+    data = np.array(rows, dtype=np.int64) if as_numpy else rows
+    m = ExactMatrix(PrimeField(7), data, col_labels=["a", "b", "c"])
+    sub = m.submatrix([], [0, 2])
+    assert sub.shape == (0, 2)
+    assert sub.col_labels == ["a", "c"] and sub.row_labels == []
+    assert sub.transpose().shape == (2, 0)
+    assert sub.numpy().shape == (0, 2)
+    assert m.submatrix([1], []).shape == (1, 0)
+
+
 @pytest.mark.parametrize("field", [PrimeField(7), RATIONALS])
 def test_memory_ceiling_covers_every_elimination(monkeypatch, field):
     m = square([[2, 1], [1, 3]], field)

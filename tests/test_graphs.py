@@ -1,7 +1,7 @@
 """Graph container, path decompositions, and the file formats."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchconn.exactalg import CapacityError, ValidationError
@@ -103,6 +103,19 @@ class TestPathDecomposition:
             d.validate(g)
         assert "no bag" in str(err.value)
 
+    def test_duplicate_in_one_bag_is_not_a_gap(self):
+        g = path_graph(3)
+        PathDecomposition([(1, 2, 2), (2, 3, 2)]).validate(g)
+        d = PathDecomposition([(1, 2, 2), (3,), (2, 3)])
+        assert d.violations(g) == ["vertex 2 missing from bag 1 inside its run"]
+
+    def test_occurrence_intervals(self):
+        d = PathDecomposition([(1, 2), (2, 2), (), (1, 3), (3,)])
+        first, last, gap = d.occurrence_intervals()
+        assert first == {1: 0, 2: 0, 3: 3}
+        assert last == {1: 3, 2: 1, 3: 4}
+        assert gap == {1: 1}
+
     def test_relabel(self):
         d = PathDecomposition([(1, 2), (2, 3)])
         r = d.relabel({1: 10, 2: 20, 3: 30})
@@ -187,3 +200,144 @@ class TestFileFormats:
             write_hcgraph(p, g)
             back = read_hcgraph(p)
         assert back.vertices == g.vertices and back.edges == g.edges
+
+
+# ---------------------------------------------------------------------------
+# reference: the edge x bag scan that violations() used before the
+# occurrence intervals; it words every message the same way
+
+
+def reference_violations(bags, graph):
+    probs = []
+    first = {}
+    last = {}
+    vset = graph.vertices
+    for i, bag in enumerate(bags):
+        for v in bag:
+            if v not in vset:
+                probs.append(f"bag {i} contains unknown vertex {v}")
+            first.setdefault(v, i)
+            last[v] = i
+    for v in vset:
+        if v not in first:
+            probs.append(f"vertex {v} appears in no bag")
+    for v, f in first.items():
+        for i in range(f, last[v] + 1):
+            if v not in bags[i]:
+                probs.append(f"vertex {v} missing from bag {i} inside its run")
+                break
+    bag_sets = [frozenset(b) for b in bags]
+    for u, v in graph.edges:
+        if not any(u in b and v in b for b in bag_sets):
+            probs.append(f"edge {u}-{v} fits in no bag")
+    return probs
+
+
+@st.composite
+def interval_decompositions(draw, max_vertices=8, max_bags=7):
+    """A graph on 1..n with a valid decomposition: random occurrence
+    intervals, bags read off them, edges only between meeting intervals."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    k = draw(st.integers(min_value=1, max_value=max_bags))
+    spans = {}
+    for v in range(1, n + 1):
+        a = draw(st.integers(min_value=0, max_value=k - 1))
+        spans[v] = (a, draw(st.integers(min_value=a, max_value=k - 1)))
+    g = AnnotatedGraph()
+    for v in spans:
+        g.add_vertex(v)
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            meet = max(spans[u][0], spans[v][0]) <= min(spans[u][1], spans[v][1])
+            if meet and draw(st.booleans()):
+                g.add_edge(u, v)
+    bags = [[v for v in spans if spans[v][0] <= i <= spans[v][1]] for i in range(k)]
+    return g, bags
+
+
+@st.composite
+def damaged_decompositions(draw):
+    """A valid decomposition after a few random edits: unknown vertices,
+    dropped and repeated occurrences, inserted empty bags, shuffled bags,
+    and extra edges that may fit no bag."""
+    g, bags = draw(interval_decompositions())
+    n = len(g.vertices)
+    edits = draw(st.lists(st.integers(min_value=0, max_value=5), max_size=4))
+    for kind in edits:
+        i = draw(st.integers(min_value=0, max_value=len(bags) - 1))
+        bag = bags[i]
+        if kind == 0:
+            bag.insert(draw(st.integers(0, len(bag))), draw(st.integers(n + 1, n + 3)))
+        elif kind == 1 and bag:
+            del bag[draw(st.integers(0, len(bag) - 1))]
+        elif kind == 2 and bag:
+            bag.append(draw(st.sampled_from(bag)))
+        elif kind == 3:
+            bags.insert(i, [])
+        elif kind == 4:
+            j = draw(st.integers(min_value=0, max_value=len(bags) - 1))
+            bags[i], bags[j] = bags[j], bags[i]
+        elif kind == 5 and n >= 2:
+            u, v = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+            if not g.has_edge(u, v):
+                g.add_edge(u, v)
+    if draw(st.booleans()):
+        g.add_vertex(n + 4)
+    return g, [tuple(b) for b in bags]
+
+
+def decomposition_from(bags):
+    return PathDecomposition([tuple(b) for b in bags])
+
+
+class TestViolationsAgainstReference:
+    @given(interval_decompositions())
+    @settings(max_examples=150, deadline=None)
+    def test_valid_decompositions(self, case):
+        g, bags = case
+        d = decomposition_from(bags)
+        assert d.violations(g) == reference_violations(d.bags, g) == []
+
+    @given(damaged_decompositions())
+    @settings(max_examples=400, deadline=None)
+    @example((path_graph(3), [(1, 2, 2), (2, 3)]))
+    @example((path_graph(3), [(1, 2), (), (2, 3)]))
+    def test_damaged_decompositions(self, case):
+        g, bags = case
+        d = decomposition_from(bags)
+        assert d.violations(g) == reference_violations(d.bags, g)
+
+    @pytest.mark.parametrize(
+        "bags,edges,kinds",
+        [
+            ([(1, 2), (2, 9, 9), (3,)], [(1, 2), (2, 3)], {"unknown", "edge"}),
+            ([(1, 2), (2,)], [(1, 2), (2, 3)], {"no bag", "edge"}),
+            ([(1, 2), (2, 3), (1, 3)], [(1, 2), (2, 3)], {"missing from bag"}),
+            ([(1, 2, 1), (2, 2, 3), (3,)], [(1, 2), (2, 3)], set()),
+            ([(), (1, 2), (), (2, 3), ()], [(1, 2), (2, 3)], {"missing from bag"}),
+            ([(1, 3), (2,), (1, 2), (3,)], [(1, 2), (2, 3)], {"missing from bag", "edge"}),
+            ([(1, 3), (2, 3), (1, 2)], [(1, 2), (1, 3)], {"missing from bag"}),
+            ([], [(1, 2), (2, 3)], {"no bag", "edge"}),
+        ],
+    )
+    def test_each_kind_of_damage(self, bags, edges, kinds):
+        g = path_graph(3)
+        for u, v in edges:
+            if not g.has_edge(u, v):
+                g.add_edge(u, v)
+        d = decomposition_from(bags)
+        got = d.violations(g)
+        assert got == reference_violations(d.bags, g)
+        for kind in kinds:
+            assert any(kind in msg for msg in got)
+        assert bool(got) == bool(kinds)
+
+    def test_validate_keeps_the_first_twenty_messages(self):
+        g = path_graph(30)
+        d = PathDecomposition([(v,) for v in range(1, 31)])
+        with pytest.raises(DecompositionError) as err:
+            d.validate(g)
+        want = reference_violations(d.bags, g)
+        assert len(want) == 29
+        assert err.value.violations == want[:20]
+        assert str(err.value) == "; ".join(want[:20])

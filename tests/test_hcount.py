@@ -7,14 +7,17 @@ other on random inputs.
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchconn import hcount
 from matchconn.exactalg import CapacityError
 from matchconn.graphs import AnnotatedGraph, DecompositionError, PathDecomposition
 from matchconn.hcount import (
+    _bag_schedule,
     count_hc_bruteforce,
     count_hc_pathdp,
     count_partial_solutions,
@@ -282,3 +285,101 @@ def test_boundary_must_be_known():
     fp = Fingerprint((9,), (0,), Matching(()))
     with pytest.raises(Exception):
         count_partial_solutions(g, (9,), fp)
+
+
+# -- bag schedule -------------------------------------------------------------
+
+
+def reference_bag_schedule(graph, bags):
+    """The schedule as built before occurrence intervals: each edge's home is
+    found by scanning the bags for the first one holding both ends."""
+    first = {}
+    last = {}
+    for i, bag in enumerate(bags):
+        for v in bag:
+            first.setdefault(v, i)
+            last[v] = i
+    intro = [[] for _ in bags]
+    forget = [[] for _ in bags]
+    edges_at = [[] for _ in bags]
+    for v in graph.vertices:
+        intro[first[v]].append(v)
+        forget[last[v]].append(v)
+    bag_sets = [frozenset(b) for b in bags]
+    for e in sorted(graph.edges):
+        u, v = e
+        home = next(i for i, b in enumerate(bag_sets) if u in b and v in b)
+        edges_at[home].append(e)
+    for lst in intro:
+        lst.sort()
+    for lst in forget:
+        lst.sort()
+    return intro, edges_at, forget
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_bag_schedule_matches_reference(data):
+    # random occurrence intervals, bags read off them (some listing a vertex
+    # twice), edges only between meeting intervals
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    k = data.draw(st.integers(min_value=1, max_value=8))
+    spans = {}
+    for v in range(1, n + 1):
+        a = data.draw(st.integers(min_value=0, max_value=k - 1))
+        spans[v] = (a, data.draw(st.integers(min_value=a, max_value=k - 1)))
+    g = AnnotatedGraph()
+    for v in spans:
+        g.add_vertex(v)
+    for u, v in itertools.combinations(spans, 2):
+        meet = max(spans[u][0], spans[v][0]) <= min(spans[u][1], spans[v][1])
+        if meet and data.draw(st.booleans()):
+            g.add_edge(u, v)
+    bags = []
+    for i in range(k):
+        bag = [v for v in spans if spans[v][0] <= i <= spans[v][1]]
+        bag = data.draw(st.permutations(bag))
+        if bag and data.draw(st.booleans()):
+            bag.append(bag[0])
+        bags.append(tuple(bag))
+    PathDecomposition(bags).validate(g)
+    assert _bag_schedule(g, bags) == reference_bag_schedule(g, bags)
+
+
+def test_bag_schedule_matches_reference_on_layered_decompositions():
+    rng = random.Random(5)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.9))
+        bags = list(layered_decomposition(g).bags)
+        assert _bag_schedule(g, bags) == reference_bag_schedule(g, bags)
+
+
+def test_validate_and_schedule_scale_linearly():
+    # 50,000 bags: the linear checks take well under a second, the edge x bag
+    # scan they replaced would take hours
+    n = 50_001
+    g = AnnotatedGraph()
+    for v in range(1, n):
+        g.add_edge(v, v + 1)
+    bags = [(v, v + 1) for v in range(1, n)]
+    t0 = time.perf_counter()
+    PathDecomposition(bags).validate(g)
+    intro, edges_at, forget = _bag_schedule(g, bags)
+    elapsed = time.perf_counter() - t0
+    assert all(len(es) == 1 for es in edges_at)
+    assert intro[0] == [1, 2] and forget[-1] == [n - 1, n]
+    assert elapsed < 10.0, f"{elapsed:.1f} s for {len(bags)} bags"
+
+
+# -- state ceiling -------------------------------------------------------------
+
+
+def test_state_ceiling_is_checked_at_the_peak(monkeypatch):
+    g = complete_graph(6)
+    d = layered_decomposition(g)
+    peak = count_hc_pathdp(g, d).states_peak
+    monkeypatch.setattr(hcount, "MAX_DP_STATES", peak)
+    assert count_hc_pathdp(g, d).value == 60
+    monkeypatch.setattr(hcount, "MAX_DP_STATES", peak - 1)
+    with pytest.raises(CapacityError, match="ceiling"):
+        count_hc_pathdp(g, d)
