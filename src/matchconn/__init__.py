@@ -9,6 +9,7 @@ Submodules:
   scheme     the association scheme on matchings and its spectrum
   amplify    Kronecker self-similarity in the big matrices
   reduction  CNF to counting-Hamiltonian-cycles compiler
+  checks     the published values and the certification suites
   cli        command line entry points
 """
 

@@ -64,10 +64,14 @@ class ProductGraph:
         return (copy - 1) * self.base_size + j
 
 
-def build_product_graph(base_size: int, copies: int) -> ProductGraph:
-    """t copies of K_B in a ring; patch edges j -> next copy's vertex 1, j != 1."""
+def _check_product_shape(base_size: int, copies: int) -> None:
     if base_size < 2 or copies < 1:
         raise ValidationError("need base size >= 2 and at least one copy")
+
+
+def build_product_graph(base_size: int, copies: int) -> ProductGraph:
+    """t copies of K_B in a ring; patch edges j -> next copy's vertex 1, j != 1."""
+    _check_product_shape(base_size, copies)
     g = AnnotatedGraph()
     pg = ProductGraph(copies, base_size, g, [])
     for i in range(1, copies + 1):
@@ -173,6 +177,7 @@ def verify_tensor_identity(
     connectivity matrix (and the plain-vs-plain block is zero for t >= 2,
     since unions decompose per copy).
     """
+    _check_product_shape(base_size, copies)
     if base is None:
         base = enumerate_matchings(base_size)
     plain = tensor_matchings(base, copies, detoured=False)

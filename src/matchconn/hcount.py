@@ -70,16 +70,22 @@ class CountResult:
         }
 
 
-def count_hc_bruteforce(graph: AnnotatedGraph) -> CountResult:
-    """Exact Hamiltonian cycle count by frontier walk; capacity 20 vertices."""
+def _check_modulus(modulus: int | None) -> None:
+    if modulus is not None and modulus < 2:
+        raise ValidationError(f"modulus {modulus} must be at least 2")
+
+
+def count_hc_bruteforce(graph: AnnotatedGraph, modulus: int | None = None) -> CountResult:
+    """Exact Hamiltonian cycle count (or residue) by frontier walk; capacity 20 vertices."""
     t0 = time.perf_counter()
+    _check_modulus(modulus)
     n = len(graph.vertices)
     if n > MAX_BRUTEFORCE_VERTICES:
         raise CapacityError(f"{n} vertices exceed the brute-force ceiling {MAX_BRUTEFORCE_VERTICES}")
     if n == 0:
-        return CountResult(1, runtime_ms=(time.perf_counter() - t0) * 1e3)
+        return CountResult(1 % modulus if modulus else 1, modulus, runtime_ms=(time.perf_counter() - t0) * 1e3)
     if n < 3 or any(graph.degree(v) < 2 for v in graph.vertices):
-        return CountResult(0, runtime_ms=(time.perf_counter() - t0) * 1e3)
+        return CountResult(0, modulus, runtime_ms=(time.perf_counter() - t0) * 1e3)
     order = sorted(graph.vertices)
     idx = {v: i for i, v in enumerate(order)}
     adj = [0] * n
@@ -107,7 +113,10 @@ def count_hc_bruteforce(graph: AnnotatedGraph) -> CountResult:
     for (mask, last), cnt in frontier.items():
         if mask == full and adj[last] & start_bit:
             total += cnt
-    return CountResult(total // 2, states_peak=peak, runtime_ms=(time.perf_counter() - t0) * 1e3)
+    total //= 2
+    if modulus is not None:
+        total %= modulus
+    return CountResult(total, modulus, peak, (time.perf_counter() - t0) * 1e3)
 
 
 def enumerate_hamiltonian_cycles(graph: AnnotatedGraph):
@@ -440,8 +449,7 @@ def count_hc_pathdp(
 ) -> CountResult:
     """Hamiltonian cycle count (or residue) along a path decomposition."""
     t0 = time.perf_counter()
-    if modulus is not None and modulus < 2:
-        raise ValidationError(f"modulus {modulus} must be at least 2")
+    _check_modulus(modulus)
     decomp = decomposition if decomposition is not None else graph.decomposition
     if decomp is None:
         decomp = layered_decomposition(graph)

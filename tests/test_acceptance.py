@@ -1,293 +1,100 @@
 """Acceptance criteria, one test per criterion.
 
-Each test reports a single pass/fail line through the ``verdict`` fixture
-(rendered together at the end of the run) and asserts the stated budget
-where one exists.  The two expensive order-12 checks only run under
-``--large`` (or MATCHCONN_LARGE=1); without the flag the cheap part of the
-criterion still runs and the verdict notes that the large tier was skipped.
+Criterion N runs the N-th certification suite of ``matchconn.checks``, the
+same lines ``matchconn verify`` prints, and passes when every line passed
+and the suite finished inside the criterion's wall-clock budget, where it
+has one. Each test reports a single pass/fail line through the ``verdict``
+fixture (rendered together at the end of the run).
+
+Criteria 3 and 4 have an expensive order-12 tier that only runs under
+``--large`` (or MATCHCONN_LARGE=1). Its ranks are computed before the clock
+starts, so the budget times the same work with and without the tier.
+Without the flag the verdict notes that the tier was skipped.
 """
 
 from __future__ import annotations
 
-import random
 import time
-from functools import lru_cache
-from math import comb, factorial
 
-from matchconn.amplify import verify_tensor_identity
-from matchconn.cli import (
-    CNF_CORPUS,
-    VERIFY_SEED,
-    random_gadget_spec,
-    random_label_closure,
-)
-from matchconn.exactalg import PrimeField, det, rank
-from matchconn.hcount import (
-    count_hc_bruteforce,
-    count_hc_pathdp,
-    enumerate_hamiltonian_cycles,
-    partial_solution_spectrum,
-)
-from matchconn.matchings import (
-    GraphConstructionError,
-    boundaried_graph_for_fingerprint,
-    build_H,
-    build_M,
-    glue_boundaried,
-)
-from matchconn.reduction import (
-    assemble,
-    build_fingerprint_gadget,
-    count_sat,
-    expand_label_gadgets,
-)
-from matchconn.scheme import (
-    certify_spectrum,
-    sphere_size,
-    spectrum_primes,
-    verify_scheme_axioms,
-)
-from matchconn.tableaux import (
-    bipartite_rank_check,
-    catalan,
-    double_factorial,
-    domino_hook_report,
-    partitions,
-    rational_rank_formula,
-)
+from matchconn import checks
 
 
-@lru_cache(maxsize=1)
-def _matrix_order_12():
-    return build_M(12, large=True)
-
-
-@lru_cache(maxsize=1)
-def _order_12_ranks() -> tuple[dict[int, int], float]:
-    """Ranks of the order-12 matrix mod 3, 5, 7 plus elapsed seconds."""
-    m12 = _matrix_order_12()
+def _criterion(verdict, num, title, suite, budget=None, large=None):
+    """Run one suite and record its verdict; ``large`` is None for suites
+    without an order-12 tier."""
+    if large:
+        checks.order_12_ranks()
     t0 = time.perf_counter()
-    ranks = {p: rank(m12.with_field(PrimeField(p))) for p in (3, 5, 7)}
-    return ranks, time.perf_counter() - t0
+    lines = checks.run_suite(suite, large=bool(large))
+    elapsed = time.perf_counter() - t0
+    failed = [line.render() for line in lines if not line.ok]
+    detail = f"{len(lines) - len(failed)}/{len(lines)} [{suite}] checks passed, {elapsed:.1f}s"
+    if budget is not None:
+        detail += f" of {budget:g}s"
+    if large is False:
+        detail += "; order-12 tier skipped"
+    detail += "".join(f"; {line}" for line in failed)
+    ok = bool(lines) and not failed and (budget is None or elapsed < budget)
+    verdict(num, title, ok, detail)
 
 
 def test_criterion_01_order_six_determinant(verdict):
-    t0 = time.perf_counter()
-    value = det(build_M(6))
-    elapsed = time.perf_counter() - t0
-    ok = value == -(2**17) == -131072 and elapsed < 1.0
-    verdict(1, "det of order-6 matrix is -2^17", ok, f"{value}, {elapsed:.3f}s")
+    _criterion(verdict, 1, "det of order-6 matrix is -2^17", "determinant", budget=1)
 
 
 def test_criterion_02_mod_two_rank_ladder(verdict):
-    t0 = time.perf_counter()
-    gf2 = PrimeField(2)
-    ranks = tuple(rank(build_M(k).with_field(gf2)) for k in (2, 4, 6, 8, 10))
-    elapsed = time.perf_counter() - t0
-    ok = ranks == (1, 2, 4, 8, 16) and elapsed < 10.0
-    verdict(2, "mod-2 ranks are powers of two", ok, f"{ranks}, {elapsed:.1f}s")
+    _criterion(verdict, 2, "mod-2 ranks are powers of two", "rank-mod-2", budget=10)
 
 
 def test_criterion_03_small_prime_ranks(verdict, large_tier):
-    t0 = time.perf_counter()
-    m10 = build_M(10)
-    got = {p: rank(m10.with_field(PrimeField(p))) for p in (3, 5, 7, 11, 13)}
-    elapsed = time.perf_counter() - t0
-    want = {3: 567, 5: 945, 7: 945, 11: 945, 13: 945}
-    ok = got == want and elapsed < 30.0
-    detail = f"order 10 mod (3,5,7,11,13) -> {tuple(got.values())}, {elapsed:.1f}s"
-    if large_tier:
-        ranks12, elapsed12 = _order_12_ranks()
-        ok = ok and ranks12 == {3: 3618, 5: 9890, 7: 9933}
-        detail += f"; order 12 -> {tuple(ranks12.values())}, {elapsed12:.0f}s"
-    else:
-        detail += "; order-12 tier skipped"
-    verdict(3, "prime-field ranks match published table", ok, detail)
+    _criterion(
+        verdict, 3, "prime-field ranks match published table", "rank-mod-p",
+        budget=30, large=large_tier,
+    )
 
 
 def test_criterion_04_rational_rank_formula(verdict, large_tier):
-    t0 = time.perf_counter()
-    got = tuple(rank(build_M(2 * n)) for n in range(2, 6))
-    want = tuple(rational_rank_formula(n) for n in range(2, 6))
-    elapsed = time.perf_counter() - t0
-    ok = got == want == (3, 15, 105, 945) and elapsed < 300.0
-    detail = f"orders 4..10 -> {got}, {elapsed:.1f}s"
-    if large_tier:
-        # Mod-p rank never exceeds rational rank, and the rational rank never
-        # exceeds the formula value (sum of squared tableau counts over the
-        # eigenvalue support), so hitting the formula value mod 7 pins it.
-        ranks12, _ = _order_12_ranks()
-        ok = ok and ranks12[7] == rational_rank_formula(6) == 9933
-        detail += f"; order-12 sandwich mod 7 -> {ranks12[7]}"
-    else:
-        detail += "; order-12 tier skipped"
-    verdict(4, "rational ranks match hook-length formula", ok, detail)
+    _criterion(
+        verdict, 4, "rational ranks match hook-length formula", "rank-formula",
+        budget=300, large=large_tier,
+    )
 
 
 def test_criterion_05_spectrum_certificates(verdict):
-    ok = True
-    for n in range(1, 6):
-        lines, all_ok = certify_spectrum(n)
-        ok = ok and all_ok and all(line.ok for line in lines)
-        ok = ok and sum(line.multiplicity for line in lines) == double_factorial(
-            2 * n - 1
-        )
-    lines3, _ = certify_spectrum(3)
-    product = 1
-    for line in lines3:
-        product *= line.eta**line.multiplicity
-    ok = ok and product == det(build_M(6)) == -131072
-    detail = f"orders 2..10 certified; order-10 primes {spectrum_primes(5)}"
-    verdict(5, "eigenvalue table certified with multiplicities", ok, detail)
+    _criterion(verdict, 5, "eigenvalue table certified with multiplicities", "spectrum")
 
 
 def test_criterion_06_bipartite_block_ranks(verdict):
-    t0 = time.perf_counter()
-    pairs = tuple(bipartite_rank_check(n) for n in range(2, 6))
-    elapsed = time.perf_counter() - t0
-    ok = all(formula == measured for formula, measured in pairs)
-    ok = ok and tuple(m for _, m in pairs) == (2, 6, 20, 70) and elapsed < 60.0
-    detail = f"central binomials {tuple(m for _, m in pairs)}, {elapsed:.1f}s"
-    verdict(6, "bipartite block ranks are central binomials", ok, detail)
+    _criterion(verdict, 6, "bipartite block ranks are central binomials", "bipartite", budget=60)
 
 
 def test_criterion_07_association_scheme_axioms(verdict):
-    ok = True
-    for n in range(1, 5):
-        report = verify_scheme_axioms(n)
-        ok = ok and report.all_ok and not report.failures
-    row4 = tuple(sphere_size(4, lam) for lam in partitions(4))
-    ok = ok and row4 == (48, 32, 12, 12, 1)
-    for n in range(1, 9):
-        total = sum(sphere_size(n, lam) for lam in partitions(n))
-        ok = ok and total == double_factorial(2 * n - 1)
-    verdict(7, "class matrices form an association scheme", ok, "orders 2..8")
+    _criterion(verdict, 7, "class matrices form an association scheme", "scheme")
 
 
 def test_criterion_08_tensor_amplification(verdict):
-    t0 = time.perf_counter()
-    check = verify_tensor_identity(6, 2)
-    big_rank = rank(check.big_block.with_field(PrimeField(5)))
-    base_rank = rank(check.base_matrix.with_field(PrimeField(5)))
-    elapsed = time.perf_counter() - t0
-    ok = check.identity_holds and check.family_size == 225
-    ok = ok and base_rank == 15 and big_rank == base_rank**2 == 225
-    ok = ok and elapsed < 120.0
-    detail = f"2 copies of order 6; block rank {big_rank} = {base_rank}^2, {elapsed:.1f}s"
-    verdict(8, "product-graph block is the Kronecker square", ok, detail)
+    _criterion(verdict, 8, "product-graph block is the Kronecker square", "tensor", budget=120)
 
 
 def test_criterion_09_fingerprint_matrix_ranks(verdict):
-    ok = True
-    got = []
-    for k in (0, 2, 4, 6):
-        measured = rank(build_H(k))
-        predicted = sum(
-            comb(k, i) * 2 ** (k - i) * (rank(build_M(i)) if i else 1)
-            for i in range(0, k + 1, 2)
-        )
-        got.append(measured)
-        ok = ok and measured == predicted
-    ok = ok and tuple(got) == (1, 5, 43, 499)
-    verdict(9, "combine-matrix ranks match binomial sum", ok, f"orders 0..6 -> {tuple(got)}")
+    _criterion(verdict, 9, "combine-matrix ranks match binomial sum", "fingerprint-rank")
 
 
 def test_criterion_10_fingerprint_gadgets(verdict):
-    rng = random.Random(VERIFY_SEED)
-    t0 = time.perf_counter()
-    failures = 0
-    trials = 25
-    for _ in range(trials):
-        spec = random_gadget_spec(rng)
-        expanded = expand_label_gadgets(build_fingerprint_gadget(spec))
-        spectrum = partial_solution_spectrum(
-            expanded, spec.boundary, decomposition=expanded.decomposition
-        )
-        if spectrum != {fp: m for fp, m in spec.counts}:
-            failures += 1
-    elapsed = time.perf_counter() - t0
-    ok = failures == 0 and elapsed < 300.0
-    detail = f"{trials} random specs, {failures} mismatches, {elapsed:.1f}s"
-    verdict(10, "gadgets realize prescribed spectra exactly", ok, detail)
+    _criterion(verdict, 10, "gadgets realize prescribed spectra exactly", "gadgets", budget=300)
 
 
 def test_criterion_11_label_gadget_closures(verdict):
-    rng = random.Random(VERIFY_SEED)
-    bad = 0
-    closures_with_cycles = 0
-    for _ in range(50):
-        g, stubs = random_label_closure(rng)
-        count = 0
-        for cycle in enumerate_hamiltonian_cycles(g):
-            count += 1
-            used = tuple(sorted(stubs[e] for e in cycle if e in stubs))
-            if used not in ((1, 2), (3, 4)):
-                bad += 1
-        if count:
-            closures_with_cycles += 1
-    ok = bad == 0 and closures_with_cycles >= 10
-    detail = f"50 closures, {closures_with_cycles} with cycles, {bad} stray labels"
-    verdict(11, "label gadget admits only its two port pairs", ok, detail)
+    _criterion(verdict, 11, "label gadget admits only its two port pairs", "label-gadget")
 
 
 def test_criterion_12_reduction_corpus(verdict):
-    t0 = time.perf_counter()
-    failures = []
-    for name, cnf in CNF_CORPUS:
-        for p in (3, 5):
-            out = assemble(cnf, p)
-            out.decomposition.validate(out.graph)
-            counted = count_hc_pathdp(out.graph, out.decomposition, modulus=p)
-            expected = count_sat(out.padded_cnf) % p
-            if not (
-                counted.value == expected == out.predicted
-                and out.width <= out.width_bound
-            ):
-                failures.append((name, p))
-    elapsed = time.perf_counter() - t0
-    ok = not failures and elapsed < 1800.0
-    detail = f"{len(CNF_CORPUS)} formulas x mod (3,5), {elapsed:.1f}s"
-    if failures:
-        detail += f"; failed {failures}"
-    verdict(12, "compiled graphs count models mod p", ok, detail)
+    _criterion(verdict, 12, "compiled graphs count models mod p", "reduction", budget=1800)
 
 
 def test_criterion_13_pairwise_gluings(verdict):
-    H = build_H(4)
-    fps = H.row_labels
-    realized = {}
-    for fp in fps:
-        try:
-            realized[fp] = boundaried_graph_for_fingerprint(fp)
-        except GraphConstructionError:
-            # Only the closed-walk shapes over one or two vertices have no
-            # realization: a cycle needs at least three vertices.
-            n2 = sum(1 for d in fp.degrees if d == 2)
-            assert not fp.matching.pairs and 1 <= n2 <= 2
-    mismatches = 0
-    for fa, ga in realized.items():
-        for fb, gb in realized.items():
-            glued = glue_boundaried(ga, gb, fa.boundary)
-            i, j = fps.index(fa), fps.index(fb)
-            if count_hc_bruteforce(glued).value != H[i, j]:
-                mismatches += 1
-    ok = len(realized) == 33 and mismatches == 0
-    detail = f"{len(realized)} realizable of {len(fps)}, {len(realized) ** 2} gluings"
-    verdict(13, "pairwise gluings reproduce combine matrix", ok, detail)
+    _criterion(verdict, 13, "pairwise gluings reproduce combine matrix", "glue")
 
 
 def test_criterion_14_rank_lower_bound_chain(verdict):
-    ok = True
-    for n in range(2, 9):
-        rank_value = rational_rank_formula(n)
-        product = catalan(n - 1) * catalan(n)
-        floor = -((-(4**n)) // n**3)
-        ok = ok and rank_value >= product >= floor
-    # Side-by-side totals for the two hook-product bounds; reported only,
-    # the published larger-side sum differs from the noncover total.
-    row = domino_hook_report(6)
-    detail = (
-        f"n=2..8; order-12 sums: literal {row.literal_sum}, "
-        f"catalan-pair {row.catalan_product}, noncover {row.noncover_sum}"
-    )
-    verdict(14, "rank dominates catalan product and 4^n/n^3", ok, detail)
+    _criterion(verdict, 14, "rank dominates catalan product and 4^n/n^3", "catalan")

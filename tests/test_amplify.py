@@ -46,6 +46,12 @@ def test_product_graph_validation():
         build_product_graph(4, 0)
 
 
+@pytest.mark.parametrize("base_size,copies", [(0, 2), (1, 2), (4, 0)])
+def test_tensor_identity_rejects_the_shapes_the_product_graph_rejects(base_size, copies):
+    with pytest.raises(ValidationError, match="need base size >= 2"):
+        verify_tensor_identity(base_size, copies)
+
+
 class TestTensorFamilies:
     def test_plain_members_are_shifted_disjoint_unions(self):
         base = enumerate_matchings(4)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from matchconn import hcount
-from matchconn.cli import main
+from matchconn.cli import MAX_TABLEAUX_N, main
 from matchconn.graphs import AnnotatedGraph, PathDecomposition, write_hcgraph
 
 
@@ -83,6 +83,34 @@ def test_dp_state_ceiling_is_over_capacity(tmp_path, capsys, monkeypatch):
     assert "ceiling" in err
 
 
+def four_cycle_file(tmp_path, bags):
+    g = AnnotatedGraph()
+    for u, v in ((1, 2), (2, 3), (3, 4), (4, 1)):
+        g.add_edge(u, v)
+    path = tmp_path / "c4.hcg"
+    write_hcgraph(path, g, PathDecomposition(bags) if bags else None)
+    return path
+
+
+@pytest.mark.parametrize("bags", [None, [(1, 2, 3, 4)]], ids=["brute-force", "decomposed"])
+@pytest.mark.parametrize("mod", ["0", "1", "-1"])
+def test_count_rejects_a_modulus_below_two(tmp_path, capsys, bags, mod):
+    graph = four_cycle_file(tmp_path, bags)
+    code, out, err = run(capsys, "count", "--graph", str(graph), "--mod", mod)
+    assert code == 2
+    assert out == ""
+    assert f"modulus {mod} must be at least 2" in err
+
+
+@pytest.mark.parametrize("bags", [None, [(1, 2, 3, 4)]], ids=["brute-force", "decomposed"])
+def test_count_residue_of_a_four_cycle(tmp_path, capsys, bags):
+    graph = four_cycle_file(tmp_path, bags)
+    code, out, _ = run(capsys, "count", "--graph", str(graph), "--mod", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["residue"], payload["modulus"]) == (1, 3)
+
+
 def test_spectrum_table(capsys):
     code, out, _ = run(capsys, "spectrum", "4")
     assert code == 0
@@ -96,10 +124,23 @@ def test_tableaux_listing(capsys):
     assert "15" in out
 
 
+def test_tableaux_above_the_ceiling_is_over_capacity(capsys):
+    code, out, err = run(capsys, "tableaux", str(MAX_TABLEAUX_N + 1))
+    assert code == 2
+    assert out == ""
+    assert "ceiling" in err
+
+
 def test_amplify_reports_identity(capsys):
     code, out, _ = run(capsys, "amplify", "--B", "4", "--t", "2", "--p", "3")
     assert code == 0
     assert "ok" in out.lower() or "holds" in out.lower()
+
+
+def test_amplify_without_a_base_is_bad_input(capsys):
+    code, _, err = run(capsys, "amplify", "--p", "5", "--B", "0")
+    assert code == 2
+    assert "need base size >= 2" in err
 
 
 def test_basis_report_is_byte_identical_across_runs(capsys):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchconn import exactalg
-from matchconn.cli import CNF_CORPUS
+from matchconn.checks import CNF_CORPUS
 from matchconn.exactalg import (
     RATIONALS,
     CapacityError,
