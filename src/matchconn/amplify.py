@@ -38,6 +38,7 @@ from .matchings import (
     build_M,
     enumerate_matchings,
     is_single_cycle,
+    matching_count,
 )
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "TensorCheck",
     "mod_rank_report",
     "ModRankRow",
+    "MAX_TENSOR_FAMILY",
 ]
 
 
@@ -64,9 +66,24 @@ class ProductGraph:
         return (copy - 1) * self.base_size + j
 
 
-def _check_product_shape(base_size: int, copies: int) -> None:
+# Largest tensor family verify_tensor_identity accepts. Its block is
+# family^2 single-cycle tests in Python: (B, t) = (10, 1) with 945 members
+# and (4, 6) with 729 take about 16 s, and the next shape, (4, 7) with 2187,
+# would take minutes.
+MAX_TENSOR_FAMILY = 1000
+
+
+def _check_product_shape(base_size: int, copies: int, base_count: int = 0) -> None:
+    """Reject a bad shape, and a family of base_count^copies members over
+    MAX_TENSOR_FAMILY."""
     if base_size < 2 or copies < 1:
         raise ValidationError("need base size >= 2 and at least one copy")
+    # 2^64 is already over the ceiling, so a huge t costs no huge power
+    if base_count > 1 and base_count ** min(copies, 64) > MAX_TENSOR_FAMILY:
+        raise CapacityError(
+            f"tensor family of {base_count}^{copies} members exceeds the "
+            f"ceiling {MAX_TENSOR_FAMILY}"
+        )
 
 
 def build_product_graph(base_size: int, copies: int) -> ProductGraph:
@@ -178,6 +195,9 @@ def verify_tensor_identity(
     since unions decompose per copy).
     """
     _check_product_shape(base_size, copies)
+    # the family size is known before anything is enumerated
+    count = matching_count(base_size) if base is None else len(base)
+    _check_product_shape(base_size, copies, count)
     if base is None:
         base = enumerate_matchings(base_size)
     plain = tensor_matchings(base, copies, detoured=False)

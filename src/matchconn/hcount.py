@@ -487,6 +487,7 @@ def count_partial_solutions(
     sweep runs; without one, the edge-subset backtracking oracle runs.
     """
     t0 = time.perf_counter()
+    _check_modulus(modulus)
     b = tuple(sorted(boundary))
     if b != fp.boundary:
         raise ValidationError("fingerprint boundary does not match the given boundary")
@@ -535,6 +536,7 @@ def partial_solution_spectrum(
     costs one pass instead of one pass per fingerprint. Fingerprints with
     count 0 are omitted.
     """
+    _check_modulus(modulus)
     b = tuple(sorted(boundary))
     missing = [v for v in b if v not in graph.vertices]
     if missing:

@@ -233,10 +233,10 @@ def is_single_cycle(a: Matching, b: Matching) -> bool:
 def build_M(k: int, large: bool = False) -> ExactMatrix:
     """The matchings connectivity matrix of order k over Q, entries 0/1.
 
-    Indexed by canonical matching order both ways. Built with a vectorized
-    orbit walk: for matchings a, b with partner arrays pa, pb, the union is
-    one cycle exactly when the orbit of the first vertex under pa after pb
-    has size k/2. Order 0 yields [[1]] by convention.
+    Indexed by canonical matching order both ways. Order 0 yields [[1]] by
+    convention. The array is built once per order and shared read-only by
+    every returned matrix; each call returns a fresh ExactMatrix with its own
+    label lists.
     """
     if k < 0 or k % 2:
         raise ValidationError(f"order {k} must be even and nonnegative")
@@ -246,9 +246,22 @@ def build_M(k: int, large: bool = False) -> ExactMatrix:
             f"order {k} exceeds the ceiling {limit}"
             + ("" if large else " (pass large=True / --large for order 12)")
         )
-    ms = enumerate_matchings(k)
+    ms = _matchings_cached(k)
+    return ExactMatrix(RATIONALS, _connectivity_array(k), ms, ms)
+
+
+@lru_cache(maxsize=None)
+def _connectivity_array(k: int) -> np.ndarray:
+    """Read-only int8 array of M_k by a vectorized orbit walk.
+
+    For matchings a, b with partner arrays pa, pb, the union is one cycle
+    exactly when the orbit of the first vertex under pa after pb has size k/2.
+    """
+    ms = _matchings_cached(k)
     if k == 0:
-        return ExactMatrix(RATIONALS, np.ones((1, 1), dtype=np.int8), ms, ms)
+        out = np.ones((1, 1), dtype=np.int8)
+        out.setflags(write=False)
+        return out
     n = len(ms)
     half = k // 2
     partners = np.empty((n, k), dtype=np.int16)
@@ -267,7 +280,8 @@ def build_M(k: int, large: bool = False) -> ExactMatrix:
             if step < half:
                 x = pa[partners[rows_idx, x]]
         out[i] = (first == half).astype(np.int8)
-    return ExactMatrix(RATIONALS, out, ms, ms)
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

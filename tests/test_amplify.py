@@ -3,12 +3,14 @@
 import pytest
 
 from matchconn.amplify import (
+    MAX_TENSOR_FAMILY,
+    _check_product_shape,
     build_product_graph,
     mod_rank_report,
     tensor_matchings,
     verify_tensor_identity,
 )
-from matchconn.exactalg import ValidationError, rank
+from matchconn.exactalg import CapacityError, ValidationError, rank
 from matchconn.matchings import Matching, enumerate_matchings, is_single_cycle
 
 
@@ -50,6 +52,23 @@ def test_product_graph_validation():
 def test_tensor_identity_rejects_the_shapes_the_product_graph_rejects(base_size, copies):
     with pytest.raises(ValidationError, match="need base size >= 2"):
         verify_tensor_identity(base_size, copies)
+
+
+@pytest.mark.parametrize("base_size,copies", [(6, 3), (4, 7), (8, 2), (12, 1), (4, 10**9)])
+def test_tensor_identity_refuses_families_over_the_ceiling(base_size, copies):
+    with pytest.raises(CapacityError, match="exceeds the ceiling"):
+        verify_tensor_identity(base_size, copies)
+
+
+def test_tensor_family_ceiling_keeps_the_certified_shapes():
+    # (6, 2) is the shape `verify tensor` and the benchmark run
+    for base_size, copies in [(6, 2), (4, 6), (10, 1), (2, 50)]:
+        count = len(enumerate_matchings(base_size))
+        assert count**copies <= MAX_TENSOR_FAMILY
+        _check_product_shape(base_size, copies, count)
+    # a small explicit base is measured by its own size
+    chk = verify_tensor_identity(4, 7, base=enumerate_matchings(4)[:1])
+    assert chk.family_size == 1 and chk.identity_holds
 
 
 class TestTensorFamilies:

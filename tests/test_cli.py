@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report stability, file round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -141,6 +142,15 @@ def test_amplify_without_a_base_is_bad_input(capsys):
     code, _, err = run(capsys, "amplify", "--p", "5", "--B", "0")
     assert code == 2
     assert "need base size >= 2" in err
+
+
+def test_amplify_over_the_family_ceiling_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "amplify", "--B", "6", "--t", "3", "--p", "5")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "exceeds the ceiling" in err
 
 
 def test_basis_report_is_byte_identical_across_runs(capsys):

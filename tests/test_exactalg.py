@@ -300,6 +300,38 @@ def ref_rank_mod(a: np.ndarray, p: int, big: bool = False, chunk: int = 2048) ->
     return r
 
 
+def ref_eliminate_mod(a: np.ndarray, p: int, jordan: bool = False, int32: bool = False):
+    """The column-at-a-time kernel the blocked one replaced: one int64 outer
+    product update per pivot column. Returns (work, pivots, det factor)."""
+    m, n = a.shape
+    work = (a % p).astype(np.int32 if int32 else np.int64)
+    pivots: list[int] = []
+    d = 1
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        nz = np.flatnonzero(work[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            work[[r, i]] = work[[i, r]]
+            d = -d
+        piv = int(work[r, c])
+        d = d * piv % p
+        row = work[r, c:].astype(np.int64) * pow(piv, -1, p) % p
+        work[r, c:] = row
+        f = work[:, c].astype(np.int64)
+        f[r] = 0
+        if not jordan:
+            f[:r] = 0
+        upd = work[:, c:].astype(np.int64) - np.multiply.outer(f, row)
+        work[:, c:] = upd % p
+        pivots.append(c)
+    return work, pivots, d % p
+
+
 def ref_det_mod(rows, p: int) -> int:
     n = len(rows)
     a = [[x % p for x in r] for r in rows]
@@ -457,6 +489,82 @@ def test_mod_p_kernel_multi_chunk_paths(a, int32_entries):
         mp.setattr(exactalg, "_CHUNK_ROWS", 3)
         mp.setattr(exactalg, "_INT32_ENTRIES", int32_entries)
         check_against_references(a)
+
+
+# floor(x * (1/p)) lands one low on some multiples of p: 65521 at +p, 211 at
+# -3p (a trailing update that cancels to 0); 2, 3 and 1,000,003 never do
+FLOOR_MISSES = ((65521, 65521.0), (211, -633.0))
+
+
+@pytest.mark.parametrize("p,x", FLOOR_MISSES)
+def test_floor_multiply_reduction_fixes_a_missed_quotient(p, x):
+    assert np.floor(x * (1.0 / p)) == x // p - 1
+    got = exactalg._reduce_mod(np.array([x, x + 1, x - 1, 0.0, p - 1.0]), p)
+    assert got.tolist() == [0, 1, p - 1, 0, p - 1]
+
+
+def check_blocked_kernel(a: np.ndarray, primes=PRIMES + (211, CERT_PRIME)) -> None:
+    """The blocked kernel equals the column-at-a-time one entry for entry:
+    work array (echelon and Jordan), pivot list, determinant factor, dtype;
+    and the inverse equals Gauss-Jordan on row lists."""
+    int32 = a.size > exactalg._INT32_ENTRIES
+    for p in primes:
+        for jordan in (False, True):
+            work, pivots, d = exactalg._eliminate_mod(a, p, jordan=jordan)
+            want_work, want_pivots, want_d = ref_eliminate_mod(a, p, jordan, int32)
+            assert work.dtype == want_work.dtype
+            assert np.array_equal(work, want_work)
+            assert pivots == want_pivots and d == want_d
+        m, n = a.shape
+        if m == n and p in PRIMES:
+            want = ref_inverse_mod((a % p).tolist(), p)
+            if want is None:
+                with pytest.raises(ValidationError):
+                    inverse(ExactMatrix(PrimeField(p), a))
+            else:
+                assert inverse(ExactMatrix(PrimeField(p), a)).rows() == want
+
+
+@given(
+    low_rank_arrays(max_dim=9),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([16_000_000, 0]),
+)
+@example(np.array([[0, 1, 1], [1, 1, 0], [1, 0, 1]]), 2, 0)
+@example(np.array([[2, 0, 1, 1], [0, 0, 1, 0], [4, 0, 2, 3]]), 3, 16_000_000)
+@settings(max_examples=120, deadline=None)
+def test_blocked_kernel_across_panel_and_chunk_boundaries(a, panel, int32_entries):
+    # pivot-free columns, row swaps and rank deficiency fall on both sides of
+    # every panel edge and every 3-row chunk edge
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg, "_PANEL", panel)
+        mp.setattr(exactalg, "_CHUNK_ROWS", 3)
+        mp.setattr(exactalg, "_INT32_ENTRIES", int32_entries)
+        check_blocked_kernel(a)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=6, deadline=None)
+def test_blocked_kernel_with_full_panels(seed):
+    # default panel width: shapes spanning two or three 64-column panels,
+    # rank deficient, with zero columns and rows in random places
+    rng = np.random.default_rng(seed)
+    m, n = (int(x) for x in rng.integers(60, 150, size=2))
+    k = int(rng.integers(1, min(m, n) + 1))
+    a = rng.integers(-3, 4, size=(m, k)) @ rng.integers(-3, 4, size=(k, n))
+    a[:, rng.random(n) < 0.1] = 0
+    a[rng.random(m) < 0.1] = 0
+    check_blocked_kernel(a, primes=(3, 211, 65521, CERT_PRIME))
+
+
+def test_float64_panel_update_is_exact_up_to_the_largest_modulus():
+    # every trailing-update sum is an integer below 2^53, so float64 holds it
+    p = exactalg._CERT_PRIME
+    assert exactalg._PANEL * (p - 1) ** 2 + p < 2**53
+    a = np.array([[p - 1, p - 2], [1, p - 1]], dtype=np.int64)
+    assert exactalg._eliminate_mod(a, p)[1] == [0, 1]
+    with pytest.raises(CapacityError, match="float64 elimination ceiling"):
+        exactalg._eliminate_mod(a, 1_000_033)
 
 
 @given(low_rank_arrays(), st.data())

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchconn import hcount
-from matchconn.exactalg import CapacityError
+from matchconn.exactalg import CapacityError, ValidationError
 from matchconn.graphs import AnnotatedGraph, DecompositionError, PathDecomposition
 from matchconn.hcount import (
     _bag_schedule,
@@ -204,6 +204,18 @@ def test_spectrum_respects_modulus():
     mod = partial_solution_spectrum(g, boundary, modulus=3)
     for fp, c in exact.items():
         assert mod.get(fp, 0) == c % 3
+
+
+@pytest.mark.parametrize("with_bags", [False, True])
+@pytest.mark.parametrize("modulus", [0, 1, -1])
+def test_partial_counters_reject_a_modulus_below_two(modulus, with_bags):
+    g = cycle_graph(4)
+    decomp = layered_decomposition(g) if with_bags else None
+    fp = Fingerprint((1, 2), (1, 1), Matching(((1, 2),)))
+    with pytest.raises(ValidationError, match="at least 2"):
+        count_partial_solutions(g, (1, 2), fp, modulus=modulus, decomposition=decomp)
+    with pytest.raises(ValidationError, match="at least 2"):
+        partial_solution_spectrum(g, (1, 2), modulus=modulus, decomposition=decomp)
 
 
 def _random_side(rng, boundary, internals, density, with_boundary_edges):

@@ -1,11 +1,12 @@
 import itertools
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchconn.exactalg import ValidationError, rank
+from matchconn.exactalg import PrimeField, ValidationError, nullity_shift, rank
 from matchconn.hcount import count_hc_bruteforce
 from matchconn.matchings import (
     Fingerprint,
@@ -79,6 +80,26 @@ def test_connectivity_matrix_symmetry_and_row_sums(k):
     for i in range(n):
         for j in range(i):
             assert M[i, j] == M[j, i]
+
+
+@pytest.mark.parametrize("k", [0, 6])
+def test_cached_connectivity_array_is_read_only_and_unshared(k):
+    first = build_M(k)
+    before = first.numpy()
+    with pytest.raises(ValueError):
+        first._arr[0, 0] = 7
+    mod3 = first.with_field(PrimeField(3))
+    nullity_shift(mod3, 2)
+    nullity_shift(first, 1)
+    first.numpy()[:] = 5
+    mod3.numpy()[:] = 5
+    first.row_labels.append("extra")
+    first.col_labels.clear()
+    again = build_M(k)
+    assert again is not first and again._arr is first._arr
+    assert np.array_equal(again.numpy(), before)
+    assert again.row_labels == again.col_labels == enumerate_matchings(k)
+    assert again.row_labels is not first.row_labels
 
 
 @pytest.mark.parametrize("k,count", [(0, 1), (2, 5), (4, 43), (6, 499)])
