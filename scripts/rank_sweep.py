@@ -7,8 +7,8 @@ Typical runs:
     python scripts/rank_sweep.py --orders 2 4 6 8 10 --mods 2 3 5 7 11 13
     python scripts/rank_sweep.py --large --mods 3 5 7 --no-rational
 
-Order 12 needs --large (a 10395-dimensional matrix; each modular rank takes
-fifteen to thirty minutes on one core).
+Order 12 needs --large (a 10395-dimensional matrix; one rank of M_12 mod 3
+took 93 s and 960 MB peak memory on a shared 2-core VM).
 """
 
 from __future__ import annotations

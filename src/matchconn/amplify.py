@@ -51,6 +51,7 @@ __all__ = [
     "mod_rank_report",
     "ModRankRow",
     "MAX_TENSOR_FAMILY",
+    "MAX_TENSOR_COPIES",
 ]
 
 
@@ -71,15 +72,24 @@ class ProductGraph:
 # and (4, 6) with 729 take about 16 s, and the next shape, (4, 7) with 2187,
 # would take minutes.
 MAX_TENSOR_FAMILY = 1000
+# Largest number of copies. A one-member family (B = 2, or a one-matching
+# base) never meets MAX_TENSOR_FAMILY, but the product graph and its members
+# still grow with t: verify_tensor_identity(2, t) takes 0.08 s at t = 1,000
+# and 0.7 s at t = 10,000. Every family of two or more members stops at
+# t = 9 already.
+MAX_TENSOR_COPIES = 1000
 
 
 def _check_product_shape(base_size: int, copies: int, base_count: int = 0) -> None:
-    """Reject a bad shape, and a family of base_count^copies members over
-    MAX_TENSOR_FAMILY."""
+    """Reject a bad shape, more than MAX_TENSOR_COPIES copies, and a family of
+    base_count^copies members over MAX_TENSOR_FAMILY."""
     if base_size < 2 or copies < 1:
         raise ValidationError("need base size >= 2 and at least one copy")
-    # 2^64 is already over the ceiling, so a huge t costs no huge power
-    if base_count > 1 and base_count ** min(copies, 64) > MAX_TENSOR_FAMILY:
+    if copies > MAX_TENSOR_COPIES:
+        raise CapacityError(
+            f"a product of {copies} copies exceeds the ceiling {MAX_TENSOR_COPIES}"
+        )
+    if base_count > 1 and base_count**copies > MAX_TENSOR_FAMILY:
         raise CapacityError(
             f"tensor family of {base_count}^{copies} members exceeds the "
             f"ceiling {MAX_TENSOR_FAMILY}"

@@ -11,9 +11,11 @@ other:
     the leaves. Capacity 24 edges.
   * count_hc_pathdp / count_partial_solutions with a decomposition: dynamic
     programming along the bags with states (degrees, endpoint pairing,
-    closed flag), closing a cycle only on the take that would empty the
-    pairing. Optional modulus for residue counting. Capacity
-    MAX_DP_STATES live states.
+    closed flag) packed into one int each, closing a cycle only on the take
+    that would empty the pairing. The skip branch of an edge drops states
+    where a vertex can no longer reach degree 2, which takes every forced
+    edge at a degree-2 vertex. Optional modulus for residue counting.
+    Capacity MAX_DP_STATES live states.
 
 Conventions: the empty graph has exactly one Hamiltonian cycle; graphs on
 one or two vertices have none.
@@ -45,9 +47,10 @@ __all__ = [
 
 MAX_BRUTEFORCE_VERTICES = 20
 MAX_SUBSET_EDGES = 24
-# Ceiling on the live state table of the bag sweep. A state costs a few
-# hundred bytes of tuples and dict slots, and compiled graphs peak at a few
-# thousand states.
+# Ceiling on the live state table of the bag sweep. A state is one int key
+# of 1 + 2S + S*ceil(log2 S) bits for bags of S vertices plus its dict slot,
+# about 120 bytes at S = 38, and compiled graphs peak at a few hundred to a
+# few thousand states.
 MAX_DP_STATES = 1_000_000
 
 
@@ -294,110 +297,101 @@ def _sweep(
 ) -> tuple[dict, int]:
     """Run the DP; returns (final states, states_peak).
 
-    Internally vertices are remapped to dense slots (freed on forget and
-    reused) so a state is (degree-1 bitmask, degree-2 bitmask, sorted slot
-    pairing, closed) and hashing stays cheap; the final states are decoded
-    back to (sorted degree items, sorted vertex pairing, closed) -> count.
-    Vertices in `keep` are never forgotten even at their last bag. The skip
-    branch of an edge is a wholesale dict copy; only takes allocate. Raises
-    CapacityError once the table holds more than MAX_DP_STATES states.
+    Vertices are remapped to dense slots, freed once their last edge is
+    processed and reused, and a state is packed into one int:
+
+        closed | d1 << 1 | d2 << (1 + S) | partner fields << (1 + 2S)
+
+    S bounds the slots in use, d1 and d2 are the degree-1 and degree-2 slot
+    masks, and each slot has a W-bit field naming the slot at the other end
+    of its open path. A field is nonzero only while its slot is in d1, so a
+    state has exactly one encoding and every transition is a few shifts and
+    XORs. The final states are decoded back to (sorted degree items, sorted
+    vertex pairing, closed) -> count.
+
+    Vertices in `keep` are never forgotten and may end at any degree. Every
+    other vertex must reach degree 2, so when an edge leaves it one edge to
+    go, the skip branch keeps only states where it already has degree 1 or
+    2; the rest would be dropped when it is forgotten. This takes the
+    forced edges at degree-2 vertices. Raises CapacityError once the table
+    holds more than MAX_DP_STATES states.
     """
-    intro, edges_at, forget = _bag_schedule(graph, bags)
+    if any(graph.degree(v) == 0 for v in graph.vertices if v not in keep):
+        # an isolated vertex can never reach degree 2
+        return {}, 1
+    intro, edges_at, _ = _bag_schedule(graph, bags)
+    # Slot bound: a vertex outside `keep` is freed when its last edge is
+    # processed, at that edge's home bag, which lies in the vertex's run of
+    # bags (isolated ones were turned away above). So at bag i every vertex
+    # holding a slot is in bag i or in `keep`, and since the smallest free
+    # slot is reused first, every slot number stays below S.
+    S = max((len(set(bag) | keep) for bag in bags), default=0)
+    W = (S - 1).bit_length()
+    FIELD = (1 << W) - 1
+    D1 = ((1 << S) - 1) << 1
+    D2 = D1 << S
+    off = [1 + 2 * S + s * W for s in range(S)]
     slot_of: dict[int, int] = {}
     free_slots: list[int] = []
-    next_slot = 0
-    states: dict[tuple, int] = {(0, 0, (), False): 1}
+    states: dict[int, int] = {0: 1}
     peak = 1
     # a vertex is forgotten eagerly once its last incident edge is processed
     remaining = {v: graph.degree(v) for v in graph.vertices}
 
-    def forget_now(verts: list[int]) -> None:
-        # merging states never grows the table, so the peak cannot move here
-        nonlocal states
-        mask = 0
-        for w in verts:
-            mask |= 1 << slot_of[w]
-        nxt = {}
-        for key, cnt in states.items():
-            d1, d2, pairing, closed = key
-            # every dropped vertex must have degree exactly 2
-            if d1 & mask or (d2 & mask) != mask:
-                continue
-            nk = (d1, d2 & ~mask, pairing, closed)
-            cur = nxt.get(nk, 0) + cnt
-            if modulus is not None:
-                cur %= modulus
-            nxt[nk] = cur
-        states = nxt
-        for w in verts:
-            heapq.heappush(free_slots, slot_of.pop(w))
-
     for i in range(len(bags)):
         for v in intro[i]:
-            if free_slots:
-                slot_of[v] = heapq.heappop(free_slots)
-            else:
-                slot_of[v] = next_slot
-                next_slot += 1
-            if remaining[v] == 0 and v not in keep:
-                # an isolated vertex can never reach degree 2
-                states = {}
+            # with no slot free, slots 0 .. len(slot_of) - 1 are all taken
+            slot_of[v] = heapq.heappop(free_slots) if free_slots else len(slot_of)
+            assert slot_of[v] < S
         for u, v in edges_at[i]:
             su, sv = slot_of[u], slot_of[v]
-            bu, bv = 1 << su, 1 << sv
-            both = bu | bv
-            nxt = dict(states)  # skip branch for every state
+            bu, bv = 2 << su, 2 << sv  # degree-1 bits
+            cu, cv = bu << S, bv << S  # degree-2 bits
+            fu, fv = off[su], off[sv]
+            # skip branch, minus the states it strands: an endpoint outside
+            # `keep` with one edge left after this one needs degree 1 or 2 now
+            nxt = states
+            for w, b in ((u, bu), (v, bv)):
+                if remaining[w] == 2 and w not in keep:
+                    nxt = {k: c for k, c in nxt.items() if k & (b | b << S)}
+            if nxt is states:
+                nxt = states.copy()
+            dead = 1 | cu | cv
             for key, cnt in states.items():
-                d1, d2, pairing, closed = key
-                if closed or d2 & both:
+                if key & dead:
                     continue
-                u1, v1 = d1 & bu, d1 & bv
-                if not u1 and not v1:
-                    extra = (su, sv) if su < sv else (sv, su)
-                    newpair = tuple(sorted(pairing + (extra,)))
-                    nk = (d1 | both, d2, newpair, False)
-                elif u1 and v1:
-                    pu = pv = -1
-                    for a, b in pairing:
-                        if a == su:
-                            pu = b
-                        elif b == su:
-                            pu = a
-                        if a == sv:
-                            pv = b
-                        elif b == sv:
-                            pv = a
-                    if pu == sv:
-                        # taking u-v closes the cycle; legal only if it is
-                        # the last open path
-                        if len(pairing) > 1:
-                            continue
-                        nk = (0, d2 | both, (), True)
+                if key & bu:
+                    pu = key >> fu & FIELD
+                    if key & bv:
+                        if pu == sv:
+                            # taking u-v closes the cycle; legal only if it
+                            # is the last open path
+                            if key & D1 != bu | bv:
+                                continue
+                            nk = (key & D2) | cu | cv | 1
+                        else:
+                            # join two paths: their far ends pu, pv now pair
+                            pv = key >> fv & FIELD
+                            nk = (
+                                key ^ bu ^ bv ^ cu ^ cv
+                                ^ (pu << fu) ^ (pv << fv)
+                                ^ ((su ^ pv) << off[pu]) ^ ((sv ^ pu) << off[pv])
+                            )
                     else:
-                        rest = [
-                            pr
-                            for pr in pairing
-                            if su not in pr and sv not in pr
-                        ]
-                        rest.append((pu, pv) if pu < pv else (pv, pu))
-                        nk = (d1 & ~both, d2 | both, tuple(sorted(rest)), False)
-                else:
-                    # one endpoint extends an open path onto a fresh vertex
-                    sold, sfresh = (su, sv) if u1 else (sv, su)
-                    po = -1
-                    for a, b in pairing:
-                        if a == sold:
-                            po = b
-                        elif b == sold:
-                            po = a
-                    rest = [pr for pr in pairing if sold not in pr]
-                    rest.append((po, sfresh) if po < sfresh else (sfresh, po))
+                        # u's path extends onto the fresh vertex v
+                        nk = (
+                            key ^ bu ^ bv ^ cu
+                            ^ (pu << fu) ^ (pu << fv) ^ ((su ^ sv) << off[pu])
+                        )
+                elif key & bv:
+                    pv = key >> fv & FIELD
                     nk = (
-                        (d1 & ~(1 << sold)) | (1 << sfresh),
-                        d2 | (1 << sold),
-                        tuple(sorted(rest)),
-                        False,
+                        key ^ bu ^ bv ^ cv
+                        ^ (pv << fv) ^ (pv << fu) ^ ((su ^ sv) << off[pv])
                     )
+                else:
+                    # open a new path u-v
+                    nk = key | bu | bv | (sv << fu) | (su << fv)
                 cur = nxt.get(nk, 0) + cnt
                 if modulus is not None:
                     cur %= modulus
@@ -409,36 +403,34 @@ def _sweep(
                     raise CapacityError(
                         f"{peak} DP states at bag {i} exceed the {MAX_DP_STATES} ceiling"
                     )
-            done = []
+            gone = 0
             for w in (u, v):
                 remaining[w] -= 1
                 if remaining[w] == 0 and w not in keep:
-                    done.append(w)
-            if done:
-                forget_now(done)
+                    s = slot_of.pop(w)
+                    heapq.heappush(free_slots, s)
+                    gone |= (2 | 2 << S) << s
+            if gone:
+                # every forgotten vertex must have degree exactly 2; the
+                # survivors agree on those bits, so clearing them merges nothing
+                d2 = gone & D2
+                states = {k ^ d2: c for k, c in states.items() if k & gone == d2}
 
     vertex_of = {s: v for v, s in slot_of.items()}
     decoded: dict[tuple, int] = {}
-    for (d1, d2, pairing, closed), cnt in states.items():
+    for key, cnt in states.items():
         degs = []
+        pairs = []
         for s, v in vertex_of.items():
-            if (d1 >> s) & 1:
+            if key >> (1 + s) & 1:
                 degs.append((v, 1))
-            elif (d2 >> s) & 1:
+                w = vertex_of[key >> off[s] & FIELD]
+                if v < w:
+                    pairs.append((v, w))
+            elif key >> (1 + S + s) & 1:
                 degs.append((v, 2))
-        pairs = tuple(
-            sorted(
-                (vertex_of[a], vertex_of[b])
-                if vertex_of[a] < vertex_of[b]
-                else (vertex_of[b], vertex_of[a])
-                for a, b in pairing
-            )
-        )
-        key = (tuple(sorted(degs)), pairs, closed)
-        cur = decoded.get(key, 0) + cnt
-        if modulus is not None:
-            cur %= modulus
-        decoded[key] = cur
+        # the encoding is canonical, so no two states decode to one key
+        decoded[(tuple(sorted(degs)), tuple(sorted(pairs)), bool(key & 1))] = cnt
     return decoded, peak
 
 

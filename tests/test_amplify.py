@@ -3,6 +3,7 @@
 import pytest
 
 from matchconn.amplify import (
+    MAX_TENSOR_COPIES,
     MAX_TENSOR_FAMILY,
     _check_product_shape,
     build_product_graph,
@@ -58,6 +59,18 @@ def test_tensor_identity_rejects_the_shapes_the_product_graph_rejects(base_size,
 def test_tensor_identity_refuses_families_over_the_ceiling(base_size, copies):
     with pytest.raises(CapacityError, match="exceeds the ceiling"):
         verify_tensor_identity(base_size, copies)
+
+
+@pytest.mark.parametrize("base_size", [2, 4])
+def test_product_refuses_copies_over_the_ceiling(base_size):
+    # at B = 2 the family has one member for every t, so only this ceiling
+    # stops a huge t
+    _check_product_shape(base_size, MAX_TENSOR_COPIES)
+    for copies in (MAX_TENSOR_COPIES + 1, 10**9):
+        with pytest.raises(CapacityError, match="copies exceeds the ceiling"):
+            build_product_graph(base_size, copies)
+        with pytest.raises(CapacityError, match="copies exceeds the ceiling"):
+            verify_tensor_identity(base_size, copies)
 
 
 def test_tensor_family_ceiling_keeps_the_certified_shapes():

@@ -153,6 +153,15 @@ def test_amplify_over_the_family_ceiling_exits_two_at_once(capsys):
     assert "exceeds the ceiling" in err
 
 
+def test_amplify_over_the_copies_ceiling_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "amplify", "--B", "2", "--t", "1000000000", "--p", "5")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "copies exceeds the ceiling" in err
+
+
 def test_basis_report_is_byte_identical_across_runs(capsys):
     code1, out1, _ = run(capsys, "basis", "--beta", "5", "--gamma", "1", "--p", "3")
     code2, out2, _ = run(capsys, "basis", "--beta", "5", "--gamma", "1", "--p", "3")

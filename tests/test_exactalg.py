@@ -3,6 +3,7 @@ and the one-kernel-per-field eliminations against the separate loops they
 replaced, which stay here as references."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +27,11 @@ from matchconn.exactalg import (
     nullity_shift,
     rank,
 )
+from matchconn.cli import main
 from matchconn.graphs import write_hcgraph
+from matchconn.hcount import count_hc_pathdp
 from matchconn.reduction import assemble
+from test_hcount import ref_sweep
 
 small_entries = st.integers(min_value=-6, max_value=6)
 
@@ -630,3 +634,17 @@ def test_compiled_graph_bytes_unchanged(tmp_path, corpus_index, p):
     write_hcgraph(path, result.graph, result.decomposition)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_HCGRAPH_SHA256[(corpus_index, p)]
+
+
+def test_golden_graph_counts_with_fewer_states(tmp_path, capsys):
+    # dead-skip pruning on a compiled graph: the residue stays the one the
+    # reduction predicts, from strictly fewer states than the tuple-key sweep
+    result = assemble(CNF_CORPUS[4][1], 5)
+    counted = count_hc_pathdp(result.graph, result.decomposition, 5)
+    assert counted.value == result.sidecar()["predicted_mod_p"]
+    _, ref_peak = ref_sweep(result.graph, list(result.decomposition.bags), set(), 5)
+    assert counted.states_peak < ref_peak
+    path = tmp_path / "g.hcg"
+    write_hcgraph(path, result.graph, result.decomposition)
+    assert main(["count", "--graph", str(path), "--mod", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["residue"] == counted.value

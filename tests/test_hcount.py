@@ -5,6 +5,7 @@ DP) are deliberately independent; most tests here pit them against each
 other on random inputs.
 """
 
+import heapq
 import itertools
 import random
 import time
@@ -381,6 +382,272 @@ def test_validate_and_schedule_scale_linearly():
     assert all(len(es) == 1 for es in edges_at)
     assert intro[0] == [1, 2] and forget[-1] == [n - 1, n]
     assert elapsed < 10.0, f"{elapsed:.1f} s for {len(bags)} bags"
+
+
+# -- packed sweep against the tuple-key reference -----------------------------
+
+
+def ref_sweep(graph, bags, keep, modulus):
+    """The bag sweep as it was before packed keys and dead-skip pruning.
+
+    A state is the tuple (degree-1 slot mask, degree-2 slot mask, sorted slot
+    pairing, closed); the skip branch of every edge is a wholesale copy, so
+    states where a vertex can no longer reach degree 2 live until that
+    vertex is forgotten. Returns the decoded final table and the peak, like
+    hcount._sweep.
+    """
+    intro, edges_at, _ = _bag_schedule(graph, bags)
+    slot_of = {}
+    free_slots = []
+    next_slot = 0
+    states = {(0, 0, (), False): 1}
+    peak = 1
+    # a vertex is forgotten eagerly once its last incident edge is processed
+    remaining = {v: graph.degree(v) for v in graph.vertices}
+
+    def forget_now(verts):
+        # merging states never grows the table, so the peak cannot move here
+        nonlocal states
+        mask = 0
+        for w in verts:
+            mask |= 1 << slot_of[w]
+        nxt = {}
+        for key, cnt in states.items():
+            d1, d2, pairing, closed = key
+            # every dropped vertex must have degree exactly 2
+            if d1 & mask or (d2 & mask) != mask:
+                continue
+            nk = (d1, d2 & ~mask, pairing, closed)
+            cur = nxt.get(nk, 0) + cnt
+            if modulus is not None:
+                cur %= modulus
+            nxt[nk] = cur
+        states = nxt
+        for w in verts:
+            heapq.heappush(free_slots, slot_of.pop(w))
+
+    for i in range(len(bags)):
+        for v in intro[i]:
+            if free_slots:
+                slot_of[v] = heapq.heappop(free_slots)
+            else:
+                slot_of[v] = next_slot
+                next_slot += 1
+            if remaining[v] == 0 and v not in keep:
+                # an isolated vertex can never reach degree 2
+                states = {}
+        for u, v in edges_at[i]:
+            su, sv = slot_of[u], slot_of[v]
+            bu, bv = 1 << su, 1 << sv
+            both = bu | bv
+            nxt = dict(states)  # skip branch for every state
+            for key, cnt in states.items():
+                d1, d2, pairing, closed = key
+                if closed or d2 & both:
+                    continue
+                u1, v1 = d1 & bu, d1 & bv
+                if not u1 and not v1:
+                    extra = (su, sv) if su < sv else (sv, su)
+                    newpair = tuple(sorted(pairing + (extra,)))
+                    nk = (d1 | both, d2, newpair, False)
+                elif u1 and v1:
+                    pu = pv = -1
+                    for a, b in pairing:
+                        if a == su:
+                            pu = b
+                        elif b == su:
+                            pu = a
+                        if a == sv:
+                            pv = b
+                        elif b == sv:
+                            pv = a
+                    if pu == sv:
+                        # taking u-v closes the cycle; legal only if it is
+                        # the last open path
+                        if len(pairing) > 1:
+                            continue
+                        nk = (0, d2 | both, (), True)
+                    else:
+                        rest = [
+                            pr
+                            for pr in pairing
+                            if su not in pr and sv not in pr
+                        ]
+                        rest.append((pu, pv) if pu < pv else (pv, pu))
+                        nk = (d1 & ~both, d2 | both, tuple(sorted(rest)), False)
+                else:
+                    # one endpoint extends an open path onto a fresh vertex
+                    sold, sfresh = (su, sv) if u1 else (sv, su)
+                    po = -1
+                    for a, b in pairing:
+                        if a == sold:
+                            po = b
+                        elif b == sold:
+                            po = a
+                    rest = [pr for pr in pairing if sold not in pr]
+                    rest.append((po, sfresh) if po < sfresh else (sfresh, po))
+                    nk = (
+                        (d1 & ~(1 << sold)) | (1 << sfresh),
+                        d2 | (1 << sold),
+                        tuple(sorted(rest)),
+                        False,
+                    )
+                cur = nxt.get(nk, 0) + cnt
+                if modulus is not None:
+                    cur %= modulus
+                nxt[nk] = cur
+            states = nxt
+            peak = max(peak, len(states))
+            done = []
+            for w in (u, v):
+                remaining[w] -= 1
+                if remaining[w] == 0 and w not in keep:
+                    done.append(w)
+            if done:
+                forget_now(done)
+
+    vertex_of = {s: v for v, s in slot_of.items()}
+    decoded = {}
+    for (d1, d2, pairing, closed), cnt in states.items():
+        degs = []
+        for s, v in vertex_of.items():
+            if (d1 >> s) & 1:
+                degs.append((v, 1))
+            elif (d2 >> s) & 1:
+                degs.append((v, 2))
+        pairs = tuple(
+            sorted(
+                (vertex_of[a], vertex_of[b])
+                if vertex_of[a] < vertex_of[b]
+                else (vertex_of[b], vertex_of[a])
+                for a, b in pairing
+            )
+        )
+        key = (tuple(sorted(degs)), pairs, closed)
+        cur = decoded.get(key, 0) + cnt
+        if modulus is not None:
+            cur %= modulus
+        decoded[key] = cur
+    return decoded, peak
+
+
+def with_boundary(bags, boundary):
+    """Append the boundary to every bag, as the partial-solution counters do."""
+    bags = [tuple(bag) + tuple(v for v in boundary if v not in bag) for bag in bags]
+    return bags or [tuple(boundary)]
+
+
+def separation_bags(graph, order):
+    """Bag i holds order[i] and every earlier vertex with a neighbour at i or later."""
+    pos = {v: i for i, v in enumerate(order)}
+    reach = {v: max([pos[v]] + [pos[w] for w in graph.neighbors(v)]) for v in order}
+    return [
+        tuple(w for w in order[: i + 1] if reach[w] >= i) for i in range(len(order))
+    ]
+
+
+@st.composite
+def sweep_instances(draw):
+    """Degree-2 chains with chords, a decomposition, a pinned boundary and a modulus.
+
+    The vertices lie on a path with a few links missing, so most have degree
+    2; at most n chords raise some degrees, which keeps every graph within
+    the subset oracle's edge ceiling. The boundary prefers degree-2 vertices, so
+    boundary vertices that must stay unpruned come up often.
+    """
+    n = draw(st.integers(min_value=1, max_value=9))
+    order = draw(st.permutations(range(1, n + 1)))
+    g = AnnotatedGraph()
+    for v in order:
+        g.add_vertex(v)
+    for a, b in zip(order, order[1:]):
+        if draw(st.integers(min_value=0, max_value=5)):
+            g.add_edge(a, b)
+    if n > 2 and draw(st.booleans()):
+        g.add_edge(*sorted((order[0], order[-1])))
+    ends = st.sampled_from(order)
+    for u, v in draw(st.lists(st.tuples(ends, ends), max_size=n)):
+        if u != v and not g.has_edge(u, v):
+            g.add_edge(u, v)
+    deg2 = sorted(v for v in g.vertices if g.degree(v) == 2)
+    pool = st.sampled_from(deg2) if deg2 and draw(st.booleans()) else st.sampled_from(order)
+    keep = draw(st.sets(pool, max_size=min(3, n)))
+    if draw(st.booleans()):
+        bags = list(layered_decomposition(g).bags)
+    else:
+        bags = separation_bags(g, draw(st.permutations(order)))
+    bags = with_boundary(bags, sorted(keep))
+    modulus = draw(st.sampled_from([None, 2, 3, 5]))
+    return g, bags, keep, modulus
+
+
+@given(sweep_instances())
+@settings(max_examples=400, deadline=None)
+def test_sweep_matches_tuple_key_reference(instance):
+    g, bags, keep, modulus = instance
+    PathDecomposition(bags).validate(g)
+    want, ref_peak = ref_sweep(g, bags, set(keep), modulus)
+    got, peak = hcount._sweep(g, bags, set(keep), modulus)
+    # zero residues stay in both tables, so plain dict equality covers them
+    assert got == want
+    assert peak <= ref_peak
+
+
+@given(sweep_instances())
+@settings(max_examples=100, deadline=None)
+def test_pinned_spectrum_matches_subset_oracle(instance):
+    g, bags, keep, _ = instance
+    boundary = tuple(sorted(keep))
+    spectrum = partial_solution_spectrum(g, boundary, decomposition=PathDecomposition(bags))
+    for fp in enumerate_fingerprints(boundary):
+        want = count_partial_solutions(g, boundary, fp).value
+        assert spectrum.get(fp, 0) == want
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_sweep_with_an_isolated_vertex(pinned):
+    g = cycle_graph(3)
+    g.add_vertex(4)
+    keep = {4} if pinned else set()
+    bags = with_boundary([(1, 2, 3), (3, 4)], sorted(keep))
+    got, peak = hcount._sweep(g, bags, keep, None)
+    want, ref_peak = ref_sweep(g, bags, keep, None)
+    assert got == want and peak <= ref_peak
+    if pinned:
+        # the triangle closes and the pinned vertex stays at degree 0
+        assert got == {((), (), True): 1}
+        spectrum = partial_solution_spectrum(g, (4,), decomposition=PathDecomposition(bags))
+        assert spectrum == {Fingerprint((4,), (0,), Matching(())): 1}
+    else:
+        assert got == {}
+        assert count_hc_pathdp(g, PathDecomposition(bags)).value == 0
+
+
+def test_boundary_ends_of_degree_two_keep_their_skips():
+    # On a 6-cycle the only path from 1 to 2 through every other vertex skips
+    # the edge 1-2. Both ends have degree 2 in the graph, and (1, 2) is the
+    # first edge at each, so pruning a boundary vertex there would lose it.
+    g = cycle_graph(6)
+    boundary = (1, 2)
+    decomp = PathDecomposition([(1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6)])
+    fp = Fingerprint(boundary, (1, 1), Matching(((1, 2),)))
+    assert count_partial_solutions(g, boundary, fp).value == 1
+    assert count_partial_solutions(g, boundary, fp, decomposition=decomp).value == 1
+    bags = with_boundary(decomp.bags, boundary)
+    assert hcount._sweep(g, bags, set(boundary), None)[0] == ref_sweep(
+        g, bags, set(boundary), None
+    )[0]
+
+
+def test_forced_edges_shrink_the_table():
+    # Every vertex of a long cycle has degree 2, so every skip branch before
+    # a vertex's last edge is dead. Only the closing edge 1-40 keeps its skip,
+    # until both ends are forgotten right after it.
+    g = cycle_graph(40)
+    bags = [(1, v, v + 1) for v in range(2, 40)]
+    result = count_hc_pathdp(g, PathDecomposition(bags))
+    assert result.value == 1
+    assert result.states_peak == 2 < ref_sweep(g, bags, set(), None)[1]
 
 
 # -- state ceiling -------------------------------------------------------------
