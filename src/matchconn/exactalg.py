@@ -20,7 +20,10 @@ inverse, nullity and full-rank extraction all read its pivots:
 
 rank() over Q first tries one elimination mod a prime; if that already
 reaches min(m, n) the rational rank is certified exactly (rank can only drop
-under reduction), which avoids Bareiss on huge full-rank inputs.
+under reduction), which avoids Bareiss on huge full-rank inputs. Below full
+rank, a Gauss-Jordan pass mod the same prime proposes a kernel basis with
+small fractions, and an exact integer check of A x = 0 certifies it; only
+when that fails does Bareiss run.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -510,6 +513,58 @@ def _eliminate_mod(
     return work, pivots, d % p
 
 
+def _small_fraction(x: int, p: int) -> Fraction | None:
+    """The fraction u/v equal to x mod p with |u|, |v| <= sqrt(p/2), or None.
+
+    Rational reconstruction by the half-extended Euclidean algorithm: each
+    remainder r_i keeps r_i = s_i * x mod p, and the first one below the bound
+    gives u = r_i, v = s_i.
+    """
+    bound = isqrt(p // 2)
+    r0, r1, s0, s1 = p, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Fraction(r1, s1) if abs(s1) <= bound else None
+
+
+def _kernel_certifies(a: np.ndarray, r: int) -> bool:
+    """True if an exact integer kernel shows that a has rational rank <= r.
+
+    `a` is an int64 array whose rank mod `_CERT_PRIME` is r. Gauss-Jordan
+    mod that prime gives pivot columns C and, for each free column j, the
+    kernel vector x_j = 1, x_C = -R[:, j]. Each residue is read back as a small
+    fraction, each vector is scaled to integers, and A x = 0 is checked in
+    int64 under a bound that rules out overflow. The vectors restrict to a
+    scaled identity on the free columns, so they are independent and the
+    rational nullity is at least n - r. False when a residue has no small
+    fraction, the bound fails or a product is nonzero; the caller then runs
+    Bareiss. The eigenspaces of the order-8 matrix pass with fractions whose
+    parts are at most 5: each nullity takes about 20 ms on a 2-core VM,
+    where Bareiss took 0.13-0.31 s.
+    """
+    p = _CERT_PRIME
+    n = a.shape[1]
+    work, pivots, _ = _eliminate_mod(a, p, jordan=True)
+    free = np.setdiff1d(np.arange(n), pivots)
+    residues, where = np.unique((-work[:r, free] % p).ravel(), return_inverse=True)
+    del work
+    fracs = [_small_fraction(int(x), p) for x in residues]
+    if None in fracs:
+        return False
+    num = np.array([f.numerator for f in fracs], dtype=np.int64)[where].reshape(r, free.size)
+    den = np.array([f.denominator for f in fracs], dtype=np.int64)[where].reshape(r, free.size)
+    scales = [lcm(*col) for col in den.T.tolist()]
+    biggest = max(abs(int(a.max())), abs(int(a.min())), 1)
+    if n * biggest * max(scales) * isqrt(p // 2) >= 2**63:
+        return False
+    kernel = np.zeros((n, free.size), dtype=np.int64)
+    s = np.array(scales, dtype=np.int64)
+    kernel[pivots] = num * (s // den)
+    kernel[free, np.arange(free.size)] = s
+    return not (a @ kernel).any()
+
+
 def _pivot_columns(matrix: ExactMatrix) -> list[int]:
     """Pivot columns of the row echelon form over the matrix's own field."""
     if isinstance(matrix.field, PrimeField):
@@ -526,16 +581,16 @@ def rank(matrix: ExactMatrix) -> int:
     """Exact rank over the matrix's own field."""
     if isinstance(matrix.field, Rationals):
         # Certify via one modular elimination when full rank, which is exact
-        # (rank mod p never exceeds rational rank); otherwise Bareiss. Only
-        # non-integer or huge entries skip the shortcut, never the memory
-        # ceiling.
+        # (rank mod p never exceeds rational rank), or by a verified integer
+        # kernel; otherwise Bareiss. Only non-integer or huge entries skip the
+        # shortcut, never the memory ceiling.
         try:
             arr = matrix.numpy()
         except (ValidationError, OverflowError):
             arr = None
         if arr is not None:
             r_mod = len(_eliminate_mod(arr, _CERT_PRIME)[1])
-            if r_mod == min(matrix.nrows, matrix.ncols):
+            if r_mod == min(matrix.nrows, matrix.ncols) or _kernel_certifies(arr, r_mod):
                 return r_mod
     return len(_pivot_columns(matrix))
 
@@ -615,8 +670,15 @@ def nullity_shift(matrix: ExactMatrix, shift) -> int:
         a = matrix.numpy()
         a[np.diag_indices(n)] -= int(shift) % p
         return n - len(_eliminate_mod(a, p)[1])
-    rows = matrix.rows()
     s = shift if isinstance(shift, (int, Fraction)) else Fraction(shift)
+    if matrix.is_numpy() and s.denominator == 1:
+        # integer shift of an integer array: stay in numpy unless it overflows
+        a = matrix.numpy()
+        t = int(s)
+        if not a.size or max(-int(a.min()), int(a.max())) + abs(t) < 2**63:
+            a[np.diag_indices(n)] -= t
+            return n - rank(ExactMatrix(RATIONALS, a))
+    rows = matrix.rows()
     for i in range(n):
         rows[i][i] = rows[i][i] - s
     shifted = ExactMatrix(RATIONALS, rows)

@@ -98,9 +98,17 @@ class PathDecomposition:
         only an edge at a broken run scans bags; on a valid decomposition the
         cost is O(sum of bag sizes + |E|).
         """
+        return self._violations(graph, *self.occurrence_intervals())
+
+    def _violations(
+        self,
+        graph: "AnnotatedGraph",
+        first: dict[int, int],
+        last: dict[int, int],
+        gap: dict[int, int],
+    ) -> list[str]:
         probs: list[str] = []
         vset = graph.vertices
-        first, last, gap = self.occurrence_intervals()
         if not vset.issuperset(first):
             for i, bag in enumerate(self.bags):
                 probs += [f"bag {i} contains unknown vertex {v}" for v in bag if v not in vset]
@@ -121,10 +129,16 @@ class PathDecomposition:
             probs.append(f"edge {u}-{v} fits in no bag")
         return probs
 
-    def validate(self, graph: "AnnotatedGraph") -> None:
-        probs = self.violations(graph)
+    def validate(
+        self, graph: "AnnotatedGraph"
+    ) -> tuple[dict[int, int], dict[int, int]]:
+        """Raise DecompositionError naming the first 20 violations; otherwise
+        return each vertex's first and last bag, from the same pass."""
+        first, last, gap = self.occurrence_intervals()
+        probs = self._violations(graph, first, last, gap)
         if probs:
             raise DecompositionError(probs[:20])
+        return first, last
 
     def relabel(self, mapping: dict[int, int]) -> "PathDecomposition":
         return PathDecomposition([tuple(mapping[v] for v in bag) for bag in self.bags])

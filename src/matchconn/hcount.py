@@ -265,14 +265,20 @@ def _count_partial_bruteforce(
 # bag sweep DP
 
 
-def _bag_schedule(graph: AnnotatedGraph, bags: list[tuple[int, ...]]):
-    """Per-bag introduce/edge/forget lists from a validated bag sequence.
+def _bag_schedule(
+    graph: AnnotatedGraph,
+    bags: list[tuple[int, ...]],
+    first: dict[int, int],
+    last: dict[int, int],
+):
+    """Per-bag introduce/edge/forget lists from a validated bag sequence and
+    the first and last bag of each vertex, as PathDecomposition.validate
+    returns them.
 
     An edge's home is the first bag holding both ends, max(first[u],
     first[v]) once every run is contiguous. Costs O(sum of bag sizes +
     |E|) plus the sort that fixes the edge order.
     """
-    first, last, _ = PathDecomposition(bags).occurrence_intervals()
     intro = [[] for _ in bags]
     forget = [[] for _ in bags]
     edges_at = [[] for _ in bags]
@@ -295,7 +301,8 @@ def _sweep(
     keep: set[int],
     modulus: int | None,
 ) -> tuple[dict, int]:
-    """Run the DP; returns (final states, states_peak).
+    """Validate the bags as a path decomposition, then run the DP; returns
+    (final states, states_peak).
 
     Vertices are remapped to dense slots, freed once their last edge is
     processed and reused, and a state is packed into one int:
@@ -316,10 +323,11 @@ def _sweep(
     forced edges at degree-2 vertices. Raises CapacityError once the table
     holds more than MAX_DP_STATES states.
     """
+    first, last = PathDecomposition(bags).validate(graph)
     if any(graph.degree(v) == 0 for v in graph.vertices if v not in keep):
         # an isolated vertex can never reach degree 2
         return {}, 1
-    intro, edges_at, _ = _bag_schedule(graph, bags)
+    intro, edges_at, _ = _bag_schedule(graph, bags, first, last)
     # Slot bound: a vertex outside `keep` is freed when its last edge is
     # processed, at that edge's home bag, which lies in the vertex's run of
     # bags (isolated ones were turned away above). So at bag i every vertex
@@ -445,11 +453,9 @@ def count_hc_pathdp(
     decomp = decomposition if decomposition is not None else graph.decomposition
     if decomp is None:
         decomp = layered_decomposition(graph)
-    decomp.validate(graph)
-    n = len(graph.vertices)
-    if n == 0:
-        return CountResult(1 % modulus if modulus else 1, modulus, 0, (time.perf_counter() - t0) * 1e3)
     states, peak = _sweep(graph, list(decomp.bags), keep=set(), modulus=modulus)
+    if not graph.vertices:
+        return CountResult(1 % modulus if modulus else 1, modulus, 0, (time.perf_counter() - t0) * 1e3)
     total = 0
     for (degs, pairing, closed), cnt in states.items():
         if closed and not degs and not pairing:
@@ -496,7 +502,6 @@ def count_partial_solutions(
     bags = [tuple(bag) + tuple(v for v in b if v not in bag) for bag in decomposition.bags]
     if not bags:
         bags = [b]
-    PathDecomposition(bags).validate(graph)
     states, peak = _sweep(graph, bags, keep=set(b), modulus=modulus)
     want_deg = tuple(sorted((v, fp.degree_of(v)) for v in b if fp.degree_of(v)))
     want_pairs = fp.matching.pairs
@@ -540,7 +545,6 @@ def partial_solution_spectrum(
     bags = [tuple(bag) + tuple(v for v in b if v not in bag) for bag in decomposition.bags]
     if not bags:
         bags = [b]
-    PathDecomposition(bags).validate(graph)
     states, _ = _sweep(graph, bags, keep=set(b), modulus=modulus)
     internal = set(graph.vertices) - set(b)
     out: dict[Fingerprint, int] = {}

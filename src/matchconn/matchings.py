@@ -38,6 +38,7 @@ __all__ = [
     "matching_count",
     "union_cycle_type",
     "is_single_cycle",
+    "union_table",
     "build_M",
     "enumerate_fingerprints",
     "fingerprint_count",
@@ -252,35 +253,68 @@ def build_M(k: int, large: bool = False) -> ExactMatrix:
 
 @lru_cache(maxsize=None)
 def _connectivity_array(k: int) -> np.ndarray:
-    """Read-only int8 array of M_k by a vectorized orbit walk.
-
-    For matchings a, b with partner arrays pa, pb, the union is one cycle
-    exactly when the orbit of the first vertex under pa after pb has size k/2.
-    """
+    """Read-only int8 array of M_k: union_table of the order-k matchings with
+    themselves, except that order 0 is [[1]] by convention."""
     ms = _matchings_cached(k)
-    if k == 0:
-        out = np.ones((1, 1), dtype=np.int8)
-        out.setflags(write=False)
-        return out
-    n = len(ms)
-    half = k // 2
-    partners = np.empty((n, k), dtype=np.int16)
-    for i, m in enumerate(ms):
-        p = m.partner()
-        partners[i] = [p[v] - 1 for v in range(1, k + 1)]
-    out = np.zeros((n, n), dtype=np.int8)
-    rows_idx = np.arange(n)
-    for i in range(n):
-        pa = partners[i]
-        x = pa[partners[:, 0]]
-        first = np.zeros(n, dtype=np.int32)
-        for step in range(1, half + 1):
-            hit = (x == 0) & (first == 0)
-            first[hit] = step
-            if step < half:
-                x = pa[partners[rows_idx, x]]
-        out[i] = (first == half).astype(np.int8)
+    out = union_table(ms, ms) if k else np.ones((1, 1), dtype=np.int8)
     out.setflags(write=False)
+    return out
+
+
+def union_table(
+    rows: Sequence[Matching], cols: Sequence[Matching], cycle_types: bool = False
+) -> np.ndarray:
+    """The union of every row matching with every column matching, as a table.
+
+    All matchings must cover one vertex set, of any even size and labels.
+    The default table is the int8 is_single_cycle. With cycle_types=True it
+    holds int64 codes: m_L cycles of length L (in pairs, as in
+    union_cycle_type) give the sum of m_L * (h + 1)^(L - 1), h being half the
+    vertex count, so equal codes mean equal cycle types.
+
+    Each row steps "column partner, then row partner" for all columns at
+    once; a vertex first returns after as many steps as its cycle has pairs.
+    """
+    verts = (rows or cols or [Matching(())])[0].vertices()
+    k, h = len(verts), len(verts) // 2
+    if cycle_types and (h + 1) ** h > np.iinfo(np.int64).max:
+        raise CapacityError(f"cycle-type codes of {k} vertices overflow int64")
+    pos = {v: i for i, v in enumerate(verts)}
+
+    def partners(family: Sequence[Matching]) -> np.ndarray:
+        out = np.empty((len(family), k), dtype=np.min_scalar_type(k))
+        for i, m in enumerate(family):
+            if m.vertices() != verts:
+                raise ValidationError("union table of matchings on different vertex sets")
+            p = m.partner()
+            out[i] = [pos[p[v]] for v in verts]
+        return out
+
+    row_p = partners(rows)
+    col_p = row_p if cols is rows else partners(cols)
+    out = np.zeros((len(rows), len(cols)), dtype=np.int64 if cycle_types else np.int8)
+    flat = col_p.ravel()  # col_p[j, x] is flat[j * k + x]
+    col_base = np.arange(len(cols)) * k
+    start = np.arange(k)
+    for i, pa in enumerate(row_p):
+        if cycle_types:
+            # count first returns from every vertex: 2s per cycle of length s
+            x = np.broadcast_to(start, (len(cols), k))
+            back = np.zeros((len(cols), k), dtype=bool)
+            for s in range(1, h + 1):
+                x = pa[flat[col_base[:, None] + x]]
+                new = (x == start) & ~back
+                out[i] += new.sum(axis=1) // (2 * s) * (h + 1) ** (s - 1)
+                back |= new
+        else:
+            # the first vertex returns before step h iff there are more
+            # cycles; with no vertices there is no cycle
+            x = np.zeros(len(cols), dtype=np.intp)
+            single = np.full(len(cols), h > 0)
+            for _ in range(h - 1):
+                x = pa[flat[col_base + x]]
+                single &= x != 0
+            out[i] = single
     return out
 
 
@@ -385,33 +419,22 @@ def fingerprints_combine(a: Fingerprint, b: Fingerprint) -> bool:
 def build_H(k: int) -> ExactMatrix:
     """Fingerprint combine matrix of order k over Q, canonical order both ways.
 
-    Block permutation structure: the rows with degree vector d can only meet
-    the columns with the complementary vector 2-d, so only those blocks are
-    scanned; each nonzero block is a copy of the single-cycle predicate on
-    the matchings of the shared degree-1 set.
+    Rows with degree vector d meet only the columns with the complement
+    2 - d. Both share one degree-1 set, and each one's fingerprints are
+    contiguous and in canonical matching order, so that block is the cached
+    connectivity array of the degree-1 set's size; order 0 gives [[1]].
     """
     if k < 0 or k > MAX_H_ORDER:
         raise CapacityError(f"fingerprint order {k} outside 0..{MAX_H_ORDER}")
     fps = enumerate_fingerprints(range(1, k + 1))
-    index: dict[Fingerprint, int] = {f: i for i, f in enumerate(fps)}
-    by_deg: dict[tuple[int, ...], list[Fingerprint]] = {}
-    for f in fps:
-        by_deg.setdefault(f.degrees, []).append(f)
-    n = len(fps)
-    out = np.zeros((n, n), dtype=np.int8)
-    for degs, rows in by_deg.items():
-        comp = tuple(2 - d for d in degs)
-        cols = by_deg.get(comp)
-        if not cols:
-            continue
-        for fr in rows:
-            i = index[fr]
-            for fc in cols:
-                if not fr.matching.pairs and not fc.matching.pairs:
-                    out[i, index[fc]] = 1
-                elif fr.matching.pairs and fc.matching.pairs:
-                    if is_single_cycle(fr.matching, fc.matching):
-                        out[i, index[fc]] = 1
+    start: dict[tuple[int, ...], int] = {}
+    for i, f in enumerate(fps):
+        start.setdefault(f.degrees, i)
+    out = np.zeros((len(fps), len(fps)), dtype=np.int8)
+    for degs, i in start.items():
+        j = start[tuple(2 - d for d in degs)]
+        block = _connectivity_array(degs.count(1))
+        out[i : i + len(block), j : j + len(block)] = block
     return ExactMatrix(RATIONALS, out, fps, fps)
 
 

@@ -32,7 +32,7 @@ from .exactalg import (
     is_prime,
     nullity_shift,
 )
-from .matchings import build_M, enumerate_matchings, union_cycle_type
+from .matchings import build_M, enumerate_matchings, union_table
 from .tableaux import (
     Partition,
     covers,
@@ -55,6 +55,9 @@ __all__ = [
     "MAX_SCHEME_N",
 ]
 
+# The bound comes from memory, not time: p(n) dense N x N int8 class arrays,
+# N = (2n-1)!!, plus the int64 code table they are split from. At n = 6
+# (N = 10,395) that is about 1.2 GB of arrays and 0.9 GB of codes.
 MAX_SCHEME_N = 5
 
 
@@ -78,17 +81,12 @@ def _class_arrays(n: int) -> dict[Partition, np.ndarray]:
     if n < 1 or n > MAX_SCHEME_N:
         raise CapacityError(f"scheme order n={n} outside 1..{MAX_SCHEME_N}")
     ms = enumerate_matchings(2 * n)
-    size = len(ms)
-    lams = partitions(n)
-    idx = {lam: i for i, lam in enumerate(lams)}
-    out = {lam: np.zeros((size, size), dtype=np.int8) for lam in lams}
-    for i, a in enumerate(ms):
-        for j in range(i, size):
-            t = union_cycle_type(a, ms[j])
-            arr = out[Partition(t.parts)]
-            arr[i, j] = 1
-            arr[j, i] = 1
-    return out
+    codes = union_table(ms, ms, cycle_types=True)
+    # union_table's code of a cycle type: one base-(n + 1) digit per length
+    return {
+        lam: (codes == sum((n + 1) ** (p - 1) for p in lam.parts)).astype(np.int8)
+        for lam in partitions(n)
+    }
 
 
 def build_class_matrix(n: int, lam: Partition) -> ExactMatrix:

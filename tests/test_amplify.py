@@ -128,6 +128,19 @@ class TestKroneckerIdentity:
         assert chk.family_size == len(enumerate_matchings(base_size)) ** copies
         assert chk.big_block.numpy().shape == chk.kron_power.numpy().shape
 
+    @pytest.mark.parametrize("base_size,copies", [(4, 2), (6, 2)])
+    def test_block_is_the_pairwise_predicate(self, base_size, copies):
+        chk = verify_tensor_identity(base_size, copies)
+        base = enumerate_matchings(base_size)
+        plain = tensor_matchings(base, copies, detoured=False).members
+        detoured = tensor_matchings(base, copies, detoured=True).members
+        assert chk.big_block.row_labels == plain
+        assert chk.big_block.col_labels == detoured
+        want = [[int(is_single_cycle(a, b)) for b in detoured] for a in plain]
+        assert chk.big_block.numpy().tolist() == want
+        want_f = [[int(is_single_cycle(a, b)) for b in base] for a in base]
+        assert chk.base_matrix.numpy().tolist() == want_f
+
     def test_plain_pairs_never_close_one_cycle(self):
         fam = tensor_matchings(enumerate_matchings(4), 2, detoured=False)
         for a in fam.members:
@@ -138,6 +151,14 @@ class TestKroneckerIdentity:
         chk = verify_tensor_identity(4, 2)
         assert rank(chk.base_matrix) == 3
         assert rank(chk.big_block) == 9
+
+    def test_base_must_cover_the_named_size(self):
+        # a B = 4 family reported as B = 6 used to pass as a B = 6 identity
+        with pytest.raises(ValidationError, match="cover"):
+            verify_tensor_identity(6, 2, base=enumerate_matchings(4))
+        stray = Matching(((2, 5), (3, 4)))
+        with pytest.raises(ValidationError, match="cover"):
+            verify_tensor_identity(4, 2, base=[*enumerate_matchings(4), stray])
 
     def test_sub_family_identity(self):
         # the identity holds for any base family, not just the full one

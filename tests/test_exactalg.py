@@ -30,6 +30,7 @@ from matchconn.exactalg import (
 from matchconn.cli import main
 from matchconn.graphs import write_hcgraph
 from matchconn.hcount import count_hc_pathdp
+from matchconn.matchings import build_M
 from matchconn.reduction import assemble
 from test_hcount import ref_sweep
 
@@ -484,6 +485,61 @@ EMPTY = [np.zeros(shape, dtype=np.int64) for shape in ((0, 0), (0, 3), (3, 0))]
 @settings(max_examples=150, deadline=None)
 def test_mod_p_kernel_matches_references(a):
     check_against_references(a)
+
+
+@given(low_rank_arrays())
+@example(np.array([[CERT_PRIME, 0], [0, 1]]))
+@example(np.array([[1000, 999], [2000, 1998]]))
+@settings(max_examples=150, deadline=None)
+def test_rational_rank_of_rank_deficient_arrays(a):
+    # the kernel certificate, or Bareiss where it fails, must equal Fraction
+    # elimination
+    assert rank(ExactMatrix(RATIONALS, a)) == oracle_rank(a.tolist())
+
+
+def bareiss_calls(monkeypatch) -> list:
+    calls = []
+    real = exactalg._bareiss
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exactalg, "_bareiss", spy)
+    return calls
+
+
+def test_kernel_certificate_replaces_bareiss_on_eigenspaces(monkeypatch):
+    # the order-8 eigenspaces over Q (multiplicities 1, 20, 14, 56, 14)
+    calls = bareiss_calls(monkeypatch)
+    m8 = build_M(8)
+    got = [nullity_shift(m8, eta) for eta in (48, -8, -2, 4, -6)]
+    assert got == [1, 20, 14, 56, 14]
+    assert calls == []
+
+
+@pytest.mark.parametrize("rows,want", [
+    # rank 1 mod the certification prime, 2 over Q: the kernel vector
+    # (1, 0) read off mod p must fail the exact check
+    ([[CERT_PRIME, 0], [0, 1]], 2),
+    # kernel (-999/1000, 1): no fraction with parts below sqrt(p/2)
+    ([[1000, 999], [2000, 1998]], 1),
+])
+def test_kernel_certificate_falls_back_to_bareiss(monkeypatch, rows, want):
+    calls = bareiss_calls(monkeypatch)
+    assert rank(ExactMatrix(RATIONALS, np.array(rows))) == want
+    assert len(calls) == 1
+
+
+def test_integer_shift_of_numpy_matrix_near_int64_limit():
+    # shifted by -2^62 the corner would wrap to -2^63 in int64 and make the
+    # determinant 2^64 look like 0, so the row-list path must run
+    a = np.array([[2**62, -(2**31)], [2**32, 1 - 2**62]])
+    assert nullity_shift(ExactMatrix(RATIONALS, a), -(2**62)) == 0
+    assert nullity_shift(ExactMatrix(RATIONALS, a), -(2**62) + 1) == 0
+    a = np.array([[2**62, 0], [0, 1]])
+    assert nullity_shift(ExactMatrix(RATIONALS, a), 2**62) == 1
+    assert nullity_shift(ExactMatrix(RATIONALS, a), Fraction(1, 2)) == 0
 
 
 @given(low_rank_arrays(max_dim=9), st.sampled_from([16_000_000, 0]))

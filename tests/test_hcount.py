@@ -114,6 +114,35 @@ def test_invalid_decomposition_names_the_violation():
     assert "fits in no bag" in str(err.value)
 
 
+def test_empty_graph_still_checks_its_bags():
+    assert count_hc_pathdp(AnnotatedGraph(), PathDecomposition([()])).value == 1
+    with pytest.raises(DecompositionError, match="unknown vertex 7"):
+        count_hc_pathdp(AnnotatedGraph(), PathDecomposition([(7,)]))
+
+
+def test_each_count_scans_the_bags_once(monkeypatch):
+    # validation and the bag schedule share one occurrence-interval pass
+    calls = []
+    scan = PathDecomposition.occurrence_intervals
+
+    def counted(self):
+        calls.append(self)
+        return scan(self)
+
+    monkeypatch.setattr(PathDecomposition, "occurrence_intervals", counted)
+    g = cycle_graph(6)
+    decomp = PathDecomposition([(1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6)])
+    fp = Fingerprint((1,), (2,), Matching(()))
+    for run in (
+        lambda: count_hc_pathdp(g, decomp),
+        lambda: count_partial_solutions(g, (1,), fp, decomposition=decomp),
+        lambda: partial_solution_spectrum(g, (1,), decomposition=decomp),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
 # -- oracle equivalence ------------------------------------------------------
 
 
@@ -355,8 +384,8 @@ def test_bag_schedule_matches_reference(data):
         if bag and data.draw(st.booleans()):
             bag.append(bag[0])
         bags.append(tuple(bag))
-    PathDecomposition(bags).validate(g)
-    assert _bag_schedule(g, bags) == reference_bag_schedule(g, bags)
+    first, last = PathDecomposition(bags).validate(g)
+    assert _bag_schedule(g, bags, first, last) == reference_bag_schedule(g, bags)
 
 
 def test_bag_schedule_matches_reference_on_layered_decompositions():
@@ -364,7 +393,8 @@ def test_bag_schedule_matches_reference_on_layered_decompositions():
     for _ in range(30):
         g = random_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.9))
         bags = list(layered_decomposition(g).bags)
-        assert _bag_schedule(g, bags) == reference_bag_schedule(g, bags)
+        intervals = PathDecomposition(bags).validate(g)
+        assert _bag_schedule(g, bags, *intervals) == reference_bag_schedule(g, bags)
 
 
 def test_validate_and_schedule_scale_linearly():
@@ -376,8 +406,8 @@ def test_validate_and_schedule_scale_linearly():
         g.add_edge(v, v + 1)
     bags = [(v, v + 1) for v in range(1, n)]
     t0 = time.perf_counter()
-    PathDecomposition(bags).validate(g)
-    intro, edges_at, forget = _bag_schedule(g, bags)
+    first, last = PathDecomposition(bags).validate(g)
+    intro, edges_at, forget = _bag_schedule(g, bags, first, last)
     elapsed = time.perf_counter() - t0
     assert all(len(es) == 1 for es in edges_at)
     assert intro[0] == [1, 2] and forget[-1] == [n - 1, n]
@@ -396,7 +426,7 @@ def ref_sweep(graph, bags, keep, modulus):
     vertex is forgotten. Returns the decoded final table and the peak, like
     hcount._sweep.
     """
-    intro, edges_at, _ = _bag_schedule(graph, bags)
+    intro, edges_at, _ = _bag_schedule(graph, bags, *PathDecomposition(bags).validate(graph))
     slot_of = {}
     free_slots = []
     next_slot = 0

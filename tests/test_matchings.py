@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchconn.exactalg import PrimeField, ValidationError, nullity_shift, rank
+from matchconn.exactalg import CapacityError, PrimeField, ValidationError, nullity_shift, rank
 from matchconn.hcount import count_hc_bruteforce
 from matchconn.matchings import (
     Fingerprint,
@@ -23,6 +23,7 @@ from matchconn.matchings import (
     is_single_cycle,
     matching_count,
     union_cycle_type,
+    union_table,
 )
 
 
@@ -67,6 +68,85 @@ def test_doubled_edge_is_a_two_cycle():
     assert is_single_cycle(m, m)
     M2 = build_M(2)
     assert M2.shape == (1, 1) and M2[0, 0] == 1
+
+
+# -- union tables against the pairwise predicates ------------------------------
+
+
+def vertex_sets(min_size=0):
+    """Even vertex sets that need not start at 1 or be contiguous."""
+    return st.integers(min_value=min_size, max_value=5).flatmap(
+        lambda h: st.lists(
+            st.integers(min_value=-20, max_value=40),
+            min_size=2 * h,
+            max_size=2 * h,
+            unique=True,
+        )
+    )
+
+
+def matchings_of(verts):
+    return st.permutations(verts).map(lambda p: Matching.from_pairs(zip(p[::2], p[1::2])))
+
+
+def families(verts):
+    return st.lists(matchings_of(verts), max_size=6)
+
+
+def type_code(ct, half):
+    # the code union_table documents: one base-(half + 1) digit per length
+    return sum((half + 1) ** (p - 1) for p in ct.parts)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_union_table_matches_the_pairwise_predicates(data):
+    verts = data.draw(vertex_sets())
+    rows, cols = data.draw(families(verts)), data.draw(families(verts))
+    single = union_table(rows, cols)
+    codes = union_table(rows, cols, cycle_types=True)
+    assert single.dtype == np.int8
+    assert single.shape == codes.shape == (len(rows), len(cols))
+    half = len(verts) // 2
+    types = {}
+    for i, a in enumerate(rows):
+        for j, b in enumerate(cols):
+            assert single[i, j] == is_single_cycle(a, b)
+            ct = union_cycle_type(a, b)
+            assert codes[i, j] == type_code(ct, half)
+            # equal codes exactly for equal cycle types
+            assert types.setdefault(int(codes[i, j]), ct) == ct
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_union_table_refuses_mixed_vertex_sets(data):
+    verts = data.draw(vertex_sets(min_size=1))
+    other = data.draw(vertex_sets().filter(lambda o: sorted(o) != sorted(verts)))
+    rows = data.draw(st.lists(matchings_of(verts), min_size=1, max_size=6))
+    cols = data.draw(families(verts))
+    stray = data.draw(matchings_of(other))
+    side = data.draw(st.sampled_from([rows, cols]))
+    side.insert(data.draw(st.integers(min_value=0, max_value=len(side))), stray)
+    for cycle_types in (False, True):
+        with pytest.raises(ValidationError, match="different vertex sets"):
+            union_table(rows, cols, cycle_types=cycle_types)
+
+
+def test_union_table_cycle_codes_stop_where_int64_would_overflow():
+    m30 = Matching.from_pairs((v, v + 1) for v in range(1, 31, 2))
+    m32 = Matching.from_pairs((v, v + 1) for v in range(1, 33, 2))
+    assert union_table([m30], [m30], cycle_types=True)[0, 0] == 15
+    assert union_table([m32], [m32]).tolist() == [[0]]
+    with pytest.raises(CapacityError):
+        union_table([m32], [m32], cycle_types=True)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_connectivity_matrix_is_the_pairwise_predicate(k):
+    M = build_M(k).numpy()
+    ms = enumerate_matchings(k)
+    assert M.tolist() == [[int(is_single_cycle(a, b)) for b in ms] for a in ms]
 
 
 @pytest.mark.parametrize("k", [4, 6, 8])
@@ -143,6 +223,34 @@ def test_fingerprint_matrix_block_structure(k):
             assert H[i, j] == H[j, i]
             if any(df + dg != 2 for df, dg in zip(f.degrees, g.degrees)):
                 assert H[i, j] == 0
+
+
+def reference_build_H(k):
+    """build_H as a pair loop over each pair of complementary degree blocks,
+    the way it was computed before the blocks were copied from M."""
+    fps = enumerate_fingerprints(range(1, k + 1))
+    index = {f: i for i, f in enumerate(fps)}
+    by_deg = {}
+    for f in fps:
+        by_deg.setdefault(f.degrees, []).append(f)
+    out = np.zeros((len(fps), len(fps)), dtype=np.int8)
+    for degs, rows in by_deg.items():
+        cols = by_deg.get(tuple(2 - d for d in degs), [])
+        for fr in rows:
+            for fc in cols:
+                if not fr.matching.pairs and not fc.matching.pairs:
+                    out[index[fr], index[fc]] = 1
+                elif fr.matching.pairs and fc.matching.pairs:
+                    if is_single_cycle(fr.matching, fc.matching):
+                        out[index[fr], index[fc]] = 1
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 6])
+def test_fingerprint_matrix_matches_the_pair_loop(k):
+    H = build_H(k)
+    assert H.row_labels == H.col_labels == enumerate_fingerprints(range(1, k + 1))
+    assert np.array_equal(H.numpy(), reference_build_H(k))
 
 
 def test_fingerprint_matrix_order_zero():

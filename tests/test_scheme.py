@@ -5,11 +5,13 @@ axioms checked exactly, and the measured eigenspace dimensions against the
 doubled-shape tableau counts.
 """
 
+import numpy as np
 import pytest
 
 from matchconn.exactalg import CapacityError, ValidationError
-from matchconn.matchings import build_M
+from matchconn.matchings import build_M, enumerate_matchings, union_cycle_type
 from matchconn.scheme import (
+    _class_arrays,
     build_all_classes,
     build_class_matrix,
     certify_spectrum,
@@ -100,6 +102,28 @@ class TestClassMatrices:
     def test_unknown_partition_rejected(self):
         with pytest.raises(ValidationError):
             build_class_matrix(3, Partition((2, 2)))
+
+
+def reference_class_arrays(n):
+    """The class arrays as one union_cycle_type call per pair of matchings."""
+    ms = enumerate_matchings(2 * n)
+    size = len(ms)
+    out = {lam: np.zeros((size, size), dtype=np.int8) for lam in partitions(n)}
+    for i, a in enumerate(ms):
+        for j in range(i, size):
+            arr = out[Partition(union_cycle_type(a, ms[j]).parts)]
+            arr[i, j] = 1
+            arr[j, i] = 1
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_class_arrays_match_the_pair_loop(n):
+    got, want = _class_arrays(n), reference_class_arrays(n)
+    assert list(got) == list(want) == partitions(n)
+    for lam in want:
+        assert got[lam].dtype == np.int8
+        assert np.array_equal(got[lam], want[lam]), lam
 
 
 class TestSchemeAxioms:
