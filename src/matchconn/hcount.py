@@ -9,13 +9,10 @@ other:
   * count_partial_solutions without a decomposition: backtracking over edge
     subsets with degree pruning and an explicit path/cycle shape check at
     the leaves. Capacity 24 edges.
-  * count_hc_pathdp / count_partial_solutions with a decomposition: dynamic
-    programming along the bags with states (degrees, endpoint pairing,
-    closed flag) packed into one int each, closing a cycle only on the take
-    that would empty the pairing. The skip branch of an edge drops states
-    where a vertex can no longer reach degree 2, which takes every forced
-    edge at a degree-2 vertex. Optional modulus for residue counting.
-    Capacity MAX_DP_STATES live states.
+  * count_hc_pathdp, partial_solution_spectrum and count_partial_solutions
+    with a decomposition: one bag-sweep DP over packed-int states that
+    returns fingerprint counts on the pinned boundary; all three counters
+    read that one table. Capacity MAX_DP_STATES live states.
 
 Conventions: the empty graph has exactly one Hamiltonian cycle; graphs on
 one or two vertices have none.
@@ -26,7 +23,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exactalg import CapacityError, ValidationError
 from .graphs import AnnotatedGraph, PathDecomposition
@@ -265,75 +262,55 @@ def _count_partial_bruteforce(
 # bag sweep DP
 
 
-def _bag_schedule(
-    graph: AnnotatedGraph,
-    bags: list[tuple[int, ...]],
-    first: dict[int, int],
-    last: dict[int, int],
-):
-    """Per-bag introduce/edge/forget lists from a validated bag sequence and
-    the first and last bag of each vertex, as PathDecomposition.validate
-    returns them.
-
-    An edge's home is the first bag holding both ends, max(first[u],
-    first[v]) once every run is contiguous. Costs O(sum of bag sizes +
-    |E|) plus the sort that fixes the edge order.
+def _bag_schedule(graph: AnnotatedGraph, bags: list[tuple[int, ...]], first: dict[int, int]):
+    """Per-bag introduce and edge lists from each vertex's first bag. An
+    edge's home is max(first[u], first[v]), the first bag holding both ends
+    once every run is contiguous; costs O(sum of bag sizes + |E|) + sorting.
     """
     intro = [[] for _ in bags]
-    forget = [[] for _ in bags]
     edges_at = [[] for _ in bags]
-    for v in graph.vertices:
+    for v in sorted(graph.vertices):
         intro[first[v]].append(v)
-        forget[last[v]].append(v)
-    for e in sorted(graph.edges):
-        u, v = e
-        edges_at[max(first[u], first[v])].append(e)
-    for lst in intro:
-        lst.sort()
-    for lst in forget:
-        lst.sort()
-    return intro, edges_at, forget
+    for u, v in sorted(graph.edges):
+        edges_at[max(first[u], first[v])].append((u, v))
+    return intro, edges_at
 
 
 def _sweep(
     graph: AnnotatedGraph,
-    bags: list[tuple[int, ...]],
-    keep: set[int],
+    decomposition: PathDecomposition,
+    boundary: tuple[int, ...],
     modulus: int | None,
-) -> tuple[dict, int]:
-    """Validate the bags as a path decomposition, then run the DP; returns
-    (final states, states_peak).
+) -> tuple[dict[Fingerprint, int], int]:
+    """The bag DP with the sorted boundary appended to every bag; returns
+    (fingerprint counts on the boundary, states_peak). All three DP counters
+    read this one table. Raises CapacityError above MAX_DP_STATES states.
 
-    Vertices are remapped to dense slots, freed once their last edge is
-    processed and reused, and a state is packed into one int:
+    A state is one int, closed | d1 << 1 | d2 << (1 + S) | partner fields
+    << (1 + 2S). S bounds the vertex slots, freed after a vertex's last edge
+    and reused; d1 and d2 are the degree-1 and degree-2 slot masks; a slot's
+    W-bit field names the other end of its open path and is nonzero only
+    while the slot is in d1, so each state has one encoding.
 
-        closed | d1 << 1 | d2 << (1 + S) | partner fields << (1 + 2S)
+    A vertex off the boundary must reach degree 2, so the skip branch of the
+    edge that leaves it one edge to go keeps only states where it already
+    has degree 1 or 2; this takes the forced edges at degree-2 vertices.
 
-    S bounds the slots in use, d1 and d2 are the degree-1 and degree-2 slot
-    masks, and each slot has a W-bit field naming the slot at the other end
-    of its open path. A field is nonzero only while its slot is in d1, so a
-    state has exactly one encoding and every transition is a few shifts and
-    XORs. The final states are decoded back to (sorted degree items, sorted
-    vertex pairing, closed) -> count.
-
-    Vertices in `keep` are never forgotten and may end at any degree. Every
-    other vertex must reach degree 2, so when an edge leaves it one edge to
-    go, the skip branch keeps only states where it already has degree 1 or
-    2; the rest would be dropped when it is forgotten. This takes the
-    forced edges at degree-2 vertices. Raises CapacityError once the table
-    holds more than MAX_DP_STATES states.
+    Decoding merges no states: an open state without path ends has no
+    edges, so it survives only when every vertex is on the boundary, and a
+    closed state's cycle covers every vertex off the boundary.
     """
-    first, last = PathDecomposition(bags).validate(graph)
+    bags = [tuple(bag) + tuple(v for v in boundary if v not in bag) for bag in decomposition.bags]
+    bags = bags or [boundary]
+    keep = set(boundary)
+    first, _ = PathDecomposition(bags).validate(graph)
     if any(graph.degree(v) == 0 for v in graph.vertices if v not in keep):
         # an isolated vertex can never reach degree 2
         return {}, 1
-    intro, edges_at, _ = _bag_schedule(graph, bags, first, last)
-    # Slot bound: a vertex outside `keep` is freed when its last edge is
-    # processed, at that edge's home bag, which lies in the vertex's run of
-    # bags (isolated ones were turned away above). So at bag i every vertex
-    # holding a slot is in bag i or in `keep`, and since the smallest free
-    # slot is reused first, every slot number stays below S.
-    S = max((len(set(bag) | keep) for bag in bags), default=0)
+    intro, edges_at = _bag_schedule(graph, bags, first)
+    # Slot bound: a vertex off the boundary is freed at its last edge's home bag,
+    # so every slot holder at bag i is in bag i; smallest-first reuse keeps slots < S.
+    S = max(len(set(bag)) for bag in bags)
     W = (S - 1).bit_length()
     FIELD = (1 << W) - 1
     D1 = ((1 << S) - 1) << 1
@@ -425,21 +402,32 @@ def _sweep(
                 states = {k ^ d2: c for k, c in states.items() if k & gone == d2}
 
     vertex_of = {s: v for v, s in slot_of.items()}
-    decoded: dict[tuple, int] = {}
+    table: dict[Fingerprint, int] = {}
     for key, cnt in states.items():
-        degs = []
-        pairs = []
-        for s, v in vertex_of.items():
+        degrees, pairs = [], []
+        for v in boundary:
+            s = slot_of[v]
             if key >> (1 + s) & 1:
-                degs.append((v, 1))
+                degrees.append(1)
                 w = vertex_of[key >> off[s] & FIELD]
                 if v < w:
                     pairs.append((v, w))
-            elif key >> (1 + S + s) & 1:
-                degs.append((v, 2))
-        # the encoding is canonical, so no two states decode to one key
-        decoded[(tuple(sorted(degs)), tuple(sorted(pairs)), bool(key & 1))] = cnt
-    return decoded, peak
+            else:
+                degrees.append(2 if key >> (1 + S + s) & 1 else 0)
+        table[Fingerprint(boundary, tuple(degrees), Matching(tuple(sorted(pairs))))] = cnt
+    return table, peak
+
+
+def _pinned_boundary(graph: AnnotatedGraph, boundary: Sequence[int], modulus: int | None):
+    """Check a pinned counter's modulus and boundary; return the boundary sorted."""
+    _check_modulus(modulus)
+    b = tuple(sorted(boundary))
+    if len(set(b)) != len(b):
+        raise ValidationError("duplicate boundary vertices")
+    missing = [v for v in b if v not in graph.vertices]
+    if missing:
+        raise ValidationError(f"boundary vertices {missing} not in graph")
+    return b
 
 
 def count_hc_pathdp(
@@ -450,18 +438,9 @@ def count_hc_pathdp(
     """Hamiltonian cycle count (or residue) along a path decomposition."""
     t0 = time.perf_counter()
     _check_modulus(modulus)
-    decomp = decomposition if decomposition is not None else graph.decomposition
-    if decomp is None:
-        decomp = layered_decomposition(graph)
-    states, peak = _sweep(graph, list(decomp.bags), keep=set(), modulus=modulus)
-    if not graph.vertices:
-        return CountResult(1 % modulus if modulus else 1, modulus, 0, (time.perf_counter() - t0) * 1e3)
-    total = 0
-    for (degs, pairing, closed), cnt in states.items():
-        if closed and not degs and not pairing:
-            total += cnt
-    if modulus is not None:
-        total %= modulus
+    decomposition = decomposition or graph.decomposition or layered_decomposition(graph)
+    table, peak = _sweep(graph, decomposition, (), modulus)
+    total = table.get(Fingerprint((), (), Matching(())), 0)
     return CountResult(total, modulus, peak, (time.perf_counter() - t0) * 1e3)
 
 
@@ -474,50 +453,26 @@ def count_partial_solutions(
 ) -> CountResult:
     """Count edge subsets realizing the fingerprint over the boundary.
 
-    Every vertex off the boundary must end with degree exactly 2; boundary
-    vertices end with the prescribed degree; degree-1 boundary vertices are
-    joined by disjoint paths according to the fingerprint's matching; no
-    cycle may appear unless the matching is empty, in which case the subset
-    is one cycle through all covered vertices (or empty when nothing needs
-    covering).
-
-    With a decomposition, the boundary is appended to every bag and the bag
-    sweep runs; without one, the edge-subset backtracking oracle runs.
+    Vertices off the boundary end at degree 2 and boundary vertices at their
+    prescribed degree. With a nonempty matching the subset is disjoint paths
+    joining its pairs; with an empty one it is one cycle through every
+    covered vertex, or empty when nothing needs covering. With a
+    decomposition this is the bag sweep's entry at fp; without one, the
+    edge-subset backtracking oracle runs.
     """
     t0 = time.perf_counter()
-    _check_modulus(modulus)
-    b = tuple(sorted(boundary))
+    b = _pinned_boundary(graph, boundary, modulus)
     if b != fp.boundary:
         raise ValidationError("fingerprint boundary does not match the given boundary")
-    missing = [v for v in b if v not in graph.vertices]
-    if missing:
-        raise ValidationError(f"boundary vertices {missing} not in graph")
-    if decomposition is None and graph.decomposition is not None:
-        decomposition = graph.decomposition
+    decomposition = decomposition or graph.decomposition
     if decomposition is None:
-        val = _count_partial_bruteforce(graph, b, fp)
+        val, peak = _count_partial_bruteforce(graph, b, fp), 0
         if modulus is not None:
             val %= modulus
-        return CountResult(val, modulus, 0, (time.perf_counter() - t0) * 1e3)
-    bags = [tuple(bag) + tuple(v for v in b if v not in bag) for bag in decomposition.bags]
-    if not bags:
-        bags = [b]
-    states, peak = _sweep(graph, bags, keep=set(b), modulus=modulus)
-    want_deg = tuple(sorted((v, fp.degree_of(v)) for v in b if fp.degree_of(v)))
-    want_pairs = fp.matching.pairs
-    internal = set(graph.vertices) - set(b)
-    covered_needed = bool(fp.degree_set(2)) or bool(internal)
-    if want_pairs:
-        want_closed = False
     else:
-        want_closed = covered_needed
-    total = 0
-    for (degs, pairing, closed), cnt in states.items():
-        if degs == want_deg and pairing == want_pairs and closed == want_closed:
-            total += cnt
-    if modulus is not None:
-        total %= modulus
-    return CountResult(total, modulus, peak, (time.perf_counter() - t0) * 1e3)
+        table, peak = _sweep(graph, decomposition, b, modulus)
+        val = table.get(fp, 0)
+    return CountResult(val, modulus, peak, (time.perf_counter() - t0) * 1e3)
 
 
 def partial_solution_spectrum(
@@ -526,47 +481,14 @@ def partial_solution_spectrum(
     modulus: int | None = None,
     decomposition: PathDecomposition | None = None,
 ) -> dict[Fingerprint, int]:
-    """Partial-solution counts for every realizable fingerprint in one sweep.
-
-    Runs the bag DP once with the boundary pinned and reads the fingerprint of
-    each surviving final state, so checking a gadget against its whole support
-    costs one pass instead of one pass per fingerprint. Fingerprints with
-    count 0 are omitted.
+    """Partial-solution counts for every realizable fingerprint in one sweep:
+    the nonzero entries of the bag sweep's table, so checking a gadget
+    against its whole support costs one pass, not one per fingerprint.
     """
-    _check_modulus(modulus)
-    b = tuple(sorted(boundary))
-    missing = [v for v in b if v not in graph.vertices]
-    if missing:
-        raise ValidationError(f"boundary vertices {missing} not in graph")
-    if decomposition is None:
-        decomposition = graph.decomposition
-    if decomposition is None:
-        decomposition = layered_decomposition(graph)
-    bags = [tuple(bag) + tuple(v for v in b if v not in bag) for bag in decomposition.bags]
-    if not bags:
-        bags = [b]
-    states, _ = _sweep(graph, bags, keep=set(b), modulus=modulus)
-    internal = set(graph.vertices) - set(b)
-    out: dict[Fingerprint, int] = {}
-    for (degs, pairing, closed), cnt in states.items():
-        if cnt == 0:
-            continue
-        dmap = dict(degs)
-        degrees = tuple(dmap.get(v, 0) for v in b)
-        if closed:
-            if pairing:
-                continue
-            fp = Fingerprint(b, degrees, Matching(()))
-        else:
-            # an open state with no paths is the empty selection; it only
-            # realizes the all-zero fingerprint when nothing needed covering
-            if not pairing and (internal or any(degrees)):
-                continue
-            fp = Fingerprint(b, degrees, Matching(tuple(sorted(pairing))))
-        out[fp] = out.get(fp, 0) + cnt
-        if modulus is not None:
-            out[fp] %= modulus
-    return {fp: c for fp, c in out.items() if c != 0}
+    b = _pinned_boundary(graph, boundary, modulus)
+    decomposition = decomposition or graph.decomposition or layered_decomposition(graph)
+    table, _ = _sweep(graph, decomposition, b, modulus)
+    return {fp: c for fp, c in table.items() if c}
 
 
 def layered_decomposition(graph: AnnotatedGraph) -> PathDecomposition:
@@ -574,8 +496,6 @@ def layered_decomposition(graph: AnnotatedGraph) -> PathDecomposition:
 
     Meant for small test graphs; the width is whatever the layering gives.
     """
-    if not graph.vertices:
-        return PathDecomposition([])
     remaining = set(graph.vertices)
     layers: list[list[int]] = []
     while remaining:

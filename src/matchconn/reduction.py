@@ -512,10 +512,7 @@ def expand_label_gadgets(graph: AnnotatedGraph) -> AnnotatedGraph:
         out.add_edge(image(u, v), image(v, u))
 
     if graph.decomposition is not None:
-        first: dict[int, int] = {}
-        for idx, bag in enumerate(graph.decomposition.bags):
-            for v in bag:
-                first.setdefault(v, idx)
+        first, _, _ = graph.decomposition.occurrence_intervals()
         bags = []
         for idx, bag in enumerate(graph.decomposition.bags):
             new_bag: list[int] = []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matchconn import exactalg
+from matchconn import exactalg, hcount
 from matchconn.checks import CNF_CORPUS
 from matchconn.exactalg import (
     RATIONALS,
@@ -32,7 +32,7 @@ from matchconn.graphs import write_hcgraph
 from matchconn.hcount import count_hc_pathdp
 from matchconn.matchings import build_M
 from matchconn.reduction import assemble
-from test_hcount import ref_sweep
+from test_hcount import ref_fingerprint_table
 
 small_entries = st.integers(min_value=-6, max_value=6)
 
@@ -698,8 +698,9 @@ def test_golden_graph_counts_with_fewer_states(tmp_path, capsys):
     result = assemble(CNF_CORPUS[4][1], 5)
     counted = count_hc_pathdp(result.graph, result.decomposition, 5)
     assert counted.value == result.sidecar()["predicted_mod_p"]
-    _, ref_peak = ref_sweep(result.graph, list(result.decomposition.bags), set(), 5)
-    assert counted.states_peak < ref_peak
+    got, peak = hcount._sweep(result.graph, result.decomposition, (), 5)
+    want, ref_peak = ref_fingerprint_table(result.graph, result.decomposition.bags, (), 5)
+    assert got == want and peak == counted.states_peak < ref_peak
     path = tmp_path / "g.hcg"
     write_hcgraph(path, result.graph, result.decomposition)
     assert main(["count", "--graph", str(path), "--mod", "5"]) == 0

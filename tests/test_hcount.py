@@ -234,6 +234,8 @@ def test_spectrum_respects_modulus():
     mod = partial_solution_spectrum(g, boundary, modulus=3)
     for fp, c in exact.items():
         assert mod.get(fp, 0) == c % 3
+    # fingerprints whose count vanishes mod 3 are omitted, not listed as 0
+    assert set(mod) == {fp for fp, c in exact.items() if c % 3}
 
 
 @pytest.mark.parametrize("with_bags", [False, True])
@@ -246,6 +248,19 @@ def test_partial_counters_reject_a_modulus_below_two(modulus, with_bags):
         count_partial_solutions(g, (1, 2), fp, modulus=modulus, decomposition=decomp)
     with pytest.raises(ValidationError, match="at least 2"):
         partial_solution_spectrum(g, (1, 2), modulus=modulus, decomposition=decomp)
+
+
+@pytest.mark.parametrize("with_bags", [False, True])
+def test_partial_counters_reject_a_repeated_boundary_vertex(with_bags):
+    # a sweep pinned at (1, 1) would report fingerprints with a repeated
+    # boundary vertex, which enumerate_fingerprints refuses
+    g = cycle_graph(6)
+    decomp = layered_decomposition(g) if with_bags else None
+    fp = Fingerprint((1, 1), (2, 2), Matching(()))
+    with pytest.raises(ValidationError, match="duplicate boundary vertices"):
+        count_partial_solutions(g, (1, 1), fp, decomposition=decomp)
+    with pytest.raises(ValidationError, match="duplicate boundary vertices"):
+        partial_solution_spectrum(g, (1, 1), decomposition=decomp)
 
 
 def _random_side(rng, boundary, internals, density, with_boundary_edges):
@@ -336,17 +351,13 @@ def reference_bag_schedule(graph, bags):
     """The schedule as built before occurrence intervals: each edge's home is
     found by scanning the bags for the first one holding both ends."""
     first = {}
-    last = {}
     for i, bag in enumerate(bags):
         for v in bag:
             first.setdefault(v, i)
-            last[v] = i
     intro = [[] for _ in bags]
-    forget = [[] for _ in bags]
     edges_at = [[] for _ in bags]
     for v in graph.vertices:
         intro[first[v]].append(v)
-        forget[last[v]].append(v)
     bag_sets = [frozenset(b) for b in bags]
     for e in sorted(graph.edges):
         u, v = e
@@ -354,9 +365,7 @@ def reference_bag_schedule(graph, bags):
         edges_at[home].append(e)
     for lst in intro:
         lst.sort()
-    for lst in forget:
-        lst.sort()
-    return intro, edges_at, forget
+    return intro, edges_at
 
 
 @given(st.data())
@@ -384,8 +393,8 @@ def test_bag_schedule_matches_reference(data):
         if bag and data.draw(st.booleans()):
             bag.append(bag[0])
         bags.append(tuple(bag))
-    first, last = PathDecomposition(bags).validate(g)
-    assert _bag_schedule(g, bags, first, last) == reference_bag_schedule(g, bags)
+    first, _ = PathDecomposition(bags).validate(g)
+    assert _bag_schedule(g, bags, first) == reference_bag_schedule(g, bags)
 
 
 def test_bag_schedule_matches_reference_on_layered_decompositions():
@@ -393,8 +402,8 @@ def test_bag_schedule_matches_reference_on_layered_decompositions():
     for _ in range(30):
         g = random_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.9))
         bags = list(layered_decomposition(g).bags)
-        intervals = PathDecomposition(bags).validate(g)
-        assert _bag_schedule(g, bags, *intervals) == reference_bag_schedule(g, bags)
+        first, _ = PathDecomposition(bags).validate(g)
+        assert _bag_schedule(g, bags, first) == reference_bag_schedule(g, bags)
 
 
 def test_validate_and_schedule_scale_linearly():
@@ -406,11 +415,11 @@ def test_validate_and_schedule_scale_linearly():
         g.add_edge(v, v + 1)
     bags = [(v, v + 1) for v in range(1, n)]
     t0 = time.perf_counter()
-    first, last = PathDecomposition(bags).validate(g)
-    intro, edges_at, forget = _bag_schedule(g, bags, first, last)
+    first, _ = PathDecomposition(bags).validate(g)
+    intro, edges_at = _bag_schedule(g, bags, first)
     elapsed = time.perf_counter() - t0
     assert all(len(es) == 1 for es in edges_at)
-    assert intro[0] == [1, 2] and forget[-1] == [n - 1, n]
+    assert intro[0] == [1, 2]
     assert elapsed < 10.0, f"{elapsed:.1f} s for {len(bags)} bags"
 
 
@@ -423,10 +432,11 @@ def ref_sweep(graph, bags, keep, modulus):
     A state is the tuple (degree-1 slot mask, degree-2 slot mask, sorted slot
     pairing, closed); the skip branch of every edge is a wholesale copy, so
     states where a vertex can no longer reach degree 2 live until that
-    vertex is forgotten. Returns the decoded final table and the peak, like
-    hcount._sweep.
+    vertex is forgotten. Returns the final table keyed by (sorted degree
+    items, sorted vertex pairing, closed) and the peak.
     """
-    intro, edges_at, _ = _bag_schedule(graph, bags, *PathDecomposition(bags).validate(graph))
+    first, _ = PathDecomposition(bags).validate(graph)
+    intro, edges_at = _bag_schedule(graph, bags, first)
     slot_of = {}
     free_slots = []
     next_slot = 0
@@ -561,8 +571,25 @@ def ref_sweep(graph, bags, keep, modulus):
     return decoded, peak
 
 
+def ref_fingerprint_table(graph, bags, boundary, modulus):
+    """ref_sweep on bags that already hold the sorted boundary, its final
+    table rekeyed by Fingerprint on the boundary, and its peak.
+
+    The key drops the closed flag, so the entry count is checked to show
+    that no two reference states land on one fingerprint.
+    """
+    table, peak = ref_sweep(graph, bags, set(boundary), modulus)
+    out = {}
+    for (degs, pairs, _closed), cnt in table.items():
+        dmap = dict(degs)
+        degrees = tuple(dmap.get(v, 0) for v in boundary)
+        out[Fingerprint(tuple(boundary), degrees, Matching.from_pairs(pairs))] = cnt
+    assert len(out) == len(table)
+    return out, peak
+
+
 def with_boundary(bags, boundary):
-    """Append the boundary to every bag, as the partial-solution counters do."""
+    """Append the boundary to every bag, as the bag sweep does."""
     bags = [tuple(bag) + tuple(v for v in boundary if v not in bag) for bag in bags]
     return bags or [tuple(boundary)]
 
@@ -615,12 +642,23 @@ def sweep_instances(draw):
 @settings(max_examples=400, deadline=None)
 def test_sweep_matches_tuple_key_reference(instance):
     g, bags, keep, modulus = instance
-    PathDecomposition(bags).validate(g)
-    want, ref_peak = ref_sweep(g, bags, set(keep), modulus)
-    got, peak = hcount._sweep(g, bags, set(keep), modulus)
+    boundary = tuple(sorted(keep))
+    want, ref_peak = ref_fingerprint_table(g, bags, boundary, modulus)
+    got, peak = hcount._sweep(g, PathDecomposition(bags), boundary, modulus)
     # zero residues stay in both tables, so plain dict equality covers them
     assert got == want
     assert peak <= ref_peak
+
+
+@given(sweep_instances())
+@settings(max_examples=100, deadline=None)
+def test_cycle_count_is_the_empty_fingerprint_entry(instance):
+    g, bags, _, modulus = instance
+    decomp = PathDecomposition(bags)
+    empty = Fingerprint((), (), Matching(()))
+    dp = count_hc_pathdp(g, decomp, modulus).value
+    assert dp == partial_solution_spectrum(g, (), modulus, decomp).get(empty, 0)
+    assert dp == count_hc_bruteforce(g, modulus).value
 
 
 @given(sweep_instances())
@@ -638,19 +676,18 @@ def test_pinned_spectrum_matches_subset_oracle(instance):
 def test_sweep_with_an_isolated_vertex(pinned):
     g = cycle_graph(3)
     g.add_vertex(4)
-    keep = {4} if pinned else set()
-    bags = with_boundary([(1, 2, 3), (3, 4)], sorted(keep))
-    got, peak = hcount._sweep(g, bags, keep, None)
-    want, ref_peak = ref_sweep(g, bags, keep, None)
+    boundary = (4,) if pinned else ()
+    decomp = PathDecomposition([(1, 2, 3), (3, 4)])
+    got, peak = hcount._sweep(g, decomp, boundary, None)
+    want, ref_peak = ref_fingerprint_table(g, with_boundary(decomp.bags, boundary), boundary, None)
     assert got == want and peak <= ref_peak
     if pinned:
         # the triangle closes and the pinned vertex stays at degree 0
-        assert got == {((), (), True): 1}
-        spectrum = partial_solution_spectrum(g, (4,), decomposition=PathDecomposition(bags))
-        assert spectrum == {Fingerprint((4,), (0,), Matching(())): 1}
+        assert got == {Fingerprint((4,), (0,), Matching(())): 1}
+        assert partial_solution_spectrum(g, (4,), decomposition=decomp) == got
     else:
         assert got == {}
-        assert count_hc_pathdp(g, PathDecomposition(bags)).value == 0
+        assert count_hc_pathdp(g, decomp).value == 0
 
 
 def test_boundary_ends_of_degree_two_keep_their_skips():
@@ -663,10 +700,9 @@ def test_boundary_ends_of_degree_two_keep_their_skips():
     fp = Fingerprint(boundary, (1, 1), Matching(((1, 2),)))
     assert count_partial_solutions(g, boundary, fp).value == 1
     assert count_partial_solutions(g, boundary, fp, decomposition=decomp).value == 1
-    bags = with_boundary(decomp.bags, boundary)
-    assert hcount._sweep(g, bags, set(boundary), None)[0] == ref_sweep(
-        g, bags, set(boundary), None
-    )[0]
+    got, peak = hcount._sweep(g, decomp, boundary, None)
+    want, ref_peak = ref_fingerprint_table(g, with_boundary(decomp.bags, boundary), boundary, None)
+    assert got == want and got[fp] == 1 and peak <= ref_peak
 
 
 def test_forced_edges_shrink_the_table():
