@@ -12,7 +12,9 @@ other:
   * count_hc_pathdp, partial_solution_spectrum and count_partial_solutions
     with a decomposition: one bag-sweep DP over packed-int states that
     returns fingerprint counts on the pinned boundary; all three counters
-    read that one table. Capacity MAX_DP_STATES live states.
+    read that one table. Each bag's edges go in greedy order, the one whose
+    ends have the fewest edges left first, so vertices close and leave the
+    state early. Capacity MAX_DP_STATES live states.
 
 Conventions: the empty graph has exactly one Hamiltonian cycle; graphs on
 one or two vertices have none.
@@ -276,6 +278,36 @@ def _bag_schedule(graph: AnnotatedGraph, bags: list[tuple[int, ...]], first: dic
     return intro, edges_at
 
 
+def _edge_order(edges: list[tuple[int, int]], remaining: dict[int, int]):
+    """Yield a bag's edges greedily: next is the pending edge (u, v) with the
+    smallest remaining[u] + remaining[v], ties broken by (u, v).
+
+    remaining counts the edges still to come at each vertex over the whole
+    sweep; the caller lowers it at both ends of each yielded edge before
+    resuming. Then only the pending edges at those two ends get fresh heap
+    entries. Keys only fall, so an entry whose key no longer matches is stale.
+    """
+    pending_at: dict[int, set[tuple[int, int]]] = {}
+    heap = []
+    for e in edges:
+        u, v = e
+        pending_at.setdefault(u, set()).add(e)
+        pending_at.setdefault(v, set()).add(e)
+        heap.append((remaining[u] + remaining[v], e))
+    heapq.heapify(heap)
+    while heap:
+        key, e = heapq.heappop(heap)
+        u, v = e
+        if key != remaining[u] + remaining[v]:
+            continue
+        yield e
+        pending_at[u].remove(e)
+        pending_at[v].remove(e)
+        for w in (u, v):
+            for f in pending_at[w]:
+                heapq.heappush(heap, (remaining[f[0]] + remaining[f[1]], f))
+
+
 def _sweep(
     graph: AnnotatedGraph,
     decomposition: PathDecomposition,
@@ -292,9 +324,16 @@ def _sweep(
     W-bit field names the other end of its open path and is nonzero only
     while the slot is in d1, so each state has one encoding.
 
+    Each bag's edges come from _edge_order: next is the pending edge whose
+    ends have the fewest edges left over the whole sweep. A vertex is
+    forgotten after its last edge, so finishing nearly done vertices first
+    keeps few open vertices, and few states, alive; the order changes
+    states_peak, never the table.
+
     A vertex off the boundary must reach degree 2, so the skip branch of the
     edge that leaves it one edge to go keeps only states where it already
-    has degree 1 or 2; this takes the forced edges at degree-2 vertices.
+    has degree 1 or 2; this takes the forced edges at degree-2 vertices. The
+    sweep stops as soon as its table is empty.
 
     Decoding merges no states: an open state without path ends has no
     edges, so it survives only when every vertex is on the boundary, and a
@@ -328,7 +367,7 @@ def _sweep(
             # with no slot free, slots 0 .. len(slot_of) - 1 are all taken
             slot_of[v] = heapq.heappop(free_slots) if free_slots else len(slot_of)
             assert slot_of[v] < S
-        for u, v in edges_at[i]:
+        for u, v in _edge_order(edges_at[i], remaining):
             su, sv = slot_of[u], slot_of[v]
             bu, bv = 2 << su, 2 << sv  # degree-1 bits
             cu, cv = bu << S, bv << S  # degree-2 bits
@@ -400,6 +439,9 @@ def _sweep(
                 # survivors agree on those bits, so clearing them merges nothing
                 d2 = gone & D2
                 states = {k ^ d2: c for k, c in states.items() if k & gone == d2}
+            if not states:
+                # no later edge can revive an empty table
+                return {}, peak
 
     vertex_of = {s: v for v, s in slot_of.items()}
     table: dict[Fingerprint, int] = {}

@@ -333,6 +333,8 @@ class Fingerprint:
     def __post_init__(self) -> None:
         if tuple(sorted(self.boundary)) != self.boundary:
             raise ValidationError("fingerprint boundary must be sorted")
+        if len(set(self.boundary)) != len(self.boundary):
+            raise ValidationError("duplicate boundary vertices")
         if len(self.boundary) != len(self.degrees):
             raise ValidationError("boundary and degree vector lengths differ")
         if any(d not in (0, 1, 2) for d in self.degrees):

@@ -705,3 +705,12 @@ def test_golden_graph_counts_with_fewer_states(tmp_path, capsys):
     write_hcgraph(path, result.graph, result.decomposition)
     assert main(["count", "--graph", str(path), "--mod", "5"]) == 0
     assert json.loads(capsys.readouterr().out)["residue"] == counted.value
+
+
+def test_greedy_edge_order_lowers_the_peak_of_a_compiled_graph(monkeypatch):
+    result = assemble(CNF_CORPUS[4][1], 5)
+    greedy = count_hc_pathdp(result.graph, result.decomposition, 5)
+    monkeypatch.setattr(hcount, "_edge_order", lambda edges, remaining: edges)
+    in_sorted_order = count_hc_pathdp(result.graph, result.decomposition, 5)
+    assert greedy.value == in_sorted_order.value
+    assert greedy.states_peak < in_sorted_order.states_peak

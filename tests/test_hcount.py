@@ -11,7 +11,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchconn import hcount
@@ -253,10 +253,12 @@ def test_partial_counters_reject_a_modulus_below_two(modulus, with_bags):
 @pytest.mark.parametrize("with_bags", [False, True])
 def test_partial_counters_reject_a_repeated_boundary_vertex(with_bags):
     # a sweep pinned at (1, 1) would report fingerprints with a repeated
-    # boundary vertex, which enumerate_fingerprints refuses
+    # boundary vertex, which Fingerprint and enumerate_fingerprints refuse
+    with pytest.raises(ValidationError, match="duplicate boundary vertices"):
+        Fingerprint((1, 1), (2, 2), Matching(()))
     g = cycle_graph(6)
     decomp = layered_decomposition(g) if with_bags else None
-    fp = Fingerprint((1, 1), (2, 2), Matching(()))
+    fp = Fingerprint((1,), (2,), Matching(()))
     with pytest.raises(ValidationError, match="duplicate boundary vertices"):
         count_partial_solutions(g, (1, 1), fp, decomposition=decomp)
     with pytest.raises(ValidationError, match="duplicate boundary vertices"):
@@ -368,31 +370,37 @@ def reference_bag_schedule(graph, bags):
     return intro, edges_at
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_bag_schedule_matches_reference(data):
-    # random occurrence intervals, bags read off them (some listing a vertex
-    # twice), edges only between meeting intervals
-    n = data.draw(st.integers(min_value=1, max_value=9))
-    k = data.draw(st.integers(min_value=1, max_value=8))
+@st.composite
+def interval_instances(draw):
+    """Random occurrence intervals, bags read off them (some listing a vertex
+    twice), edges only between meeting intervals."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    k = draw(st.integers(min_value=1, max_value=8))
     spans = {}
     for v in range(1, n + 1):
-        a = data.draw(st.integers(min_value=0, max_value=k - 1))
-        spans[v] = (a, data.draw(st.integers(min_value=a, max_value=k - 1)))
+        a = draw(st.integers(min_value=0, max_value=k - 1))
+        spans[v] = (a, draw(st.integers(min_value=a, max_value=k - 1)))
     g = AnnotatedGraph()
     for v in spans:
         g.add_vertex(v)
     for u, v in itertools.combinations(spans, 2):
         meet = max(spans[u][0], spans[v][0]) <= min(spans[u][1], spans[v][1])
-        if meet and data.draw(st.booleans()):
+        if meet and draw(st.booleans()):
             g.add_edge(u, v)
     bags = []
     for i in range(k):
         bag = [v for v in spans if spans[v][0] <= i <= spans[v][1]]
-        bag = data.draw(st.permutations(bag))
-        if bag and data.draw(st.booleans()):
+        bag = draw(st.permutations(bag))
+        if bag and draw(st.booleans()):
             bag.append(bag[0])
         bags.append(tuple(bag))
+    return g, bags
+
+
+@given(interval_instances())
+@settings(max_examples=200, deadline=None)
+def test_bag_schedule_matches_reference(instance):
+    g, bags = instance
     first, _ = PathDecomposition(bags).validate(g)
     assert _bag_schedule(g, bags, first) == reference_bag_schedule(g, bags)
 
@@ -423,17 +431,68 @@ def test_validate_and_schedule_scale_linearly():
     assert elapsed < 10.0, f"{elapsed:.1f} s for {len(bags)} bags"
 
 
+def test_a_wide_star_stops_at_its_empty_table():
+    # one bag holds all 20,001 vertices; the first leaf forgotten empties the
+    # table, so the sweep stops there instead of re-keying the hub's edges
+    # after every edge
+    n = 20_000
+    g = AnnotatedGraph()
+    for v in range(1, n + 1):
+        g.add_edge(0, v)
+    t0 = time.perf_counter()
+    result = count_hc_pathdp(g, PathDecomposition([tuple(range(n + 1))]))
+    elapsed = time.perf_counter() - t0
+    assert result.value == 0
+    assert elapsed < 2.0, f"{elapsed:.2f} s for a star with {n} leaves"
+
+
+def brute_force_edge_order(edges, remaining):
+    """The greedy edge order by an O(k^2) scan: each time the pending edge
+    with the fewest edges left at its ends, ties by (u, v)."""
+    pending = list(edges)
+    while pending:
+        e = min(pending, key=lambda e: (remaining[e[0]] + remaining[e[1]], e))
+        pending.remove(e)
+        yield e
+
+
+@given(interval_instances())
+@settings(max_examples=200, deadline=None)
+def test_edge_order_matches_brute_force(instance):
+    # both orders walk every bag, lowering their own copy of the edge counts
+    g, bags = instance
+    first, _ = PathDecomposition(bags).validate(g)
+    _, edges_at = _bag_schedule(g, bags, first)
+    got_left = {v: g.degree(v) for v in g.vertices}
+    want_left = dict(got_left)
+    for edges in edges_at:
+        got = []
+        for u, v in hcount._edge_order(edges, got_left):
+            got.append((u, v))
+            got_left[u] -= 1
+            got_left[v] -= 1
+        want = []
+        for u, v in brute_force_edge_order(edges, want_left):
+            want.append((u, v))
+            want_left[u] -= 1
+            want_left[v] -= 1
+        assert sorted(got) == edges
+        assert got == want
+
+
 # -- packed sweep against the tuple-key reference -----------------------------
 
 
-def ref_sweep(graph, bags, keep, modulus):
+def ref_sweep(graph, bags, keep, modulus, order=None):
     """The bag sweep as it was before packed keys and dead-skip pruning.
 
     A state is the tuple (degree-1 slot mask, degree-2 slot mask, sorted slot
     pairing, closed); the skip branch of every edge is a wholesale copy, so
     states where a vertex can no longer reach degree 2 live until that
-    vertex is forgotten. Returns the final table keyed by (sorted degree
-    items, sorted vertex pairing, closed) and the peak.
+    vertex is forgotten. Each bag's edges are walked sorted, or in the order
+    order(edges, remaining) yields, remaining being the edges left at each
+    vertex. Returns the final table keyed by (sorted degree items, sorted
+    vertex pairing, closed) and the peak.
     """
     first, _ = PathDecomposition(bags).validate(graph)
     intro, edges_at = _bag_schedule(graph, bags, first)
@@ -476,7 +535,7 @@ def ref_sweep(graph, bags, keep, modulus):
             if remaining[v] == 0 and v not in keep:
                 # an isolated vertex can never reach degree 2
                 states = {}
-        for u, v in edges_at[i]:
+        for u, v in order(edges_at[i], remaining) if order else edges_at[i]:
             su, sv = slot_of[u], slot_of[v]
             bu, bv = 1 << su, 1 << sv
             both = bu | bv
@@ -571,14 +630,14 @@ def ref_sweep(graph, bags, keep, modulus):
     return decoded, peak
 
 
-def ref_fingerprint_table(graph, bags, boundary, modulus):
+def ref_fingerprint_table(graph, bags, boundary, modulus, order=None):
     """ref_sweep on bags that already hold the sorted boundary, its final
     table rekeyed by Fingerprint on the boundary, and its peak.
 
     The key drops the closed flag, so the entry count is checked to show
     that no two reference states land on one fingerprint.
     """
-    table, peak = ref_sweep(graph, bags, set(boundary), modulus)
+    table, peak = ref_sweep(graph, bags, set(boundary), modulus, order)
     out = {}
     for (degs, pairs, _closed), cnt in table.items():
         dmap = dict(degs)
@@ -638,15 +697,29 @@ def sweep_instances(draw):
     return g, bags, keep, modulus
 
 
+def _greedy_peak_above_sorted_reference():
+    # the greedy order is a heuristic: here it peaks at 12, the sorted
+    # reference at 9 and the greedy-order reference at 28
+    g = AnnotatedGraph()
+    for e in [(1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4), (4, 5)]:
+        g.add_edge(*e)
+    return g, [(1, 2, 3, 5, 4), (2, 3, 5, 4, 4)], {4}, None
+
+
 @given(sweep_instances())
+@example(_greedy_peak_above_sorted_reference())
 @settings(max_examples=400, deadline=None)
 def test_sweep_matches_tuple_key_reference(instance):
+    # the table matches the sorted-order reference, so the order does not
+    # change the answer; the peak is compared at the sweep's own order,
+    # where pruning can only shrink the table
     g, bags, keep, modulus = instance
     boundary = tuple(sorted(keep))
-    want, ref_peak = ref_fingerprint_table(g, bags, boundary, modulus)
+    want, _ = ref_fingerprint_table(g, bags, boundary, modulus)
     got, peak = hcount._sweep(g, PathDecomposition(bags), boundary, modulus)
     # zero residues stay in both tables, so plain dict equality covers them
     assert got == want
+    _, ref_peak = ref_fingerprint_table(g, bags, boundary, modulus, hcount._edge_order)
     assert peak <= ref_peak
 
 
@@ -679,7 +752,9 @@ def test_sweep_with_an_isolated_vertex(pinned):
     boundary = (4,) if pinned else ()
     decomp = PathDecomposition([(1, 2, 3), (3, 4)])
     got, peak = hcount._sweep(g, decomp, boundary, None)
-    want, ref_peak = ref_fingerprint_table(g, with_boundary(decomp.bags, boundary), boundary, None)
+    bags = with_boundary(decomp.bags, boundary)
+    want, _ = ref_fingerprint_table(g, bags, boundary, None)
+    _, ref_peak = ref_fingerprint_table(g, bags, boundary, None, hcount._edge_order)
     assert got == want and peak <= ref_peak
     if pinned:
         # the triangle closes and the pinned vertex stays at degree 0
@@ -701,7 +776,9 @@ def test_boundary_ends_of_degree_two_keep_their_skips():
     assert count_partial_solutions(g, boundary, fp).value == 1
     assert count_partial_solutions(g, boundary, fp, decomposition=decomp).value == 1
     got, peak = hcount._sweep(g, decomp, boundary, None)
-    want, ref_peak = ref_fingerprint_table(g, with_boundary(decomp.bags, boundary), boundary, None)
+    bags = with_boundary(decomp.bags, boundary)
+    want, _ = ref_fingerprint_table(g, bags, boundary, None)
+    _, ref_peak = ref_fingerprint_table(g, bags, boundary, None, hcount._edge_order)
     assert got == want and got[fp] == 1 and peak <= ref_peak
 
 
