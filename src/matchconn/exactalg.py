@@ -5,18 +5,20 @@ of exact scalars (int or Fraction), big 0/1 matrices live as numpy integer
 arrays. Each field has one elimination kernel, and rank, determinant,
 inverse, nullity and full-rank extraction all read its pivots:
 
-  * GF(p): `_eliminate_mod`, blocked right-looking row reduction. Each
-    panel of `_PANEL` = 64 columns is eliminated in float64, and the rest of
-    the matrix takes one BLAS product per chunk of `_CHUNK_ROWS` rows,
-    reduced mod p by a floor-multiply. Sums stay below
-    64 * (p - 1)^2 + p < 2^53 for every p up to the certification prime, so
-    the result is exact; a larger p is refused. Rank of the order-10 matrix
-    (945 x 945) takes about 0.2 s. The work array is int64, or int32 above
+  * GF(p): `_eliminate_mod`, blocked row reduction. Each panel of
+    `_PANEL` = 64 columns is eliminated left-looking, one float64
+    matrix-vector product per column, and the rest of the matrix takes one
+    BLAS product per chunk of `_CHUNK_ROWS` rows, reduced mod p by a
+    floor-multiply. Sums stay below 64 * (p - 1)^2 + p < 2^53 for every p up
+    to the certification prime, so the result is exact; a larger p is
+    refused. Rank of the order-10 matrix (945 x 945) takes about 0.12 s on a
+    2-core VM. The work array is int64, or int32 above
     `_INT32_ENTRIES` entries. Every call checks the memory ceiling from the
     environment first.
   * Q: `_bareiss`, fraction-free elimination over Z after clearing row
     denominators, so no rounding ever happens. Its Gauss-Jordan form on
-    [A | I] gives the inverse as adj(A)/det(A).
+    [A | I] gives the inverse as adj(A)/det(A). Input above
+    `MAX_BAREISS_ROWS` = 512 rows is refused with CapacityError.
 
 rank() over Q first tries one elimination mod a prime; if that already
 reaches min(m, n) the rational rank is certified exactly (rank can only drop
@@ -43,6 +45,7 @@ __all__ = [
     "ExactMatrix",
     "CapacityError",
     "ValidationError",
+    "MAX_BAREISS_ROWS",
     "rank",
     "det",
     "inverse",
@@ -63,6 +66,11 @@ DEFAULT_MEMORY_MB = 4096
 
 # Prime used by the full-rank certification shortcut in rational rank.
 _CERT_PRIME = 1_000_003
+
+# Row ceiling of every rational elimination (Bareiss). The combine matrix of
+# order 6 (499 rows) passes, and its determinant took 5.4 s on a 2-core VM;
+# the order-10 connectivity matrix (945 rows) ran past 90 s and is refused.
+MAX_BAREISS_ROWS = 512
 
 
 class ValidationError(ValueError):
@@ -320,6 +328,7 @@ def _bareiss(rows: list[list[int]], jordan: bool = False) -> tuple[list[list[int
     rank the last value is the determinant, and every division is exact by the
     Bareiss divisibility lemma. With `jordan` every row but the pivot row is
     updated, which on [A | I] leaves [d*I | d*A^-1] for the last pivot d.
+    Callers pass rows from `_clear_denominators`, which holds the row ceiling.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -353,23 +362,32 @@ def _bareiss(rows: list[list[int]], jordan: bool = False) -> tuple[list[list[int
     return a, pivots, sign * prev
 
 
-def _clear_denominators(rows: list[list]) -> tuple[list[list[int]], list[int]]:
+def _clear_denominators(matrix: ExactMatrix) -> tuple[list[list[int]], list[int]]:
     """Scale each row by the lcm of its denominators: (integer rows, scales).
 
     Row scaling keeps the rank and the pivot columns, and divides the
-    determinant by the product of the scales.
+    determinant by the product of the scales. Every input of `_bareiss`
+    comes from here, so this is where its ceiling is checked: above
+    `MAX_BAREISS_ROWS` rows it raises CapacityError before converting a
+    single entry.
     """
+    if matrix.nrows > MAX_BAREISS_ROWS:
+        raise CapacityError(
+            f"rational elimination of {matrix.nrows} rows exceeds the ceiling "
+            f"{MAX_BAREISS_ROWS}"
+        )
     out, scales = [], []
-    for r in rows:
+    for r in matrix.rows():
         s = lcm(*(x.denominator for x in r if isinstance(x, Fraction)))
         out.append([int(x * s) for x in r])
         scales.append(s)
     return out, scales
 
 
-# Columns eliminated per panel. The trailing update is a float64 product of
-# an m x _PANEL multiplier block and a _PANEL-row block of residues, exact
-# while _PANEL * (p - 1)^2 + p < 2^53: for every p up to _CERT_PRIME.
+# Columns eliminated per panel. Each column, each pivot row and the trailing
+# update subtract a float64 product of at most _PANEL multipliers and
+# _PANEL pivot rows of residues, exact while _PANEL * (p - 1)^2 + p < 2^53:
+# for every p up to _CERT_PRIME.
 _PANEL = 64
 # Rows per step of the trailing update; bounds its float64 temporaries to a
 # few row blocks whatever the matrix size.
@@ -406,21 +424,28 @@ def _eliminate_mod(
     the row-swap sign times the product of the pivots, mod p: the determinant
     of square input of full rank.
 
-    Right-looking and blocked, with delayed reduction over float64 BLAS
-    (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008). Each panel of `_PANEL`
-    columns is copied to float64 and eliminated one column at a time, each
-    swap moving whole rows of the work array and of the multiplier block F
-    (F[i, t] is the entry row i held in pivot t's column when it was
-    cleared). The k pivot rows' trailing parts follow in one triangular pass,
-    U[t] = inv_t * (T[t] - F[pivot t, :t] @ U[:t]) for their trailing parts
-    T; with `jordan` they finish as U - triu(F[pivots], 1) @ U. Every other
-    row takes work - F @ U, one BLAS product per chunk of `_CHUNK_ROWS` rows.
-    Sums stay below k * (p - 1)^2 + p < 2^53, so every float is an exact
-    integer and the result equals column-at-a-time elimination entry for
-    entry. Cost: O(m * n * rank) flops in BLAS plus O(n) panel steps on
-    m x _PANEL arrays. Raises CapacityError above `_CERT_PRIME`, and when the
-    work array, the two panel arrays and the chunk temporaries would exceed
-    the memory ceiling.
+    Blocked, with delayed reduction over float64 BLAS (Dumas, Giorgi and
+    Pernet, ACM TOMS 35(3), 2008). Each panel of `_PANEL` columns is
+    eliminated left-looking (Golub and Van Loan, Matrix Computations, 3.2):
+    with t pivots taken in the panel and r the next pivot row, column j is
+    brought up to date as work[r:, j] - F[r:, :t] @ U[:t, j], one
+    matrix-vector product reduced by one int64 %, and its first nonzero row
+    is the pivot. F[i, t] is the entry row i held in pivot t's column when it
+    was cleared, and U[t] is pivot row t over the remaining width,
+    work[r, j:] - F[r, :t] @ U[:t, j:] scaled to a leading 1. A swap moves
+    whole rows of the work array and of F. Before the first pivot of a panel
+    its columns are already reduced and need only the nonzero search, and a
+    panel with no nonzero entry below the pivot rows is skipped. With
+    `jordan` every row above r takes its multiplier from the same formula,
+    and a pivot row of this panel reads as its U row from its own step on.
+    After the panel, every row that took a multiplier becomes work - F @ U
+    (from the panel's first column for the rows above, past its last for the
+    rows below), one BLAS product per chunk of `_CHUNK_ROWS` rows. Sums stay
+    below _PANEL * (p - 1)^2 + p < 2^53, so every float is an exact integer
+    and the result equals column-at-a-time elimination entry for entry.
+    Cost: O(m * n * rank) flops in BLAS plus one O(m * _PANEL) product per
+    column. Raises CapacityError above `_CERT_PRIME`, and when the work
+    array, F, U and the chunk temporaries would exceed the memory ceiling.
     """
     if p > _CERT_PRIME:
         raise CapacityError(
@@ -429,7 +454,7 @@ def _eliminate_mod(
     m, n = a.shape
     dtype = np.int32 if a.size > _INT32_ENTRIES else np.int64
     need = a.size * np.dtype(dtype).itemsize + 8 * (
-        2 * m * _PANEL + _PANEL * n + 3 * min(m, _CHUNK_ROWS) * n
+        m * _PANEL + _PANEL * n + 3 * min(m, _CHUNK_ROWS) * n
     )
     if need > _memory_limit_bytes():
         raise CapacityError(
@@ -443,73 +468,68 @@ def _eliminate_mod(
     work = a.astype(dtype) % p
     pivots: list[int] = []
     d = 1
-    panel = np.empty((m, _PANEL))
     F = np.empty((m, _PANEL))
+    U = np.empty((_PANEL, n))
     for c0 in range(0, n, _PANEL):
         r0 = len(pivots)
         if r0 == m:
             break
         c1 = min(c0 + _PANEL, n)
-        P = panel[:, : c1 - c0]
-        P[:] = work[:, c0:c1]
-        F[:] = 0
-        invs: list[int] = []
-        for j in range(c1 - c0):
+        if not work[r0:, c0:c1].any():
+            continue
+        for j in range(c0, c1):
             r = len(pivots)
             if r == m:
                 break
-            nz = np.flatnonzero(P[r:, j])
+            t = r - r0
+            top = 0 if jordan else r
+            if t:
+                col = work[top:, j] - (F[top:, :t] @ U[:t, j]).astype(np.int64)
+                col %= p
+            else:
+                col = work[top:, j]
+            nz = np.flatnonzero(col[r - top :])
             if nz.size == 0:
                 continue
             i = r + int(nz[0])
+            piv = int(col[i - top])
+            d = d * piv % p
+            # the multipliers, stored before the swap so they move with their rows
+            F[top:, t] = col
             if i != r:
-                for x in (work, P, F):
+                for x in (work, F):
                     x[[r, i]] = x[[i, r]]
                 d = -d
-            piv = int(P[r, j])
-            d = d * piv % p
-            invs.append(pow(piv, -1, p))
-            row = P[r, j:]
-            row *= invs[-1]
-            _reduce_mod(row, p)
-            lo = 0 if jordan else r + 1
-            f = P[lo:, j]
-            mask = f != 0
-            if jordan:
-                mask[r] = False
-            if mask.any():
-                rows = np.flatnonzero(mask) + lo
-                fm = f[mask]
-                F[rows, r - r0] = fm
-                P[rows, j:] = _reduce_mod(P[rows, j:] - np.multiply.outer(fm, row), p)
-            pivots.append(c0 + j)
-        work[:, c0:c1] = P
-        k = len(pivots) - r0
-        if k == 0 or c1 == n:
-            continue
-        # the pivot rows' trailing parts, one triangular pass
-        U = work[r0 : r0 + k, c1:].astype(np.float64)
-        Fp = F[r0 : r0 + k, :k]
-        for t in range(k):
+            row = work[r, j:].astype(np.int64)
             if t:
-                U[t] -= Fp[t, :t] @ U[:t]
-                _reduce_mod(U[t], p)
-            U[t] *= invs[t]
-            _reduce_mod(U[t], p)
-        if jordan:
-            work[r0 : r0 + k, c1:] = _reduce_mod(U - np.triu(Fp, 1) @ U, p)
-        else:
-            work[r0 : r0 + k, c1:] = U
-        # every other row: one BLAS product per chunk
-        for start, stop in ((0, r0 if jordan else 0), (r0 + k, m)):
+                row -= (F[r, :t] @ U[:t, j:]).astype(np.int64)
+                row %= p
+            row *= pow(piv, -1, p)
+            row %= p
+            U[t, c0:j] = 0
+            U[t, j:] = row
+            work[r, c0:] = U[t, c0:]
+            if jordan:
+                # from here on row r reads as U[t]
+                F[r, : t + 1] = 0
+            pivots.append(j)
+        # the panel is cleared below its pivot rows; every row that took a
+        # multiplier becomes work - F @ U: from c0 above (with jordan), and
+        # past the panel below
+        k = len(pivots) - r0
+        work[r0 + k :, c0:c1] = 0
+        for start, stop, lo_col in ((0, r0 + k if jordan else 0, c0), (r0 + k, m, c1)):
+            if lo_col == n:
+                continue
+            V = U[:k, lo_col:]
             for lo in range(start, stop, _CHUNK_ROWS):
                 hi = min(lo + _CHUNK_ROWS, stop)
                 Fc = F[lo:hi, :k]
                 if not Fc.any():
                     continue
-                x = work[lo:hi, c1:].astype(np.float64)
-                x -= Fc @ U
-                work[lo:hi, c1:] = _reduce_mod(x, p)
+                x = work[lo:hi, lo_col:].astype(np.float64)
+                x -= Fc @ V
+                work[lo:hi, lo_col:] = _reduce_mod(x, p)
     return work, pivots, d % p
 
 
@@ -570,7 +590,7 @@ def _pivot_columns(matrix: ExactMatrix) -> list[int]:
     if isinstance(matrix.field, PrimeField):
         arr = matrix._arr if matrix._arr is not None else matrix.numpy()
         return _eliminate_mod(arr, matrix.field.p)[1]
-    return _bareiss(_clear_denominators(matrix.rows())[0])[1]
+    return _bareiss(_clear_denominators(matrix)[0])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +623,7 @@ def det(matrix: ExactMatrix):
     if isinstance(matrix.field, PrimeField):
         _, pivots, d = _eliminate_mod(matrix.numpy(), matrix.field.p)
         return d if len(pivots) == n else 0
-    rows, scales = _clear_denominators(matrix.rows())
+    rows, scales = _clear_denominators(matrix)
     _, pivots, d = _bareiss(rows)
     if len(pivots) < n:
         d = 0
@@ -623,7 +643,7 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
     else:
         # [DA | D] for the denominator-clearing row scales D: the right block
         # ends as d * (DA)^-1 * D = d * A^-1.
-        rows, scales = _clear_denominators(matrix.rows())
+        rows, scales = _clear_denominators(matrix)
         aug = [r + [s if i == j else 0 for j in range(n)]
                for i, (r, s) in enumerate(zip(rows, scales))]
         work, pivots, _ = _bareiss(aug, jordan=True)

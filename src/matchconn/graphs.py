@@ -194,7 +194,7 @@ class AnnotatedGraph:
             if lab not in (1, 2, 3, 4):
                 raise ValidationError(f"label {lab} outside 1..4")
             canon[k] = lab
-        missing = [e for e in self.edges if v in e and e not in canon]
+        missing = sorted(k for u in self._adj[v] if (k := edge_key(u, v)) not in canon)
         if missing:
             raise ValidationError(f"vertex {v} leaves incident edges unlabeled: {missing}")
         self.annotations[v] = canon

@@ -24,6 +24,14 @@ def test_det_prints_the_order_six_value(capsys):
     assert "# command: det" in out
 
 
+def test_det_over_the_bareiss_ceiling_exits_2(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "det", "--kind", "M", "--k", "10")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "ceiling" in err and out == ""
+
+
 def test_rank_mod_p(capsys):
     code, out, _ = run(capsys, "rank", "--k", "10", "--field", "p:7")
     assert code == 0

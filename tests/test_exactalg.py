@@ -4,7 +4,9 @@ replaced, which stay here as references."""
 
 import hashlib
 import json
+import time
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from matchconn.graphs import write_hcgraph
 from matchconn.hcount import count_hc_pathdp
 from matchconn.matchings import build_M
 from matchconn.reduction import assemble
+from matchconn.scheme import eigenvalue_eta
+from matchconn.tableaux import f_lambda, partitions
 from test_hcount import ref_fingerprint_table
 
 small_entries = st.integers(min_value=-6, max_value=6)
@@ -531,6 +535,29 @@ def test_kernel_certificate_falls_back_to_bareiss(monkeypatch, rows, want):
     assert len(calls) == 1
 
 
+def test_bareiss_row_ceiling():
+    # det M_8 (105 rows) is the product of eta^multiplicity over the
+    # partitions of 4; M_10 (945 rows) is refused before any conversion
+    want = prod(eigenvalue_eta(4, lam) ** f_lambda(lam.double()) for lam in partitions(4))
+    assert det(build_M(8)) == want
+    m10 = build_M(10)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="rational elimination"):
+        det(m10)
+    assert time.perf_counter() - start < 1
+    too_big = exactalg.MAX_BAREISS_ROWS + 1
+    with pytest.raises(CapacityError):
+        inverse(identity(too_big))
+
+
+def test_bareiss_fallback_of_rational_rank_keeps_the_ceiling(monkeypatch):
+    monkeypatch.setattr(exactalg, "_kernel_certifies", lambda a, r: False)
+    tall = np.zeros((exactalg.MAX_BAREISS_ROWS + 1, 2), dtype=np.int64)
+    with pytest.raises(CapacityError):
+        rank(ExactMatrix(RATIONALS, tall))
+    assert rank(ExactMatrix(RATIONALS, tall[:-1])) == 0
+
+
 def test_integer_shift_of_numpy_matrix_near_int64_limit():
     # shifted by -2^62 the corner would wrap to -2^63 in int64 and make the
     # determinant 2^64 look like 0, so the row-list path must run
@@ -615,6 +642,12 @@ def test_blocked_kernel_with_full_panels(seed):
     a[:, rng.random(n) < 0.1] = 0
     a[rng.random(m) < 0.1] = 0
     check_blocked_kernel(a, primes=(3, 211, 65521, CERT_PRIME))
+
+
+def test_blocked_kernel_on_the_order_eight_matrix():
+    # default panel width: 105 columns are two panels, and the matrix is
+    # rank deficient mod 2 and mod 3
+    check_blocked_kernel(build_M(8).numpy())
 
 
 def test_float64_panel_update_is_exact_up_to_the_largest_modulus():

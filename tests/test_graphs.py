@@ -64,8 +64,10 @@ class TestAnnotatedGraph:
 
     def test_annotation_must_cover_every_incident_edge(self):
         g = path_graph(3)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"unlabeled: \[\(2, 3\)\]"):
             g.annotate(2, {(1, 2): 1})
+        with pytest.raises(ValidationError, match="non-incident edge"):
+            g.annotate(2, {(1, 2): 1, (2, 3): 2, (3, 4): 1})
         g.annotate(2, {(1, 2): 1, (2, 3): 2})
         assert g.annotations[2] == {(1, 2): 1, (2, 3): 2}
 

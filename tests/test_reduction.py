@@ -6,6 +6,7 @@ in this file, so the tests do not reuse the compiler's own shape helpers.
 """
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,9 @@ from matchconn.hcount import (
     enumerate_hamiltonian_cycles,
     partial_solution_spectrum,
 )
-from matchconn.matchings import Fingerprint, Matching
+from matchconn.matchings import Fingerprint, Matching, enumerate_fingerprints
 from matchconn.reduction import (
+    DEFAULT_GADGET_BUDGET,
     LABEL_GADGET_EDGES,
     MAX_SAT_VARS,
     BasisTooSmallError,
@@ -292,6 +294,21 @@ class TestFingerprintGadget:
         expanded.decomposition.validate(expanded)
         got = partial_solution_spectrum(expanded, (1, 2, 3, 4, 5))
         assert got == {f1: 2, f2: 1}
+
+    def test_gadget_at_the_budget_builds_quickly(self):
+        # every fingerprint over (1..6) that matches the anchors, the budget
+        # spread evenly: about 1,500 sites, each annotated once
+        fps = [f for f in enumerate_fingerprints(range(1, 7)) if (1, 2) in f.matching.pairs]
+        q, extra = divmod(DEFAULT_GADGET_BUDGET, len(fps))
+        spec = GadgetSpec.make(
+            range(1, 7), (1, 2), {f: q + (i < extra) for i, f in enumerate(fps)}
+        )
+        assert spec.total() == DEFAULT_GADGET_BUDGET
+        start = time.perf_counter()
+        gadget = build_fingerprint_gadget(spec)
+        assert time.perf_counter() - start < 1
+        assert len(gadget.vertices) > 1400
+        assert len(gadget.annotations) == len(gadget.vertices) - 10
 
     def test_worked_seven_vertex_example(self):
         # three prescribed fingerprints over a 7-vertex boundary with the
