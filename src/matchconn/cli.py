@@ -83,8 +83,7 @@ def _cmd_matrix(args) -> int:
     matrix = _build_matrix(args.kind, args.k, args.large)
     lines = _header("matrix", {"kind": args.kind, "k": args.k})
     lines.append(f"# shape: {matrix.nrows}x{matrix.ncols}")
-    for i in range(matrix.nrows):
-        lines.append(",".join(str(matrix[i, j]) for j in range(matrix.ncols)))
+    lines.extend(",".join(map(str, row)) for row in matrix.rows())
     _emit(lines, args.out)
     return 0
 

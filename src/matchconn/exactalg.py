@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Two storage regimes share one interface: small matrices live as Python lists
-of exact scalars (int or Fraction), big 0/1 matrices live as numpy integer
-arrays. Each field has one elimination kernel, and rank, determinant,
-inverse, nullity and full-rank extraction all read its pivots:
+Every matrix holds integer entries in one numpy integer array: the 0/1
+connectivity and fingerprint matrices the paper certifies, and their shifts
+and Kronecker products. Over GF(p) the array holds residues 0..p-1. Each
+field has one elimination kernel, and rank, determinant, inverse, nullity
+and full-rank extraction all read its pivots:
 
   * GF(p): `_eliminate_mod`, blocked row reduction. Each panel of
     `_PANEL` = 64 columns is eliminated left-looking, one float64
@@ -15,10 +16,10 @@ inverse, nullity and full-rank extraction all read its pivots:
     2-core VM. The work array is int64, or int32 above
     `_INT32_ENTRIES` entries. Every call checks the memory ceiling from the
     environment first.
-  * Q: `_bareiss`, fraction-free elimination over Z after clearing row
-    denominators, so no rounding ever happens. Its Gauss-Jordan form on
-    [A | I] gives the inverse as adj(A)/det(A). Input above
-    `MAX_BAREISS_ROWS` = 512 rows is refused with CapacityError.
+  * Q: `_bareiss`, fraction-free elimination over Z on Python ints, so no
+    rounding or overflow ever happens. Input above `MAX_BAREISS_ROWS` = 512
+    rows is refused with CapacityError. `inverse` works mod p only: its one
+    caller, the reduction's interface basis, works mod p.
 
 rank() over Q first tries one elimination mod a prime; if that already
 reaches min(m, n) the rational rank is certified exactly (rank can only drop
@@ -33,7 +34,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,10 +54,7 @@ __all__ = [
     "nullity_shift",
     "full_rank_submatrix",
     "identity",
-    "write_matrix",
-    "read_matrix",
     "parse_field",
-    "field_token",
     "is_prime",
 ]
 
@@ -153,10 +151,6 @@ def parse_field(token: str) -> FieldSpec:
     raise ValidationError(f"bad field token {token!r} (expected 'q' or 'p:<prime>')")
 
 
-def field_token(field: FieldSpec) -> str:
-    return "q" if isinstance(field, Rationals) else f"p:{field.p}"
-
-
 def _memory_limit_bytes() -> int:
     raw = os.environ.get(MEMORY_ENV_VAR, "")
     try:
@@ -166,32 +160,42 @@ def _memory_limit_bytes() -> int:
     return mb * (1 << 20)
 
 
-def _residue(x, p: int) -> int:
-    """An int or Fraction entry mod p; rejects a denominator divisible by p."""
-    if isinstance(x, Fraction):
-        if x.denominator % p == 0:
-            raise ValidationError(f"denominator divisible by {p}; cannot reduce")
-        return x.numerator * pow(x.denominator, -1, p) % p
-    return int(x) % p
-
-
 # ---------------------------------------------------------------------------
 # matrix container
 
 
+def _int_array(data, ncols_hint: int) -> np.ndarray:
+    """Nested int sequences as an int64 array; anything else is refused.
+
+    Fractions, floats and entries outside int64 raise ValidationError, so no
+    entry is ever rounded or wrapped. With zero rows the width is
+    `ncols_hint`.
+    """
+    rows = [list(r) for r in data]
+    ncols = len(rows[0]) if rows else ncols_hint
+    if any(len(r) != ncols for r in rows):
+        raise ValidationError("ragged rows in matrix data")
+    if not all(isinstance(x, (int, np.integer)) for r in rows for x in r):
+        raise ValidationError("matrix entries must be integers")
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    except OverflowError as exc:
+        raise ValidationError("matrix entry outside the int64 range") from exc
+
+
 class ExactMatrix:
-    """Labeled matrix over Q or Z/p with exact entries.
+    """Labeled integer matrix over Q or Z/p.
 
     Rows and columns may carry arbitrary hashable labels (matchings,
     fingerprints, partitions); plumbing code mostly ignores them, but the
     constrained submatrix extraction filters on them.
 
-    Storage is either a numpy integer array (`_arr`) or a list of row lists
-    of Python scalars (`_rows`); exactly one is set. Over Z/p both hold
-    residues in 0..p-1.
+    The entries live in one numpy integer array, `_arr`. An integer array
+    passed in is shared, not copied, unless it must be reduced mod p; nested
+    int sequences become int64. Over Z/p the array holds residues 0..p-1.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "row_labels", "col_labels", "_arr", "_rows")
+    __slots__ = ("field", "nrows", "ncols", "row_labels", "col_labels", "_arr")
 
     def __init__(
         self,
@@ -201,35 +205,21 @@ class ExactMatrix:
         col_labels: Sequence | None = None,
     ) -> None:
         self.field = field
-        if isinstance(data, np.ndarray):
-            if data.ndim != 2:
-                raise ValidationError("matrix data must be 2-dimensional")
-            if not np.issubdtype(data.dtype, np.integer):
-                raise ValidationError("numpy-backed matrices must have integer dtype")
-            # copy only to reduce, so the 0/1 matrices most callers pass
-            # share their array
-            if isinstance(field, PrimeField) and data.size and (
-                data.min() < 0 or data.max() >= field.p
-            ):
-                data = data % field.p
-            self._arr = data
-            self._rows = None
-            self.nrows, self.ncols = data.shape
-        else:
-            rows = [list(r) for r in data]
-            self.nrows = len(rows)
+        if not isinstance(data, np.ndarray):
             # zero rows carry no width, so it comes from the column labels
-            if rows:
-                self.ncols = len(rows[0])
-            else:
-                self.ncols = len(col_labels) if col_labels is not None else 0
-            for r in rows:
-                if len(r) != self.ncols:
-                    raise ValidationError("ragged rows in matrix data")
-            if isinstance(field, PrimeField):
-                rows = [[_residue(x, field.p) for x in r] for r in rows]
-            self._rows = rows
-            self._arr = None
+            data = _int_array(data, len(col_labels) if col_labels is not None else 0)
+        if data.ndim != 2:
+            raise ValidationError("matrix data must be 2-dimensional")
+        if not np.issubdtype(data.dtype, np.integer):
+            raise ValidationError("matrix data must have integer dtype")
+        # copy only to reduce, so the 0/1 matrices most callers pass share
+        # their array
+        if isinstance(field, PrimeField) and data.size and (
+            data.min() < 0 or data.max() >= field.p
+        ):
+            data = data % field.p
+        self._arr = data
+        self.nrows, self.ncols = data.shape
         self.row_labels = list(row_labels) if row_labels is not None else list(range(self.nrows))
         self.col_labels = list(col_labels) if col_labels is not None else list(range(self.ncols))
         if len(self.row_labels) != self.nrows or len(self.col_labels) != self.ncols:
@@ -241,72 +231,38 @@ class ExactMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def is_numpy(self) -> bool:
-        return self._arr is not None
+    def numpy(self) -> np.ndarray:
+        """Entries as a fresh int64 array (residues for prime fields)."""
+        return self._arr.astype(np.int64)
 
-    def numpy(self, dtype=np.int64) -> np.ndarray:
-        """Entries as a numpy array (mod p for prime fields). Exact ints only."""
-        if self._arr is not None:
-            a = self._arr.astype(dtype, copy=True)
-        else:
-            for r in self._rows:
-                for x in r:
-                    if isinstance(x, Fraction) and x.denominator != 1:
-                        raise ValidationError("matrix has non-integer entries")
-            a = np.array([[int(x) for x in r] for r in self._rows], dtype=dtype)
-            if self.nrows == 0 or self.ncols == 0:
-                a = a.reshape(self.nrows, self.ncols)
-        if isinstance(self.field, PrimeField):
-            a %= self.field.p
-        return a
+    def rows(self) -> list[list[int]]:
+        """Entries as Python int row lists (copies)."""
+        return self._arr.tolist()
 
-    def rows(self) -> list[list]:
-        """Entries as Python scalar row lists (copies)."""
-        if self._rows is not None:
-            return [list(r) for r in self._rows]
-        return [[int(x) for x in row] for row in self._arr]
-
-    def __getitem__(self, rc: tuple[int, int]):
-        i, j = rc
-        if self._rows is not None:
-            return self._rows[i][j]
-        return int(self._arr[i, j])
+    def __getitem__(self, rc: tuple[int, int]) -> int:
+        return int(self._arr[rc])
 
     def with_field(self, field: FieldSpec) -> "ExactMatrix":
         """Same entries reinterpreted over another field (reduced mod p)."""
         if field == self.field:
             return self
-        data = self._arr if self._arr is not None else self._rows
-        return ExactMatrix(field, data, self.row_labels, self.col_labels)
+        return ExactMatrix(field, self._arr, self.row_labels, self.col_labels)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
         rl = [self.row_labels[i] for i in row_idx]
         cl = [self.col_labels[j] for j in col_idx]
-        if self._arr is not None:
-            a = self._arr[np.ix_(row_idx, col_idx)] if row_idx and col_idx else np.zeros(
-                (len(row_idx), len(col_idx)), dtype=self._arr.dtype
-            )
-            return ExactMatrix(self.field, a, rl, cl)
-        rows = [[self._rows[i][j] for j in col_idx] for i in row_idx]
-        return ExactMatrix(self.field, rows, rl, cl)
+        return ExactMatrix(self.field, self._arr[np.ix_(row_idx, col_idx)], rl, cl)
 
     def transpose(self) -> "ExactMatrix":
-        if self._arr is not None:
-            return ExactMatrix(self.field, self._arr.T.copy(), self.col_labels, self.row_labels)
-        rows = [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return ExactMatrix(self.field, rows, self.col_labels, self.row_labels)
+        return ExactMatrix(self.field, self._arr.T.copy(), self.col_labels, self.row_labels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.field != other.field or self.shape != other.shape:
-            return False
-        if self._arr is not None and other._arr is not None:
-            return bool(np.array_equal(self._arr, other._arr))
-        a = self.rows() if self._rows is None else self._rows
-        b = other.rows() if other._rows is None else other._rows
-        return all(
-            a[i][j] == b[i][j] for i in range(self.nrows) for j in range(self.ncols)
+        return (
+            self.field == other.field
+            and self.shape == other.shape
+            and bool(np.array_equal(self._arr, other._arr))
         )
 
     def __repr__(self) -> str:
@@ -321,18 +277,16 @@ def identity(n: int, field: FieldSpec = RATIONALS) -> ExactMatrix:
 # elimination engines: one per field
 
 
-def _bareiss(rows: list[list[int]], jordan: bool = False) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free elimination over Z on a scratch copy.
+def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free elimination over Z, in place on the caller's rows.
 
-    Returns (work, pivot columns, sign * last pivot). For square input of full
-    rank the last value is the determinant, and every division is exact by the
-    Bareiss divisibility lemma. With `jordan` every row but the pivot row is
-    updated, which on [A | I] leaves [d*I | d*A^-1] for the last pivot d.
-    Callers pass rows from `_clear_denominators`, which holds the row ceiling.
+    Returns (pivot columns, sign * last pivot). For square input of full rank
+    the last value is the determinant, and every division is exact by the
+    Bareiss divisibility lemma. Callers pass rows from `_integer_rows`, which
+    holds the row ceiling.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
     prev = 1
     sign = 1
     pivots: list[int] = []
@@ -348,40 +302,29 @@ def _bareiss(rows: list[list[int]], jordan: bool = False) -> tuple[list[list[int
             sign = -sign
         ar = a[r]
         p = ar[c]
-        lo = 0 if jordan else c + 1
-        for i in range(0 if jordan else r + 1, m):
-            if i == r:
-                continue
+        for i in range(r + 1, m):
             ai = a[i]
             f = ai[c]
-            for j in range(lo, n):
+            for j in range(c + 1, n):
                 ai[j] = (ai[j] * p - f * ar[j]) // prev
             ai[c] = 0
         prev = p
         pivots.append(c)
-    return a, pivots, sign * prev
+    return pivots, sign * prev
 
 
-def _clear_denominators(matrix: ExactMatrix) -> tuple[list[list[int]], list[int]]:
-    """Scale each row by the lcm of its denominators: (integer rows, scales).
+def _integer_rows(matrix: ExactMatrix) -> list[list[int]]:
+    """The entries as Python int rows, the input of `_bareiss`.
 
-    Row scaling keeps the rank and the pivot columns, and divides the
-    determinant by the product of the scales. Every input of `_bareiss`
-    comes from here, so this is where its ceiling is checked: above
-    `MAX_BAREISS_ROWS` rows it raises CapacityError before converting a
-    single entry.
+    This is where the Bareiss ceiling is checked: above `MAX_BAREISS_ROWS`
+    rows it raises CapacityError before converting a single entry.
     """
     if matrix.nrows > MAX_BAREISS_ROWS:
         raise CapacityError(
             f"rational elimination of {matrix.nrows} rows exceeds the ceiling "
             f"{MAX_BAREISS_ROWS}"
         )
-    out, scales = [], []
-    for r in matrix.rows():
-        s = lcm(*(x.denominator for x in r if isinstance(x, Fraction)))
-        out.append([int(x * s) for x in r])
-        scales.append(s)
-    return out, scales
+    return matrix.rows()
 
 
 # Columns eliminated per panel. Each column, each pivot row and the trailing
@@ -588,9 +531,8 @@ def _kernel_certifies(a: np.ndarray, r: int) -> bool:
 def _pivot_columns(matrix: ExactMatrix) -> list[int]:
     """Pivot columns of the row echelon form over the matrix's own field."""
     if isinstance(matrix.field, PrimeField):
-        arr = matrix._arr if matrix._arr is not None else matrix.numpy()
-        return _eliminate_mod(arr, matrix.field.p)[1]
-    return _bareiss(_clear_denominators(matrix)[0])[1]
+        return _eliminate_mod(matrix._arr, matrix.field.p)[1]
+    return _bareiss(_integer_rows(matrix))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -602,60 +544,43 @@ def rank(matrix: ExactMatrix) -> int:
     if isinstance(matrix.field, Rationals):
         # Certify via one modular elimination when full rank, which is exact
         # (rank mod p never exceeds rational rank), or by a verified integer
-        # kernel; otherwise Bareiss. Only non-integer or huge entries skip the
-        # shortcut, never the memory ceiling.
-        try:
-            arr = matrix.numpy()
-        except (ValidationError, OverflowError):
-            arr = None
-        if arr is not None:
-            r_mod = len(_eliminate_mod(arr, _CERT_PRIME)[1])
-            if r_mod == min(matrix.nrows, matrix.ncols) or _kernel_certifies(arr, r_mod):
-                return r_mod
+        # kernel; otherwise Bareiss.
+        arr = matrix.numpy()
+        r_mod = len(_eliminate_mod(arr, _CERT_PRIME)[1])
+        if r_mod == min(matrix.nrows, matrix.ncols) or _kernel_certifies(arr, r_mod):
+            return r_mod
     return len(_pivot_columns(matrix))
 
 
-def det(matrix: ExactMatrix):
-    """Exact determinant (int/Fraction over Q, residue over Z/p)."""
+def det(matrix: ExactMatrix) -> int:
+    """Exact determinant (an int over Q, a residue over Z/p)."""
     if matrix.nrows != matrix.ncols:
         raise ValidationError("determinant of a non-square matrix")
     n = matrix.nrows
     if isinstance(matrix.field, PrimeField):
-        _, pivots, d = _eliminate_mod(matrix.numpy(), matrix.field.p)
-        return d if len(pivots) == n else 0
-    rows, scales = _clear_denominators(matrix)
-    _, pivots, d = _bareiss(rows)
-    if len(pivots) < n:
-        d = 0
-    scale = prod(scales)
-    return d if scale == 1 else Fraction(d, scale)
+        _, pivots, d = _eliminate_mod(matrix._arr, matrix.field.p)
+    else:
+        pivots, d = _bareiss(_integer_rows(matrix))
+    return d if len(pivots) == n else 0
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan on [A | I]; raises on singular input."""
+    """Inverse over Z/p by Gauss-Jordan on [A | I]; raises on singular input.
+
+    Over Q it raises ValidationError: the inverse of an integer matrix is not
+    an integer matrix.
+    """
+    fld = matrix.field
+    if not isinstance(fld, PrimeField):
+        raise ValidationError("inverse is computed over a prime field only, not over Q")
     if matrix.nrows != matrix.ncols:
         raise ValidationError("inverse of a non-square matrix")
     n = matrix.nrows
-    fld = matrix.field
-    if isinstance(fld, PrimeField):
-        aug = np.hstack([matrix.numpy(), np.eye(n, dtype=np.int64)])
-        work, pivots, _ = _eliminate_mod(aug, fld.p, jordan=True)
-    else:
-        # [DA | D] for the denominator-clearing row scales D: the right block
-        # ends as d * (DA)^-1 * D = d * A^-1.
-        rows, scales = _clear_denominators(matrix)
-        aug = [r + [s if i == j else 0 for j in range(n)]
-               for i, (r, s) in enumerate(zip(rows, scales))]
-        work, pivots, _ = _bareiss(aug, jordan=True)
+    aug = np.hstack([matrix.numpy(), np.eye(n, dtype=np.int64)])
+    work, pivots, _ = _eliminate_mod(aug, fld.p, jordan=True)
     if pivots != list(range(n)):
         raise ValidationError("matrix is singular over " + repr(fld))
-    if isinstance(fld, PrimeField):
-        rows = work[:, n:].tolist()
-    else:
-        # Every diagonal entry ends as the last pivot d.
-        rows = [[Fraction(x, r[i]) for x in r[n:]] for i, r in enumerate(work)]
-        rows = [[x if x.denominator != 1 else int(x) for x in r] for r in rows]
-    return ExactMatrix(fld, rows, matrix.col_labels, matrix.row_labels)
+    return ExactMatrix(fld, work[:, n:].copy(), matrix.col_labels, matrix.row_labels)
 
 
 def kronecker(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -664,45 +589,37 @@ def kronecker(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         raise ValidationError("kronecker over mismatched fields")
     rl = [(x, y) for x in a.row_labels for y in b.row_labels]
     cl = [(x, y) for x in a.col_labels for y in b.col_labels]
-    try:
-        arr = np.kron(a.numpy(), b.numpy())
-        if isinstance(a.field, PrimeField):
-            arr %= a.field.p
-        return ExactMatrix(a.field, arr, rl, cl)
-    except ValidationError:
-        pass
-    ra, rb = a.rows(), b.rows()
-    rows = [
-        [ra[i][k] * rb[j][l] for k in range(a.ncols) for l in range(b.ncols)]
-        for i in range(a.nrows)
-        for j in range(b.nrows)
-    ]
-    return ExactMatrix(a.field, rows, rl, cl)
+    return ExactMatrix(a.field, np.kron(a.numpy(), b.numpy()), rl, cl)
 
 
 def nullity_shift(matrix: ExactMatrix, shift) -> int:
-    """dim ker(A - shift*I) over the matrix's field."""
+    """dim ker(A - shift*I) over the matrix's field.
+
+    Over Q the shift may be a fraction u/v: A - (u/v)I has the nullity of
+    vA - uI, which is eliminated in int64 while its entries fit, and by
+    Bareiss on Python ints otherwise.
+    """
     if matrix.nrows != matrix.ncols:
         raise ValidationError("nullity_shift needs a square matrix")
     n = matrix.nrows
+    a = matrix.numpy()
+    diag = np.diag_indices(n)
     if isinstance(matrix.field, PrimeField):
         p = matrix.field.p
-        a = matrix.numpy()
-        a[np.diag_indices(n)] -= int(shift) % p
+        a[diag] -= int(shift) % p
         return n - len(_eliminate_mod(a, p)[1])
-    s = shift if isinstance(shift, (int, Fraction)) else Fraction(shift)
-    if matrix.is_numpy() and s.denominator == 1:
-        # integer shift of an integer array: stay in numpy unless it overflows
-        a = matrix.numpy()
-        t = int(s)
-        if not a.size or max(-int(a.min()), int(a.max())) + abs(t) < 2**63:
-            a[np.diag_indices(n)] -= t
-            return n - rank(ExactMatrix(RATIONALS, a))
-    rows = matrix.rows()
-    for i in range(n):
-        rows[i][i] = rows[i][i] - s
-    shifted = ExactMatrix(RATIONALS, rows)
-    return n - rank(shifted)
+    s = Fraction(shift)
+    u, v = s.numerator, s.denominator
+    biggest = max(-int(a.min()), int(a.max())) if a.size else 0
+    if biggest * v + abs(u) < 2**63:
+        a *= v
+        a[diag] -= u
+        return n - rank(ExactMatrix(RATIONALS, a))
+    rows = _integer_rows(matrix)
+    for i, r in enumerate(rows):
+        r[:] = [x * v for x in r]
+        r[i] -= u
+    return n - len(_bareiss(rows)[0])
 
 
 def full_rank_submatrix(
@@ -735,61 +652,3 @@ def full_rank_submatrix(
     if len(kept) != len(kept_cols):
         raise AssertionError("row and column ranks disagree; elimination bug")
     return [rows_ok[i] for i in kept], [cols_ok[j] for j in kept_cols]
-
-
-# ---------------------------------------------------------------------------
-# interchange format
-
-
-def _scalar_to_text(x) -> str:
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(int(x))
-
-
-def _scalar_from_text(s: str, field: FieldSpec):
-    if "/" in s:
-        if isinstance(field, PrimeField):
-            raise ValidationError("fractional entry in a prime-field matrix file")
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
-    v = int(s)
-    if isinstance(field, PrimeField):
-        return v % field.p
-    return v
-
-
-def write_matrix(matrix: ExactMatrix, path) -> None:
-    """Plain text interchange: header 'rows cols field', then row lines."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{matrix.nrows} {matrix.ncols} {field_token(matrix.field)}\n")
-        if matrix._arr is not None:
-            for row in matrix._arr:
-                fh.write(" ".join(str(int(x)) for x in row) + "\n")
-        else:
-            for row in matrix._rows:
-                fh.write(" ".join(_scalar_to_text(x) for x in row) + "\n")
-
-
-def read_matrix(path) -> ExactMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValidationError(f"bad matrix header in {path}")
-        try:
-            m, n = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise ValidationError(f"bad matrix shape in {path}") from exc
-        field = parse_field(header[2])
-        rows = []
-        for _ in range(m):
-            parts = fh.readline().split()
-            if len(parts) != n:
-                raise ValidationError(f"row with {len(parts)} entries, expected {n}, in {path}")
-            rows.append([_scalar_from_text(s, field) for s in parts])
-        trailing = fh.read().strip()
-        if trailing:
-            raise ValidationError(f"trailing data after matrix body in {path}")
-    return ExactMatrix(field, rows)

@@ -272,6 +272,8 @@ def read_hcgraph(path) -> AnnotatedGraph:
             if tag == "n":
                 if len(parts) != 2:
                     raise ValidationError(f"line {lineno}: bad vertex-count line")
+                if declared is not None:
+                    raise ValidationError(f"line {lineno}: second 'n' line")
                 (declared,) = _line_ints(parts[1:], lineno)
                 if declared > MAX_HCGRAPH_VERTICES:
                     raise CapacityError(

@@ -11,6 +11,7 @@ from matchconn.amplify import (
     tensor_matchings,
     verify_tensor_identity,
 )
+from matchconn.checks import PUBLISHED
 from matchconn.exactalg import CapacityError, ValidationError, rank
 from matchconn.matchings import Matching, enumerate_matchings, is_single_cycle
 
@@ -175,7 +176,7 @@ class TestModRankReport:
             (4, 3, 3),
             (6, 15, 15),
             (8, 105, 105),
-            (10, 945, 945),
+            (10, 945, PUBLISHED["ranks_order_10_mod_p"][5]),
         ]
         assert [r.rank_root for r in rows] == [
             1.316074,
@@ -186,11 +187,9 @@ class TestModRankReport:
 
     def test_mod_two_rows_drop_hard(self):
         rows = mod_rank_report(2)
+        published = PUBLISHED["ranks_mod_2"]
         assert [(r.order, r.rank_mod_p) for r in rows] == [
-            (4, 2),
-            (6, 4),
-            (8, 8),
-            (10, 16),
+            (k, published[k]) for k in (4, 6, 8, 10)
         ]
 
     def test_rank_root_monotone_in_order(self):

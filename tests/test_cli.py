@@ -5,9 +5,11 @@ import time
 
 import pytest
 
-from matchconn import hcount
+from matchconn import __version__, hcount
+from matchconn.checks import PUBLISHED
 from matchconn.cli import MAX_TABLEAUX_N, main
 from matchconn.graphs import AnnotatedGraph, PathDecomposition, write_hcgraph
+from matchconn.matchings import build_H, build_M
 
 
 def run(capsys, *argv):
@@ -35,7 +37,7 @@ def test_det_over_the_bareiss_ceiling_exits_2(capsys):
 def test_rank_mod_p(capsys):
     code, out, _ = run(capsys, "rank", "--k", "10", "--field", "p:7")
     assert code == 0
-    assert "945" in out
+    assert str(PUBLISHED["ranks_order_10_mod_p"][7]) in out
 
 
 def test_rank_rational(capsys):
@@ -233,6 +235,20 @@ def test_count_missing_file(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text,line", [
+    # repeated after the edges: used to count the triangle and exit 0
+    ("n 3\ne 1 2\ne 2 3\ne 1 3\nn 3\n", 6),
+    # shrinking: used to fail later with "edge endpoint outside 1..n"
+    ("n 4\nn 3\ne 1 2\ne 2 3\ne 1 3\n", 3),
+])
+def test_count_refuses_a_second_vertex_count_line(tmp_path, capsys, text, line):
+    graph = tmp_path / "g.hcg"
+    graph.write_text("hcgraph v1\n" + text, encoding="ascii")
+    code, out, err = run(capsys, "count", "--graph", str(graph), "--mod", "5")
+    assert code == 2 and out == ""
+    assert f"line {line}: second 'n' line" in err
+
+
 def test_reduce_rejects_bad_dimacs(tmp_path, capsys):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 1 1\n1\n", encoding="ascii")
@@ -252,6 +268,22 @@ def test_verify_single_suite(capsys):
 def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])
+
+
+@pytest.mark.parametrize("kind,k", [("M", 6), ("H", 4)])
+def test_matrix_dump_is_the_entry_by_entry_csv(capsys, kind, k):
+    matrix = build_M(k) if kind == "M" else build_H(k)
+    code, out, _ = run(capsys, "matrix", "--kind", kind, "--k", str(k))
+    assert code == 0
+    lines = [
+        f"# matchconn {__version__}",
+        "# command: matrix",
+        f"# parameters: kind={kind} k={k}",
+        f"# shape: {matrix.nrows}x{matrix.ncols}",
+    ]
+    for i in range(matrix.nrows):
+        lines.append(",".join(str(matrix[i, j]) for j in range(matrix.ncols)))
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_matrix_dump(capsys):

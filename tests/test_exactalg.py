@@ -97,13 +97,13 @@ def test_rank_matches_fraction_elimination(rows):
     assert rank(square(rows)) == oracle_rank(rows)
 
 
-@given(st.integers(min_value=1, max_value=5).flatmap(
+@given(st.integers(min_value=0, max_value=5).flatmap(
     lambda n: st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n)
 ))
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_det_matches_fraction_elimination(rows):
     got = det(square(rows))
-    assert Fraction(got) == oracle_det(rows)
+    assert type(got) is int and got == oracle_det(rows)
 
 
 @given(st.lists(st.lists(small_entries, min_size=3, max_size=3), min_size=3, max_size=3))
@@ -116,19 +116,12 @@ def test_rank_mod_p_never_exceeds_rational_rank(rows):
 
 
 def test_identity_and_inverse_round_trip():
-    rows = [[2, 1, 0], [1, 3, 1], [0, 1, 1]]
-    for field in (RATIONALS, PrimeField(7)):
-        m = square(rows, field)
-        inv = inverse(m)
-        prod_rows = [
-            [
-                sum(m[i, k] * inv[k, j] for k in range(3)) % (7 if field is not RATIONALS else 10**9)
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        expect = identity(3, field)
-        assert [[expect[i, j] for j in range(3)] for i in range(3)] == prod_rows
+    field = PrimeField(7)
+    m = square([[2, 1, 0], [1, 3, 1], [0, 1, 1]], field)
+    inv = inverse(m)
+    prod_rows = [[sum(m[i, k] * inv[k, j] for k in range(3)) % 7 for j in range(3)]
+                 for i in range(3)]
+    assert identity(3, field).rows() == prod_rows
 
 
 def test_inverse_swaps_labels():
@@ -140,7 +133,7 @@ def test_inverse_swaps_labels():
 
 def test_singular_inverse_rejected():
     with pytest.raises(ValidationError):
-        inverse(square([[1, 2], [2, 4]]))
+        inverse(square([[1, 2], [2, 4]], PrimeField(7)))
 
 
 def test_kronecker_shape_and_entries():
@@ -171,6 +164,9 @@ def test_nullity_shift_counts_eigenspace():
     assert nullity_shift(m, 2) == 1
     assert nullity_shift(m, 3) == 1
     assert nullity_shift(m, 5) == 0
+    # a fractional shift u/v is measured on vA - uI
+    assert nullity_shift(m, Fraction(5, 2)) == 0
+    assert nullity_shift(m, Fraction(6, 2)) == 1
 
 
 def test_full_rank_submatrix_extracts_invertible_block():
@@ -211,21 +207,22 @@ def test_det_mod_p_counts_row_swaps():
     assert det(square([[0, 1], [1, 0]], PrimeField(5))) == 4
 
 
-def test_prime_field_constructor_reduces_fractions_like_with_field():
-    rows = [[Fraction(1, 2), 1], [1, 1]]
-    direct = ExactMatrix(PrimeField(5), rows)
-    assert direct[0, 0] == 3
-    assert direct == square(rows).with_field(PrimeField(5))
-    assert det(direct) == 2
-    with pytest.raises(ValidationError):
-        ExactMatrix(PrimeField(2), rows)
+def test_constructor_refuses_non_integer_entries():
+    # entries are never rounded, wrapped or reduced from a fraction
+    for field in (RATIONALS, PrimeField(5)):
+        for entry in (Fraction(1, 2), Fraction(2, 1), 0.5, 1.0, 2**63, -(2**63) - 1):
+            with pytest.raises(ValidationError):
+                ExactMatrix(field, [[entry, 1], [1, 1]])
+            with pytest.raises(ValidationError):
+                ExactMatrix(field, np.array([[entry, 1], [1, 1]], dtype=object))
+        with pytest.raises(ValidationError):
+            ExactMatrix(field, np.array([[0.0, 1.0]]))
 
 
 def test_numpy_backed_prime_matrix_holds_residues():
     rows = [[7, -3, 0], [12, 4, -10]]
     from_array = ExactMatrix(PrimeField(5), np.array(rows, dtype=np.int64))
     from_lists = ExactMatrix(PrimeField(5), rows)
-    assert from_array.is_numpy() and not from_lists.is_numpy()
     assert from_array[0, 0] == 2 and from_array[0, 1] == 2
     assert from_array == from_lists
     assert from_array.rows() == from_lists.rows() == [[2, 2, 0], [2, 4, 0]]
@@ -379,25 +376,6 @@ def ref_inverse_mod(rows, p: int):
     return [r[n:] for r in aug]
 
 
-def ref_inverse_q(rows):
-    """Fraction Gauss-Jordan; None when singular."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in r] + [Fraction(int(j == i)) for j in range(n)]
-           for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [r[n:] for r in aug]
-
-
 class RefIncrementalBasis:
     """Row space basis kept in reduced form, grown one candidate at a time."""
 
@@ -545,9 +523,8 @@ def test_bareiss_row_ceiling():
     with pytest.raises(CapacityError, match="rational elimination"):
         det(m10)
     assert time.perf_counter() - start < 1
-    too_big = exactalg.MAX_BAREISS_ROWS + 1
-    with pytest.raises(CapacityError):
-        inverse(identity(too_big))
+    with pytest.raises(ValidationError, match="prime field"):
+        inverse(identity(exactalg.MAX_BAREISS_ROWS + 1))
 
 
 def test_bareiss_fallback_of_rational_rank_keeps_the_ceiling(monkeypatch):
@@ -674,30 +651,6 @@ def test_full_rank_submatrix_filters_match_reference(a, data):
         rows = (a % p).tolist() if p else a.tolist()
         got = full_rank_submatrix(mat, lambda i: i in keep_r, lambda j: j in keep_c)
         assert got == ref_full_rank_submatrix(rows, p, rows_ok, cols_ok)
-
-
-fractions = st.builds(Fraction, small_entries, st.integers(min_value=1, max_value=4))
-
-
-@given(st.integers(min_value=0, max_value=5).flatmap(
-    lambda n: st.lists(
-        st.lists(st.one_of(small_entries, fractions), min_size=n, max_size=n),
-        min_size=n, max_size=n,
-    )
-))
-@example([[1, Fraction(1, 2)], [1, 1]])
-@settings(max_examples=150, deadline=None)
-def test_rational_gauss_jordan_matches_fraction_reference(rows):
-    m = square(rows) if rows else ExactMatrix(RATIONALS, np.zeros((0, 0), dtype=np.int64))
-    assert Fraction(det(m)) == oracle_det(rows)
-    want = ref_inverse_q(rows)
-    if want is None:
-        with pytest.raises(ValidationError):
-            inverse(m)
-    else:
-        got = inverse(m).rows()
-        assert got == want
-        assert all(type(x) is int for r in got for x in r if x.denominator == 1)
 
 
 @given(low_rank_arrays())

@@ -8,6 +8,7 @@ doubled-shape tableau counts.
 import numpy as np
 import pytest
 
+from matchconn.checks import PUBLISHED
 from matchconn.exactalg import CapacityError, ValidationError
 from matchconn.matchings import build_M, enumerate_matchings, union_cycle_type
 from matchconn.scheme import (
@@ -33,12 +34,12 @@ from matchconn.tableaux import (
 SPECTRUM_TABLE = {
     1: ((1, 1),),
     2: ((2, 1), (-1, 2)),
-    3: ((8, 1), (-2, 9), (2, 5)),
-    4: ((48, 1), (-8, 20), (-2, 14), (4, 56), (-6, 14)),
+    3: PUBLISHED["spectrum_n_3"],
+    4: PUBLISHED["spectrum_n_4"],
     5: ((384, 1), (-48, 35), (-8, 90), (16, 225), (4, 252), (-12, 300), (24, 42)),
 }
 
-SPHERE_ROWS = {2: (2, 1), 3: (8, 6, 1), 4: (48, 32, 12, 12, 1)}
+SPHERE_ROWS = {2: (2, 1), 3: (8, 6, 1), 4: PUBLISHED["sphere_sizes_n_4"]}
 
 
 class TestSphereSizes:
