@@ -595,21 +595,24 @@ def kronecker(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 def nullity_shift(matrix: ExactMatrix, shift) -> int:
     """dim ker(A - shift*I) over the matrix's field.
 
-    Over Q the shift may be a fraction u/v: A - (u/v)I has the nullity of
-    vA - uI, which is eliminated in int64 while its entries fit, and by
-    Bareiss on Python ints otherwise.
+    The shift may be a fraction u/v. Over GF(p) it is u * v^-1 mod p, and
+    a v that p divides raises ValidationError. Over Q, A - (u/v)I has the
+    nullity of vA - uI, which is eliminated in int64 while its entries fit,
+    and by Bareiss on Python ints otherwise.
     """
     if matrix.nrows != matrix.ncols:
         raise ValidationError("nullity_shift needs a square matrix")
     n = matrix.nrows
     a = matrix.numpy()
     diag = np.diag_indices(n)
-    if isinstance(matrix.field, PrimeField):
-        p = matrix.field.p
-        a[diag] -= int(shift) % p
-        return n - len(_eliminate_mod(a, p)[1])
     s = Fraction(shift)
     u, v = s.numerator, s.denominator
+    if isinstance(matrix.field, PrimeField):
+        p = matrix.field.p
+        if v % p == 0:
+            raise ValidationError(f"shift {s} has no value mod {p}: {p} divides its denominator")
+        a[diag] -= u * pow(v, -1, p) % p
+        return n - len(_eliminate_mod(a, p)[1])
     biggest = max(-int(a.min()), int(a.max())) if a.size else 0
     if biggest * v + abs(u) < 2**63:
         a *= v

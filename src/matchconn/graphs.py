@@ -19,6 +19,7 @@ An optional JSON sidecar next to the graph records reduction metadata.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -212,13 +213,47 @@ class AnnotatedGraph:
     def fresh_id(self) -> int:
         return max(self.vertices, default=0) + 1
 
+    @classmethod
+    def _from_edges(
+        cls, vertices: Iterable[int], edges: list[tuple[int, int]]
+    ) -> "AnnotatedGraph":
+        """Graph on `vertices` and the endpoints of `edges`, built in one pass.
+
+        Each edge is a sorted key (u, v) with u < v. A loop or a repeated
+        edge raises ValidationError, as add_edge does.
+        """
+        g = cls()
+        g.edges = set(edges)
+        if len(g.edges) != len(edges):
+            seen: set[tuple[int, int]] = set()
+            for k in edges:
+                if k in seen:
+                    raise ValidationError(f"duplicate edge {k}")
+                seen.add(k)
+        g.vertices = set(vertices)
+        g.vertices.update(itertools.chain.from_iterable(edges))
+        adj = g._adj = {v: set() for v in g.vertices}
+        for u, v in edges:
+            if u >= v:
+                if u == v:
+                    raise ValidationError(f"loop edge at vertex {u}")
+                raise ValidationError(f"edge key {(u, v)} is not sorted")
+            adj[u].add(v)
+            adj[v].add(u)
+        return g
+
     def union_into(self, other: "AnnotatedGraph") -> None:
         """Add all vertices, edges and annotations of `other` (ids must mesh)."""
-        for v in other.vertices:
-            self.add_vertex(v)
-        for u, v in other.edges:
-            if not self.has_edge(u, v):
-                self.add_edge(u, v)
+        new_vertices = other.vertices - self.vertices
+        self.vertices |= new_vertices
+        adj = self._adj
+        for v in new_vertices:
+            adj[v] = set()
+        new_edges = other.edges - self.edges
+        self.edges |= new_edges
+        for u, v in new_edges:
+            adj[u].add(v)
+            adj[v].add(u)
         for v, labs in other.annotations.items():
             merged = dict(self.annotations.get(v, {}))
             merged.update(labs)
@@ -237,16 +272,15 @@ def write_hcgraph(path, graph: AnnotatedGraph, decomposition: PathDecomposition 
     if graph.annotations:
         raise ValidationError("cannot serialize a graph with unexpanded annotations")
     order = sorted(graph.vertices)
-    renum = {v: i + 1 for i, v in enumerate(order)}
+    # the renumbering is monotone, so sorted keys stay sorted once renamed
+    name = {v: str(i) for i, v in enumerate(order, start=1)}
     decomp = decomposition if decomposition is not None else graph.decomposition
+    lines = ["hcgraph v1", f"n {len(order)}"]
+    lines += [f"e {name[u]} {name[v]}" for u, v in sorted(graph.edges)]
+    if decomp is not None:
+        lines += ["bag " + " ".join([name[v] for v in bag]) for bag in decomp.bags]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("hcgraph v1\n")
-        fh.write(f"n {len(order)}\n")
-        for u, v in sorted(edge_key(renum[u], renum[v]) for u, v in graph.edges):
-            fh.write(f"e {u} {v}\n")
-        if decomp is not None:
-            for bag in decomp.bags:
-                fh.write("bag " + " ".join(str(renum[v]) for v in bag) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _line_ints(fields: list[str], lineno: int) -> list[int]:
@@ -257,7 +291,7 @@ def _line_ints(fields: list[str], lineno: int) -> list[int]:
 
 
 def read_hcgraph(path) -> AnnotatedGraph:
-    g = AnnotatedGraph()
+    edges: list[tuple[int, int]] = []
     bags: list[tuple[int, ...]] = []
     declared = None
     with open(path, "r", encoding="ascii") as fh:
@@ -269,7 +303,14 @@ def read_hcgraph(path) -> AnnotatedGraph:
             if not parts:
                 continue
             tag = parts[0]
-            if tag == "n":
+            if tag == "e":
+                if len(parts) != 3:
+                    raise ValidationError(f"line {lineno}: bad edge line")
+                u, v = _line_ints(parts[1:], lineno)
+                edges.append((u, v) if u < v else (v, u))
+            elif tag == "bag":
+                bags.append(tuple(_line_ints(parts[1:], lineno)))
+            elif tag == "n":
                 if len(parts) != 2:
                     raise ValidationError(f"line {lineno}: bad vertex-count line")
                 if declared is not None:
@@ -280,19 +321,12 @@ def read_hcgraph(path) -> AnnotatedGraph:
                         f"line {lineno}: {declared} vertices exceed the "
                         f"{MAX_HCGRAPH_VERTICES} ceiling"
                     )
-                for v in range(1, declared + 1):
-                    g.add_vertex(v)
-            elif tag == "e":
-                if len(parts) != 3:
-                    raise ValidationError(f"line {lineno}: bad edge line")
-                g.add_edge(*_line_ints(parts[1:], lineno))
-            elif tag == "bag":
-                bags.append(tuple(_line_ints(parts[1:], lineno)))
             else:
                 raise ValidationError(f"line {lineno}: unknown tag {tag!r}")
     if declared is None:
         raise ValidationError("missing 'n' line")
-    if any(v < 1 or v > declared for v in g.vertices):
+    g = AnnotatedGraph._from_edges(range(1, declared + 1), edges)
+    if g.vertices and (min(g.vertices) < 1 or max(g.vertices) > declared):
         raise ValidationError("edge endpoint outside 1..n")
     if bags:
         g.decomposition = PathDecomposition(bags)

@@ -18,8 +18,10 @@ close to the number of variables. The stages:
 
 Label annotations (1..4) survive until the final expansion step, so a label
 site stays one vertex instead of nine while gadgets, clause columns and the
-assembly are built. Each of those stages validates its path decomposition,
-which costs O(sum of bag sizes + edges).
+assembly are built. Every stage builds its graph in passes linear in its
+edges and bags and trusts the pieces it built itself; assemble validates the
+path decomposition once, on the expanded graph it returns, at a cost of
+O(sum of bag sizes + edges).
 """
 
 from __future__ import annotations
@@ -83,6 +85,8 @@ LABEL_GADGET_EDGES = (
     (3, 8),
     (6, 4),
 )
+# The same wiring as sorted (smaller, larger) offsets from role 1's id.
+_GADGET_OFFSETS = tuple(sorted((min(r, s) - 1, max(r, s) - 1) for r, s in LABEL_GADGET_EDGES))
 
 
 class BasisTooSmallError(ValidationError):
@@ -471,61 +475,56 @@ def build_fingerprint_gadget(spec: GadgetSpec, start_id: int | None = None) -> A
                 extra.add(chains[ci - 2][-1])
             bags.append(tuple(sorted(set(core) | extra)))
     graph.decomposition = PathDecomposition(bags)
-    graph.decomposition.validate(graph)
     return graph
 
 
 def expand_label_gadgets(graph: AnnotatedGraph) -> AnnotatedGraph:
     """Replace every annotated vertex by its 9-vertex implementation.
 
-    External edges move to the replacement vertex named by their label; the
-    internal wiring is LABEL_GADGET_EDGES. If the input carries a path
-    decomposition, each bag occurrence of an annotated vertex is rewritten:
-    the first occurrence receives all nine replacement ids, later
-    occurrences keep only vertices 3 and 4 (the only ones with edges to
-    later-introduced sites). Graphs without annotations come back unchanged.
+    The annotated vertices, in sorted order, take consecutive blocks of nine
+    fresh ids above the old maximum, role r at offset r - 1. External edges
+    move to the replacement vertex named by their label; the internal wiring
+    is LABEL_GADGET_EDGES. The new graph is built in one pass from the full
+    edge list. If the input carries a path decomposition, each bag
+    occurrence of an annotated vertex is rewritten: the first occurrence
+    receives all nine replacement ids, later occurrences keep only vertices
+    3 and 4 (the only ones with edges to later-introduced sites). The
+    rewritten bags are not validated here; `assemble` validates the final
+    graph once. Graphs without annotations come back unchanged.
     """
     if not graph.annotations:
         return graph
-    out = AnnotatedGraph()
-    base = max(graph.vertices, default=0) + 1
-    blob: dict[int, dict[int, int]] = {}
-    for v in sorted(graph.annotations):
-        blob[v] = {role: base + role - 1 for role in range(1, 10)}
-        base += 9
-    for v in sorted(graph.vertices):
-        if v in blob:
-            for w in blob[v].values():
-                out.add_vertex(w)
-            for r, s in LABEL_GADGET_EDGES:
-                out.add_edge(blob[v][r], blob[v][s])
-        else:
-            out.add_vertex(v)
-
-    def image(v: int, other: int) -> int:
-        if v not in blob:
-            return v
-        lab = graph.annotations[v][edge_key(v, other)]
-        return blob[v][lab]
-
-    for u, v in sorted(graph.edges):
-        out.add_edge(image(u, v), image(v, u))
+    labels = graph.annotations
+    top = max(graph.vertices, default=0) + 1
+    blob = {v: top + 9 * i for i, v in enumerate(sorted(labels))}
+    end = top + 9 * len(blob)
+    edges = [(s + a, s + b) for s in range(top, end, 9) for a, b in _GADGET_OFFSETS]
+    for e in graph.edges:
+        x, y = e
+        u = x if (s := blob.get(x)) is None else s + labels[x][e] - 1
+        v = y if (s := blob.get(y)) is None else s + labels[y][e] - 1
+        edges.append((u, v) if u < v else (v, u))
+    vertices = graph.vertices.difference(blob)
+    vertices.update(range(top, end))
+    out = AnnotatedGraph._from_edges(vertices, edges)
 
     if graph.decomposition is not None:
-        first, _, _ = graph.decomposition.occurrence_intervals()
+        seen: set[int] = set()
         bags = []
-        for idx, bag in enumerate(graph.decomposition.bags):
+        for bag in graph.decomposition.bags:
             new_bag: list[int] = []
             for v in bag:
-                if v not in blob:
+                s = blob.get(v)
+                if s is None:
                     new_bag.append(v)
-                elif idx == first[v]:
-                    new_bag.extend(blob[v].values())
+                elif v in seen:
+                    new_bag += (s + 2, s + 3)
                 else:
-                    new_bag.extend((blob[v][3], blob[v][4]))
+                    seen.add(v)
+                    new_bag += range(s, s + 9)
+            # a bag may list a vertex twice
             bags.append(tuple(sorted(set(new_bag))))
         out.decomposition = PathDecomposition(bags)
-        out.decomposition.validate(out)
     return out
 
 
@@ -671,38 +670,51 @@ def build_base_case(
         left_blocks=tuple(tuple(b) for b in left_blocks),
         right_blocks=tuple(tuple(b) for b in right_blocks),
     )
-    PathDecomposition(piece.bags).validate(graph)
     return piece
 
 
-def compose_clause(left: ClausePiece, right: ClausePiece) -> ClausePiece:
-    """Glue two clause pieces along the shared variable boundary."""
-    if left.right_blocks != right.left_blocks:
-        raise ValidationError(
-            "clause pieces do not share a boundary: "
-            f"{left.right_blocks} vs {right.left_blocks}"
-        )
-    shared = set(v for blk in right.left_blocks for v in blk)
-    for side, g in (("left", left.graph), ("right", right.graph)):
-        for u, v in g.edges:
-            if u in shared and v in shared:
-                raise ValidationError(
-                    f"shared boundary is not independent in the {side} piece "
-                    f"(edge {u}-{v})"
-                )
-    overlap = (left.graph.vertices & right.graph.vertices) - shared
-    if overlap:
-        raise ValidationError(
-            f"clause pieces overlap off the shared boundary: {sorted(overlap)[:5]}"
-        )
+def compose_clause(*pieces: ClausePiece) -> ClausePiece:
+    """Glue clause pieces left to right, each along the boundary it shares
+    with the next.
+
+    Each neighbouring pair must share its boundary blocks, that boundary
+    must be independent in both pieces, and no piece may meet an earlier
+    one off the boundary they share. The glued graph copies each piece's
+    graph once.
+    """
+    if not pieces:
+        raise ValidationError("need at least one clause piece")
     graph = AnnotatedGraph()
-    graph.union_into(left.graph)
-    graph.union_into(right.graph)
+    graph.union_into(pieces[0].graph)
+    bags = list(pieces[0].bags)
+    for left, right in zip(pieces, pieces[1:]):
+        if left.right_blocks != right.left_blocks:
+            raise ValidationError(
+                "clause pieces do not share a boundary: "
+                f"{left.right_blocks} vs {right.left_blocks}"
+            )
+        shared = set(v for blk in right.left_blocks for v in blk)
+        for side, g in (("left", left.graph), ("right", right.graph)):
+            for u in sorted(shared & g.vertices):
+                inside = g.neighbors(u) & shared
+                if inside:
+                    u, v = edge_key(u, min(inside))
+                    raise ValidationError(
+                        f"shared boundary is not independent in the {side} piece "
+                        f"(edge {u}-{v})"
+                    )
+        overlap = (graph.vertices & right.graph.vertices) - shared
+        if overlap:
+            raise ValidationError(
+                f"clause pieces overlap off the shared boundary: {sorted(overlap)[:5]}"
+            )
+        graph.union_into(right.graph)
+        bags += right.bags
     return ClausePiece(
         graph=graph,
-        bags=list(left.bags) + list(right.bags),
-        left_blocks=left.left_blocks,
-        right_blocks=right.right_blocks,
+        bags=bags,
+        left_blocks=pieces[0].left_blocks,
+        right_blocks=pieces[-1].right_blocks,
     )
 
 
@@ -830,9 +842,7 @@ def assemble(
             ids.next = max(piece.graph.vertices) + 1
             pieces.append(piece)
     with _stage("compose_clause"):
-        column = pieces[0]
-        for piece in pieces[1:]:
-            column = compose_clause(column, piece)
+        column = compose_clause(*pieces)
 
     # Right attachments: every right-basis fingerprint realized once.
     with _stage("right_attachment"):
@@ -879,8 +889,8 @@ def assemble(
             left_gadgets.append(gadget)
 
     with _stage("assemble"):
-        full = AnnotatedGraph()
-        full.union_into(column.graph)
+        # compose_clause returned a fresh graph, so it grows in place
+        full = column.graph
         for g in right_gadgets:
             full.union_into(g)
         for g in left_gadgets:
@@ -903,10 +913,14 @@ def assemble(
             for gb in g.decomposition.bags:
                 bags.append(tuple(sorted(all_right | set(gb))))
         full.decomposition = PathDecomposition(bags)
-        full.decomposition.validate(full)
 
     with _stage("expand_label_gadgets"):
         expanded = expand_label_gadgets(full)
+
+    # The one validation of the pipeline, on the graph that is written out:
+    # a bad bag anywhere upstream survives expansion and is caught here.
+    with _stage("assemble"):
+        expanded.decomposition.validate(expanded)
 
     width = expanded.decomposition.width
     bound = q * beta + WIDTH_CONSTANT * beta

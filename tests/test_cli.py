@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report stability, file round trips."""
 
 import json
+import re
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from matchconn.checks import PUBLISHED
 from matchconn.cli import MAX_TABLEAUX_N, main
 from matchconn.graphs import AnnotatedGraph, PathDecomposition, write_hcgraph
 from matchconn.matchings import build_H, build_M
+from test_graphs import BAD_HCGRAPH_FILES
 
 
 def run(capsys, *argv):
@@ -247,6 +249,15 @@ def test_count_refuses_a_second_vertex_count_line(tmp_path, capsys, text, line):
     code, out, err = run(capsys, "count", "--graph", str(graph), "--mod", "5")
     assert code == 2 and out == ""
     assert f"line {line}: second 'n' line" in err
+
+
+@pytest.mark.parametrize("text,message", BAD_HCGRAPH_FILES)
+def test_count_refuses_a_bad_graph_file_with_exit_2(tmp_path, capsys, text, message):
+    graph = tmp_path / "g.hcg"
+    graph.write_text(text, encoding="ascii")
+    code, out, err = run(capsys, "count", "--graph", str(graph), "--mod", "5")
+    assert code == 2 and out == ""
+    assert re.search(message, err)
 
 
 def test_reduce_rejects_bad_dimacs(tmp_path, capsys):

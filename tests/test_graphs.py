@@ -1,4 +1,10 @@
-"""Graph container, path decompositions, and the file formats."""
+"""Graph container, path decompositions, and the file formats.
+
+The bulk builders (`AnnotatedGraph._from_edges`, the set-based
+`union_into`, the one-join `write_hcgraph`) are checked against the
+per-edge versions they replaced, which stay here as references."""
+
+import itertools
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +15,7 @@ from matchconn.graphs import (
     AnnotatedGraph,
     DecompositionError,
     PathDecomposition,
+    edge_key,
     read_hcgraph,
     read_sidecar,
     write_hcgraph,
@@ -124,6 +131,20 @@ class TestPathDecomposition:
         assert list(r.bags) == [(10, 20), (20, 30)]
 
 
+# Each malformed graph file with the message read_hcgraph names it by.
+BAD_HCGRAPH_FILES = [
+    ("hcgraph v2\nn 1\n", r"bad header 'hcgraph v2'"),
+    ("hcgraph v1\nn 3\ne 1 2\nn 3\n", r"line 4: second 'n' line"),
+    ("hcgraph v1\nn 1000001\n", r"line 2: 1000001 vertices exceed the 1000000 ceiling"),
+    ("hcgraph v1\nn 3\ne 1 x\n", r"line 3: non-integer field in \['1', 'x'\]"),
+    ("hcgraph v1\nn 3\ne 1 2\ne 2 4\n", r"edge endpoint outside 1\.\.n"),
+    ("hcgraph v1\nn 3\ne 0 2\n", r"edge endpoint outside 1\.\.n"),
+    ("hcgraph v1\nn 3\ne 1 2\ne 2 3\ne 2 1\n", r"duplicate edge \(1, 2\)"),
+    ("hcgraph v1\nn 3\ne 3 3\n", r"loop edge at vertex 3"),
+    ("hcgraph v1\ne 1 2\n", r"missing 'n' line"),
+]
+
+
 class TestFileFormats:
     def test_round_trip_with_bags(self, tmp_path):
         g = path_graph(4)
@@ -153,6 +174,13 @@ class TestFileFormats:
         p = tmp_path / "bad.hcg"
         p.write_text("hcgraph v2\nn 1\n")
         with pytest.raises(ValidationError):
+            read_hcgraph(p)
+
+    @pytest.mark.parametrize("text,message", BAD_HCGRAPH_FILES)
+    def test_bad_file_rejected_with_its_message(self, tmp_path, text, message):
+        p = tmp_path / "bad.hcg"
+        p.write_text(text)
+        with pytest.raises(ValidationError, match=message):
             read_hcgraph(p)
 
     def test_unknown_tag_rejected(self, tmp_path):
@@ -202,6 +230,118 @@ class TestFileFormats:
             write_hcgraph(p, g)
             back = read_hcgraph(p)
         assert back.vertices == g.vertices and back.edges == g.edges
+
+
+# ---------------------------------------------------------------------------
+# references: the per-edge builders and writer the bulk ones replaced
+
+
+def ref_union_into(graph, other):
+    """AnnotatedGraph.union_into as one add_edge per edge."""
+    for v in other.vertices:
+        graph.add_vertex(v)
+    for u, v in other.edges:
+        if not graph.has_edge(u, v):
+            graph.add_edge(u, v)
+    for v, labs in other.annotations.items():
+        merged = dict(graph.annotations.get(v, {}))
+        merged.update(labs)
+        graph.annotations[v] = merged
+
+
+def ref_write_hcgraph(path, graph, decomposition=None):
+    """write_hcgraph as one write per line, keys rebuilt by edge_key."""
+    order = sorted(graph.vertices)
+    renum = {v: i + 1 for i, v in enumerate(order)}
+    decomp = decomposition if decomposition is not None else graph.decomposition
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("hcgraph v1\n")
+        fh.write(f"n {len(order)}\n")
+        for u, v in sorted(edge_key(renum[u], renum[v]) for u, v in graph.edges):
+            fh.write(f"e {u} {v}\n")
+        if decomp is not None:
+            for bag in decomp.bags:
+                fh.write("bag " + " ".join(str(renum[v]) for v in bag) + "\n")
+
+
+def assert_same_graph(got, want):
+    """Equal vertices, edges, adjacency, annotations and bags."""
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
+    assert got._adj == want._adj
+    assert got.annotations == want.annotations
+    if want.decomposition is None:
+        assert got.decomposition is None
+    else:
+        assert got.decomposition.bags == want.decomposition.bags
+
+
+@st.composite
+def annotated_graphs(draw, ids=st.integers(min_value=-3, max_value=9)):
+    """A small graph on arbitrary ids, some vertices annotated."""
+    g = AnnotatedGraph()
+    for v in sorted(draw(st.sets(ids, max_size=8))):
+        g.add_vertex(v)
+    for u, v in itertools.combinations(sorted(g.vertices), 2):
+        if draw(st.booleans()):
+            g.add_edge(u, v)
+    for v in sorted(g.vertices):
+        if g.degree(v) and draw(st.booleans()):
+            labels = st.integers(min_value=1, max_value=4)
+            g.annotate(v, {edge_key(v, w): draw(labels) for w in sorted(g.neighbors(v))})
+    return g
+
+
+class TestBulkBuildersAgainstReference:
+    @given(st.sets(st.integers(-3, 9)), st.lists(st.tuples(st.integers(-3, 9), st.integers(-3, 9))))
+    @settings(max_examples=150, deadline=None)
+    def test_from_edges_is_add_edge_in_bulk(self, vertices, pairs):
+        keys = list(dict.fromkeys(edge_key(u, v) for u, v in pairs if u != v))
+        want = AnnotatedGraph()
+        for v in vertices:
+            want.add_vertex(v)
+        for u, v in keys:
+            want.add_edge(u, v)
+        assert_same_graph(AnnotatedGraph._from_edges(vertices, keys), want)
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(1, 2), (2, 3), (1, 2)], r"duplicate edge \(1, 2\)"),
+            ([(1, 2), (3, 3)], r"loop edge at vertex 3"),
+            ([(2, 1)], r"edge key \(2, 1\) is not sorted"),
+        ],
+    )
+    def test_from_edges_refuses_what_add_edge_refuses(self, edges, message):
+        with pytest.raises(ValidationError, match=message):
+            AnnotatedGraph._from_edges({1, 2, 3}, edges)
+
+    @given(annotated_graphs(), annotated_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_union_into_matches_per_edge_union(self, a, b):
+        got, want = a.copy(), a.copy()
+        got.union_into(b)
+        ref_union_into(want, b)
+        assert_same_graph(got, want)
+        for v in b.annotations:
+            assert got.annotations[v] is not b.annotations[v]
+
+    @given(annotated_graphs(ids=st.integers(min_value=-40, max_value=40)), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_write_matches_per_line_writer(self, g, data):
+        import tempfile
+        from pathlib import Path
+
+        g.annotations = {}
+        vertices = sorted(g.vertices)
+        bag = st.lists(st.sampled_from(vertices), max_size=5) if vertices else st.just([])
+        bags = data.draw(st.one_of(st.none(), st.lists(bag, max_size=4)))
+        decomp = None if bags is None else decomposition_from(bags)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.hcg", Path(tmp) / "want.hcg"
+            write_hcgraph(got, g, decomp)
+            ref_write_hcgraph(want, g, decomp)
+            assert got.read_bytes() == want.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,30 @@ algebra, and end-to-end counts.
 
 The block identities are checked against joint fingerprints rebuilt locally
 in this file, so the tests do not reuse the compiler's own shape helpers.
+The compiler validates only the graph `assemble` returns; the pieces it
+builds on the way are validated here instead, and the bulk expansion is
+checked against the per-edge one it replaced.
 """
 
+import hashlib
 import itertools
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchconn import reduction
+from matchconn.checks import CNF_CORPUS, random_gadget_spec
 from matchconn.exactalg import ValidationError
-from matchconn.graphs import AnnotatedGraph, PathDecomposition
+from matchconn.graphs import (
+    AnnotatedGraph,
+    DecompositionError,
+    PathDecomposition,
+    edge_key,
+    write_hcgraph,
+)
 from matchconn.hcount import (
     count_hc_pathdp,
     enumerate_hamiltonian_cycles,
@@ -38,6 +51,7 @@ from matchconn.reduction import (
     parse_dimacs,
     select_basis,
 )
+from test_graphs import assert_same_graph, ref_union_into
 
 LEFT_BASIS_TEXTS = (
     "d=11101;M=1-3|2-5",
@@ -602,3 +616,219 @@ class TestAssemble:
         with pytest.raises(ValidationError) as exc:
             assemble(Cnf(1, ((1,),)), 3, beta=4)
         assert str(exc.value).startswith("[select_basis]")
+
+
+# ---------------------------------------------------------------------------
+# the pieces the compiler no longer validates, and its single validation
+
+
+def ref_expand_label_gadgets(graph):
+    """expand_label_gadgets as one add_edge per edge, with bags rewritten
+    through occurrence_intervals."""
+    if not graph.annotations:
+        return graph
+    out = AnnotatedGraph()
+    base = max(graph.vertices, default=0) + 1
+    blob = {}
+    for v in sorted(graph.annotations):
+        blob[v] = {role: base + role - 1 for role in range(1, 10)}
+        base += 9
+    for v in sorted(graph.vertices):
+        if v in blob:
+            for w in blob[v].values():
+                out.add_vertex(w)
+            for r, s in LABEL_GADGET_EDGES:
+                out.add_edge(blob[v][r], blob[v][s])
+        else:
+            out.add_vertex(v)
+
+    def image(v, other):
+        if v not in blob:
+            return v
+        return blob[v][graph.annotations[v][edge_key(v, other)]]
+
+    for u, v in sorted(graph.edges):
+        out.add_edge(image(u, v), image(v, u))
+    if graph.decomposition is not None:
+        first, _, _ = graph.decomposition.occurrence_intervals()
+        bags = []
+        for idx, bag in enumerate(graph.decomposition.bags):
+            new_bag = []
+            for v in bag:
+                if v not in blob:
+                    new_bag.append(v)
+                elif idx == first[v]:
+                    new_bag.extend(blob[v].values())
+                else:
+                    new_bag.extend((blob[v][3], blob[v][4]))
+            bags.append(tuple(sorted(set(new_bag))))
+        out.decomposition = PathDecomposition(bags)
+    return out
+
+
+def expand_and_check(graph):
+    """Bulk expansion, equal to the reference and validly decomposed."""
+    expanded = expand_label_gadgets(graph)
+    assert_same_graph(expanded, ref_expand_label_gadgets(graph))
+    expanded.decomposition.validate(expanded)
+    return expanded
+
+
+def clause_pieces(params, clauses, q=1):
+    """Base cases for consecutive clauses over q blocks of one variable each."""
+    beta = params.beta
+    ids = itertools.count(1)
+    boundaries = [
+        [tuple(next(ids) for _ in range(beta)) for _ in range(q)]
+        for _ in range(len(clauses) + 1)
+    ]
+    start = next(ids)
+    pieces = []
+    for j, clause in enumerate(clauses):
+        piece = build_base_case(
+            params, boundaries[j], boundaries[j + 1], [(i + 1,) for i in range(q)], clause, start
+        )
+        start = max(piece.graph.vertices) + 1
+        pieces.append(piece)
+    return pieces
+
+
+class TestPiecesValidateOutsideTheCompiler:
+    @given(st.integers(min_value=0, max_value=2**32), st.sampled_from([5, 6, 7]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_gadgets_and_their_expansions(self, seed, size):
+        spec = random_gadget_spec(random.Random(seed), boundary=tuple(range(1, size + 1)))
+        gadget = build_fingerprint_gadget(spec)
+        gadget.decomposition.validate(gadget)
+        expand_and_check(gadget)
+
+    def test_gadget_with_a_repeated_bag_vertex_expands_like_the_reference(self):
+        spec = random_gadget_spec(random.Random(7))
+        gadget = build_fingerprint_gadget(spec)
+        bags = gadget.decomposition.bags
+        site = next(v for v in bags[1] if v in gadget.annotations)
+        bags[1] = bags[1] + (site,)
+        bags[2] = bags[2] + tuple(v for v in bags[2] if v in gadget.annotations)
+        expand_and_check(gadget)
+
+    @pytest.mark.parametrize("beta,p", [(5, 3), (5, 5), (6, 5)])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_base_cases_columns_and_expansions(self, beta, p, q):
+        params = select_basis(beta, 1, p)
+        pieces = clause_pieces(params, [(1,), (-1, q), (q,)][: q + 1], q=q)
+        for piece in pieces:
+            PathDecomposition(piece.bags).validate(piece.graph)
+        column = compose_clause(*pieces)
+        column.graph.decomposition = PathDecomposition(column.bags)
+        column.graph.decomposition.validate(column.graph)
+        expand_and_check(column.graph)
+
+    def test_column_of_three_equals_pairwise_gluing(self):
+        params = select_basis(5, 1, 3)
+        p1, p2, p3 = clause_pieces(params, [(1,), (-1,), (1,)])
+        once = compose_clause(p1, p2, p3)
+        twice = compose_clause(compose_clause(p1, p2), p3)
+        assert_same_graph(once.graph, twice.graph)
+        assert once.bags == twice.bags
+        assert (once.left_blocks, once.right_blocks) == (p1.left_blocks, p3.right_blocks)
+        assert compose_clause(p1).graph is not p1.graph
+
+    def test_compose_refuses_an_edge_inside_the_shared_boundary(self):
+        params = select_basis(5, 1, 3)
+        p1, p2 = clause_pieces(params, [(1,), (1,)])
+        a, b = p2.left_blocks[0][:2]
+        p2.graph.add_edge(a, b)
+        with pytest.raises(ValidationError, match=f"not independent in the right piece .edge {a}-{b}"):
+            compose_clause(p1, p2)
+
+    def test_compose_refuses_overlap_with_an_earlier_piece(self):
+        # the third piece reuses an interior id of the first, which is not on
+        # any boundary the third piece shares
+        params = select_basis(5, 1, 3)
+        p1, p2, p3 = clause_pieces(params, [(1,), (1,), (1,)])
+        interior = max(p1.graph.vertices)
+        p3.graph.add_vertex(interior)
+        with pytest.raises(ValidationError, match=f"overlap off the shared boundary: .{interior}"):
+            compose_clause(p1, p2, p3)
+        with pytest.raises(ValidationError):
+            compose_clause()
+
+
+class TestSingleValidation:
+    def test_assemble_validates_exactly_once(self, monkeypatch):
+        calls = []
+        validate = PathDecomposition.validate
+
+        def spy(self, graph):
+            calls.append(graph)
+            return validate(self, graph)
+
+        monkeypatch.setattr(PathDecomposition, "validate", spy)
+        out = assemble(CNF_CORPUS[4][1], 5)
+        assert calls == [out.graph]
+
+    def test_a_corrupted_piece_fails_the_final_validation(self, monkeypatch):
+        build = reduction.build_fingerprint_gadget
+        built = []
+
+        def drop_last_bag(spec, start_id=None):
+            gadget = build(spec, start_id)
+            built.append(gadget)
+            if len(built) == 3:
+                gadget.decomposition.bags.pop()
+            return gadget
+
+        monkeypatch.setattr(reduction, "build_fingerprint_gadget", drop_last_bag)
+        with pytest.raises(DecompositionError) as exc:
+            assemble(CNF_CORPUS[4][1], 5)
+        assert str(exc.value).startswith("[assemble] ")
+        assert len(built) > 3
+
+    @pytest.mark.parametrize("name,cnf", CNF_CORPUS)
+    def test_corpus_compiles_match_the_per_edge_builders(self, monkeypatch, name, cnf):
+        union_into = AnnotatedGraph.union_into
+        expand = reduction.expand_label_gadgets
+        unions = []
+        expanded = []
+
+        def checked_union(self, other):
+            want = self.copy()
+            ref_union_into(want, other)
+            union_into(self, other)
+            assert_same_graph(self, want)
+            unions.append(other)
+
+        def checked_expand(graph):
+            out = expand(graph)
+            assert_same_graph(out, ref_expand_label_gadgets(graph))
+            expanded.append(out)
+            return out
+
+        monkeypatch.setattr(AnnotatedGraph, "union_into", checked_union)
+        monkeypatch.setattr(reduction, "expand_label_gadgets", checked_expand)
+        for p, beta, gamma in ((3, 5, 1), (5, 5, 2)):
+            out = assemble(cnf, p, beta=beta, gamma=gamma)
+            assert expanded[-1] is out.graph
+        assert unions
+
+
+# write_hcgraph output measured before the single kernel and before the
+# single validation: select_basis must keep choosing the same interface
+# basis, and the compiler must keep building the same graph. The gamma = 2
+# shapes pad one variable.
+GOLDEN_HCGRAPH_SHA256 = {
+    (4, 5, 5, 1): "906a6ac9afef3fa3b2d8b7d0501a499d3801f88c922e6d544a22859c486bbea9",
+    (3, 3, 5, 1): "b05ca8d199c0ea9fbf9e9f78b4f308415390e53df333ff36e20f166ecd0b04d9",
+    (2, 5, 5, 2): "95640c6b304062dbdaeee8a529484d887f97756efd264fe8709e16d2a6cf22e4",
+    (2, 5, 6, 2): "9c374479e886be46d6f5a8676524adc53b7b4be1304e4a26718644b96e1f8ab0",
+}
+
+
+@pytest.mark.parametrize("corpus_index,p,beta,gamma", sorted(GOLDEN_HCGRAPH_SHA256))
+def test_compiled_graph_bytes_unchanged(tmp_path, corpus_index, p, beta, gamma):
+    result = assemble(CNF_CORPUS[corpus_index][1], p, beta=beta, gamma=gamma)
+    assert result.pad_vars == (1 if gamma == 2 else 0)
+    path = tmp_path / "g.hcg"
+    write_hcgraph(path, result.graph, result.decomposition)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_HCGRAPH_SHA256[(corpus_index, p, beta, gamma)]
