@@ -32,7 +32,7 @@ from .exactalg import (
     kronecker,
     rank,
 )
-from .graphs import AnnotatedGraph
+from .graphs import AnnotatedGraph, edge_key
 from .matchings import (
     Matching,
     build_M,
@@ -99,24 +99,15 @@ def _check_product_shape(base_size: int, copies: int, base_count: int = 0) -> No
 def build_product_graph(base_size: int, copies: int) -> ProductGraph:
     """t copies of K_B in a ring; patch edges j -> next copy's vertex 1, j != 1."""
     _check_product_shape(base_size, copies)
-    g = AnnotatedGraph()
-    pg = ProductGraph(copies, base_size, g, [])
-    for i in range(1, copies + 1):
-        for j in range(1, base_size + 1):
-            g.add_vertex(pg.vertex(i, j))
-    for i in range(1, copies + 1):
-        for j in range(1, base_size + 1):
-            for jj in range(j + 1, base_size + 1):
-                g.add_edge(pg.vertex(i, j), pg.vertex(i, jj))
-    for i in range(1, copies + 1):
-        nxt = i % copies + 1
-        for j in range(2, base_size + 1):
-            u, v = pg.vertex(i, j), pg.vertex(nxt, 1)
-            if not g.has_edge(u, v):
-                g.add_edge(u, v)
-                pg.patch_edges.append((u, v) if u < v else (v, u))
-    pg.patch_edges.sort()
-    return pg
+    n = copies * base_size
+    starts = range(0, n, base_size)  # vertex j of the copy at s is s + j
+    edges = [e for s in starts for e in itertools.combinations(range(s + 1, s + base_size + 1), 2)]
+    # a single copy's patch edges lie inside its K_B already
+    patch_edges = sorted(
+        edge_key(s + j, (s + base_size) % n + 1) for s in starts for j in range(2, base_size + 1)
+    ) if copies > 1 else []
+    graph = AnnotatedGraph.from_edges(range(1, n + 1), edges + patch_edges)
+    return ProductGraph(copies, base_size, graph, patch_edges)
 
 
 @dataclass

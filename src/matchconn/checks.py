@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 from .amplify import verify_tensor_identity
 from .exactalg import PrimeField, det, rank
-from .graphs import AnnotatedGraph
+from .graphs import AnnotatedGraph, edge_key
 from .hcount import (
     count_hc_bruteforce,
     count_hc_pathdp,
@@ -150,29 +150,22 @@ def random_label_closure(rng: random.Random):
     Returns (graph, stubs) where stubs maps each external attachment edge to
     its label. Ports 1 and 2 get one stub each, ports 3 and 4 one or two.
     """
-    g = AnnotatedGraph()
-    for v in range(1, 10):
-        g.add_vertex(v)
-    for u, v in LABEL_GADGET_EDGES:
-        g.add_edge(u, v)
+    edges = {edge_key(u, v) for u, v in LABEL_GADGET_EDGES}
     outer = list(range(10, 10 + rng.randint(3, 6)))
-    for w in outer:
-        g.add_vertex(w)
     ring = outer[:]
     rng.shuffle(ring)
-    for a, b in zip(ring, ring[1:] + ring[:1]):
-        g.add_edge(a, b)
+    edges.update(edge_key(a, b) for a, b in zip(ring, ring[1:] + ring[:1]))
     for a, b in itertools.combinations(outer, 2):
-        if not g.has_edge(a, b) and rng.random() < 0.2:
-            g.add_edge(a, b)
+        if (a, b) not in edges and rng.random() < 0.2:
+            edges.add((a, b))
     stubs: dict[tuple[int, int], int] = {}
     for port in (1, 2, 3, 4):
         n_stubs = 1 if port in (1, 2) else rng.choice([1, 1, 2])
+        # ports sit below the outer ids and each w is drawn once per port
         for w in rng.sample(outer, n_stubs):
-            if not g.has_edge(port, w):
-                g.add_edge(port, w)
-                stubs[(port, w)] = port
-    return g, stubs
+            stubs[(port, w)] = port
+    edges.update(stubs)
+    return AnnotatedGraph.from_edges(outer, sorted(edges)), stubs
 
 
 @lru_cache(maxsize=1)
@@ -188,7 +181,7 @@ def order_12_ranks() -> MappingProxyType:
     )
 
 
-def _suite_determinant() -> list[CheckLine]:
+def _suite_determinant(large: bool) -> list[CheckLine]:
     value = det(build_M(6))
     want = PUBLISHED["det_order_6"]
     return [
@@ -201,7 +194,7 @@ def _suite_determinant() -> list[CheckLine]:
     ]
 
 
-def _suite_rank_mod_2() -> list[CheckLine]:
+def _suite_rank_mod_2(large: bool) -> list[CheckLine]:
     out = []
     for k, want in PUBLISHED["ranks_mod_2"].items():
         got = rank(build_M(k).with_field(PrimeField(2)))
@@ -275,7 +268,7 @@ def _suite_rank_formula(large: bool) -> list[CheckLine]:
     return out
 
 
-def _suite_spectrum() -> list[CheckLine]:
+def _suite_spectrum(large: bool) -> list[CheckLine]:
     certified = {n: certify_spectrum(n) for n in range(1, 6)}
     want_det = PUBLISHED["det_order_6"]
     out = []
@@ -334,7 +327,7 @@ def _suite_spectrum() -> list[CheckLine]:
     return out
 
 
-def _suite_bipartite() -> list[CheckLine]:
+def _suite_bipartite(large: bool) -> list[CheckLine]:
     out = []
     for n, want in PUBLISHED["bipartite_ranks_by_n"].items():
         formula, measured = bipartite_rank_check(n)
@@ -349,7 +342,7 @@ def _suite_bipartite() -> list[CheckLine]:
     return out
 
 
-def _suite_scheme() -> list[CheckLine]:
+def _suite_scheme(large: bool) -> list[CheckLine]:
     out = []
     for n in (1, 2, 3, 4):
         report = verify_scheme_axioms(n)
@@ -385,7 +378,7 @@ def _suite_scheme() -> list[CheckLine]:
     return out
 
 
-def _suite_tensor() -> list[CheckLine]:
+def _suite_tensor(large: bool) -> list[CheckLine]:
     want = PUBLISHED["tensor_ranks_mod_5"]
     check = verify_tensor_identity(6, 2)
     block = rank(check.big_block.with_field(PrimeField(5)))
@@ -418,7 +411,7 @@ def _suite_tensor() -> list[CheckLine]:
     ]
 
 
-def _suite_fingerprint_rank() -> list[CheckLine]:
+def _suite_fingerprint_rank(large: bool) -> list[CheckLine]:
     out = []
     published = PUBLISHED["fingerprint_ranks"]
     ranks_m = {i: (1 if i == 0 else rank(build_M(i))) for i in range(0, 7, 2)}
@@ -441,7 +434,7 @@ def _suite_fingerprint_rank() -> list[CheckLine]:
     return out
 
 
-def _suite_gadgets() -> list[CheckLine]:
+def _suite_gadgets(large: bool) -> list[CheckLine]:
     rng = random.Random(VERIFY_SEED)
     out = []
     for trial in range(25):
@@ -463,7 +456,7 @@ def _suite_gadgets() -> list[CheckLine]:
     return out
 
 
-def _suite_label_gadget() -> list[CheckLine]:
+def _suite_label_gadget(large: bool) -> list[CheckLine]:
     rng = random.Random(VERIFY_SEED)
     out = []
     closures_with_cycles = 0
@@ -499,7 +492,7 @@ def _suite_label_gadget() -> list[CheckLine]:
     return out
 
 
-def _suite_reduction() -> list[CheckLine]:
+def _suite_reduction(large: bool) -> list[CheckLine]:
     out = []
     for name, cnf in CNF_CORPUS:
         for p in (3, 5):
@@ -527,7 +520,7 @@ def _suite_reduction() -> list[CheckLine]:
     return out
 
 
-def _suite_glue() -> list[CheckLine]:
+def _suite_glue(large: bool) -> list[CheckLine]:
     want = PUBLISHED["glue_order_4"]
     H4 = build_H(4)
     fps = H4.row_labels
@@ -577,7 +570,7 @@ def _suite_glue() -> list[CheckLine]:
     ]
 
 
-def _suite_catalan() -> list[CheckLine]:
+def _suite_catalan(large: bool) -> list[CheckLine]:
     out = []
     for n in range(2, 9):
         value = rational_rank_formula(n)
@@ -605,22 +598,23 @@ def _suite_catalan() -> list[CheckLine]:
     return out
 
 
-# One suite per acceptance criterion, in criterion order.
+# One suite per acceptance criterion, in criterion order. Every suite takes
+# `large`; only rank-mod-p and rank-formula read it.
 SUITES = {
-    "determinant": lambda large: _suite_determinant(),
-    "rank-mod-2": lambda large: _suite_rank_mod_2(),
+    "determinant": _suite_determinant,
+    "rank-mod-2": _suite_rank_mod_2,
     "rank-mod-p": _suite_rank_mod_p,
     "rank-formula": _suite_rank_formula,
-    "spectrum": lambda large: _suite_spectrum(),
-    "bipartite": lambda large: _suite_bipartite(),
-    "scheme": lambda large: _suite_scheme(),
-    "tensor": lambda large: _suite_tensor(),
-    "fingerprint-rank": lambda large: _suite_fingerprint_rank(),
-    "gadgets": lambda large: _suite_gadgets(),
-    "label-gadget": lambda large: _suite_label_gadget(),
-    "reduction": lambda large: _suite_reduction(),
-    "glue": lambda large: _suite_glue(),
-    "catalan": lambda large: _suite_catalan(),
+    "spectrum": _suite_spectrum,
+    "bipartite": _suite_bipartite,
+    "scheme": _suite_scheme,
+    "tensor": _suite_tensor,
+    "fingerprint-rank": _suite_fingerprint_rank,
+    "gadgets": _suite_gadgets,
+    "label-gadget": _suite_label_gadget,
+    "reduction": _suite_reduction,
+    "glue": _suite_glue,
+    "catalan": _suite_catalan,
 }
 
 SUITE_NAMES = tuple(SUITES)

@@ -201,9 +201,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_count(args) -> int:
     graph = read_hcgraph(args.graph)
-    decomposition = getattr(graph, "decomposition", None)
-    if decomposition is not None:
-        result = count_hc_pathdp(graph, decomposition, modulus=args.mod)
+    if graph.decomposition is not None:
+        result = count_hc_pathdp(graph, graph.decomposition, modulus=args.mod)
     else:
         result = count_hc_bruteforce(graph, modulus=args.mod)
     payload = {

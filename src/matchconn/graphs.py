@@ -3,7 +3,9 @@
 AnnotatedGraph is a simple undirected graph with stable integer vertex ids.
 Vertices may carry a label-gadget annotation: a map from incident edges to
 labels 1..4, consumed by the reduction machinery when gadgets are expanded.
-A graph may also carry a path decomposition of itself.
+Labels are fixed at construction: `AnnotatedGraph.from_edges` takes them
+with the edge list and checks in the same pass that every edge at a site
+carries one. A graph may also carry a path decomposition of itself.
 
 File format ("hcgraph v1"), plain ASCII text:
 
@@ -21,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from .exactalg import CapacityError, ValidationError
 
@@ -183,44 +185,21 @@ class AnnotatedGraph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def annotate(self, v: int, labels: dict[tuple[int, int], int]) -> None:
-        """Mark v as a label-gadget site with the given incident-edge labels."""
-        if v not in self.vertices:
-            raise ValidationError(f"annotating unknown vertex {v}")
-        canon = {}
-        for e, lab in labels.items():
-            k = edge_key(*e)
-            if k not in self.edges or v not in k:
-                raise ValidationError(f"annotation on non-incident edge {e} at {v}")
-            if lab not in (1, 2, 3, 4):
-                raise ValidationError(f"label {lab} outside 1..4")
-            canon[k] = lab
-        missing = sorted(k for u in self._adj[v] if (k := edge_key(u, v)) not in canon)
-        if missing:
-            raise ValidationError(f"vertex {v} leaves incident edges unlabeled: {missing}")
-        self.annotations[v] = canon
-
-    def copy(self) -> "AnnotatedGraph":
-        g = AnnotatedGraph()
-        g.vertices = set(self.vertices)
-        g.edges = set(self.edges)
-        g._adj = {v: set(a) for v, a in self._adj.items()}
-        g.annotations = {v: dict(a) for v, a in self.annotations.items()}
-        if self.decomposition is not None:
-            g.decomposition = PathDecomposition([tuple(b) for b in self.decomposition.bags])
-        return g
-
-    def fresh_id(self) -> int:
-        return max(self.vertices, default=0) + 1
-
     @classmethod
-    def _from_edges(
-        cls, vertices: Iterable[int], edges: list[tuple[int, int]]
+    def from_edges(
+        cls,
+        vertices: Iterable[int],
+        edges: list[tuple[int, int]],
+        labels: Mapping[int, Mapping[tuple[int, int], int]] | None = None,
     ) -> "AnnotatedGraph":
         """Graph on `vertices` and the endpoints of `edges`, built in one pass.
 
         Each edge is a sorted key (u, v) with u < v. A loop or a repeated
-        edge raises ValidationError, as add_edge does.
+        edge raises ValidationError, as add_edge does. `labels` maps each
+        label-gadget site to a label in 1..4 for every one of its edges,
+        keyed by the same sorted keys; an unknown site, a key that is not
+        an edge at its site, a label outside 1..4 or an unlabeled edge at a
+        site raises ValidationError. The labels are copied.
         """
         g = cls()
         g.edges = set(edges)
@@ -240,6 +219,20 @@ class AnnotatedGraph:
                 raise ValidationError(f"edge key {(u, v)} is not sorted")
             adj[u].add(v)
             adj[v].add(u)
+        for v, labs in (labels or {}).items():
+            if v not in adj:
+                raise ValidationError(f"annotating unknown vertex {v}")
+            for k, lab in labs.items():
+                if k not in g.edges or v not in k:
+                    raise ValidationError(f"annotation on non-incident edge {k} at {v}")
+                if lab not in (1, 2, 3, 4):
+                    raise ValidationError(f"label {lab} outside 1..4")
+            # the keys are distinct edges at v, so they cover v's edges iff
+            # there are as many
+            if len(labs) != len(adj[v]):
+                missing = sorted(k for u in adj[v] if (k := edge_key(u, v)) not in labs)
+                raise ValidationError(f"vertex {v} leaves incident edges unlabeled: {missing}")
+            g.annotations[v] = dict(labs)
         return g
 
     def union_into(self, other: "AnnotatedGraph") -> None:
@@ -316,6 +309,8 @@ def read_hcgraph(path) -> AnnotatedGraph:
                 if declared is not None:
                     raise ValidationError(f"line {lineno}: second 'n' line")
                 (declared,) = _line_ints(parts[1:], lineno)
+                if declared < 0:
+                    raise ValidationError(f"line {lineno}: negative vertex count {declared}")
                 if declared > MAX_HCGRAPH_VERTICES:
                     raise CapacityError(
                         f"line {lineno}: {declared} vertices exceed the "
@@ -325,7 +320,7 @@ def read_hcgraph(path) -> AnnotatedGraph:
                 raise ValidationError(f"line {lineno}: unknown tag {tag!r}")
     if declared is None:
         raise ValidationError("missing 'n' line")
-    g = AnnotatedGraph._from_edges(range(1, declared + 1), edges)
+    g = AnnotatedGraph.from_edges(range(1, declared + 1), edges)
     if g.vertices and (min(g.vertices) < 1 or max(g.vertices) > declared):
         raise ValidationError("edge endpoint outside 1..n")
     if bags:

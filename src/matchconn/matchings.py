@@ -27,7 +27,7 @@ from .exactalg import (
     ExactMatrix,
     ValidationError,
 )
-from .graphs import AnnotatedGraph
+from .graphs import AnnotatedGraph, edge_key
 
 __all__ = [
     "Matching",
@@ -469,30 +469,17 @@ def boundaried_graph_for_fingerprint(fp: Fingerprint) -> AnnotatedGraph:
         if len(two) >= 3:
             base_edges.extend(zip(two, two[1:]))
             base_edges.append((two[-1], two[0]))
-    g = AnnotatedGraph()
-    for v in fp.boundary:
-        g.add_vertex(v)
-    next_id = (max(fp.boundary) if fp.boundary else 0) + 1
-    for u, v in base_edges:
-        g.add_vertex(next_id)
-        g.add_edge(u, next_id)
-        g.add_edge(next_id, v)
-        next_id += 1
-    return g
+    # edge number i is subdivided by the fresh id top + i, above the boundary
+    top = (max(fp.boundary) if fp.boundary else 0) + 1
+    edges = [e for w, (u, v) in enumerate(base_edges, start=top) for e in ((u, w), (v, w))]
+    return AnnotatedGraph.from_edges(fp.boundary, edges)
 
 
 def glue_boundaried(g1: AnnotatedGraph, g2: AnnotatedGraph, boundary: Sequence[int]) -> AnnotatedGraph:
     """Identify the two graphs along shared boundary ids; other ids of g2 shift."""
     b = set(boundary)
-    out = AnnotatedGraph()
-    for v in g1.vertices:
-        out.add_vertex(v)
-    for e in g1.edges:
-        out.add_edge(*e)
     offset = (max(g1.vertices, default=0) + max(g2.vertices, default=0)) + 1
     remap = {v: (v if v in b else v + offset) for v in g2.vertices}
-    for v in g2.vertices:
-        out.add_vertex(remap[v])
-    for u, v in g2.edges:
-        out.add_edge(remap[u], remap[v])
-    return out
+    edges = list(g1.edges)
+    edges += [edge_key(remap[u], remap[v]) for u, v in g2.edges]
+    return AnnotatedGraph.from_edges(g1.vertices | set(remap.values()), edges)

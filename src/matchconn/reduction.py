@@ -16,8 +16,10 @@ close to the number of variables. The stages:
     boundary, expands all label gadgets, and returns the final graph with
     its decomposition and the predicted residue.
 
-Label annotations (1..4) survive until the final expansion step, so a label
-site stays one vertex instead of nine while gadgets, clause columns and the
+Label annotations (1..4) are fixed when a gadget is built, in the one
+`AnnotatedGraph.from_edges` call that also checks every edge at a site
+carries one, and survive until the final expansion step, so a label site
+stays one vertex instead of nine while gadgets, clause columns and the
 assembly are built. Every stage builds its graph in passes linear in its
 edges and bags and trusts the pieces it built itself; assemble validates the
 path decomposition once, on the expanded graph it returns, at a cost of
@@ -37,7 +39,7 @@ from .exactalg import (
     full_rank_submatrix,
     inverse,
 )
-from .graphs import AnnotatedGraph, PathDecomposition, edge_key
+from .graphs import AnnotatedGraph, PathDecomposition, _line_ints, edge_key
 from .matchings import Fingerprint, Matching, build_H
 
 __all__ = [
@@ -136,7 +138,7 @@ def parse_dimacs(text: str) -> Cnf:
     declared = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -146,12 +148,11 @@ def parse_dimacs(text: str) -> Cnf:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValidationError(f"bad problem line {line!r}")
-            num_vars, declared = int(parts[2]), int(parts[3])
+            num_vars, declared = _line_ints(parts[2:], lineno)
             continue
         if num_vars is None:
             raise ValidationError("clause data before the problem line")
-        for tok in line.split():
-            lit = int(tok)
+        for lit in _line_ints(line.split(), lineno):
             if lit == 0:
                 clauses.append(tuple(current))
                 current = []
@@ -391,78 +392,62 @@ def build_fingerprint_gadget(spec: GadgetSpec, start_id: int | None = None) -> A
     Entry edges reach the first two chains through a forced hub next to the
     collector, and the last two chains exit to the second anchor.
 
-    The returned graph carries annotations plus a path decomposition whose
-    bags all contain boundary + {chain start, collector, hub}, so its width
-    is the boundary size plus a constant.
+    The returned graph is built in one pass from its edge list and site
+    labels, and carries a path decomposition whose bags all contain
+    boundary + {chain start, collector, hub}, so its width is the boundary
+    size plus a constant. Fresh ids start at `start_id`, by default one
+    above the boundary, and must exceed it.
     """
     a, b = spec.anchors
-    graph = AnnotatedGraph()
-    for v in spec.boundary:
-        graph.add_vertex(v)
-    ids = _IdAlloc(start_id if start_id is not None else max(spec.boundary) + 1)
+    start = start_id if start_id is not None else spec.boundary[-1] + 1
+    if start <= spec.boundary[-1]:
+        raise GadgetError(f"start id {start} does not exceed the boundary {spec.boundary}")
+    ids = _IdAlloc(start)
     tail_mid = ids.take()  # forces the tail: degree 2 with neighbors a, chain start
     chain_start = ids.take()
     collector = ids.take()
     entry_hub = ids.take()  # degree-2 hub: collector on one side, one entry on the other
-    graph.add_edge(a, tail_mid)
-    graph.add_edge(tail_mid, chain_start)
-    graph.add_edge(collector, entry_hub)
-
-    sequence: list[Fingerprint] = []
-    for fp, mult in spec.counts:
-        sequence.extend([fp] * mult)
-
+    # Fresh ids exceed the boundary and grow in the order they are taken, so
+    # every key below is written sorted: (older id, newer id).
+    edges = [(a, tail_mid), (tail_mid, chain_start), (collector, entry_hub)]
     labels: dict[int, dict[tuple[int, int], int]] = {}
-
-    def mark(site: int, u: int, v: int, lab: int) -> None:
-        labels.setdefault(site, {})[edge_key(u, v)] = lab
 
     anchor_pair = edge_key(a, b)
     chains: list[list[int]] = []
-    for fp in sequence:
-        two = sorted(fp.degree_set(2))
-        path = [chain_start, *two, collector]
+    for fp, mult in spec.counts:
+        path = [chain_start, *sorted(fp.degree_set(2)), collector]
         edge_seq = list(zip(path, path[1:]))
         edge_seq.extend(p for p in fp.matching.pairs if p != anchor_pair)
-        sites: list[int] = []
-        for u, v in edge_seq:
-            site = ids.take()
-            graph.add_vertex(site)
-            graph.add_edge(site, u)
-            mark(site, site, u, 1)
-            graph.add_edge(site, v)
-            mark(site, site, v, 2)
-            if sites:
-                prev = sites[-1]
-                graph.add_edge(prev, site)
-                mark(prev, prev, site, 4)
-                mark(site, prev, site, 3)
-            sites.append(site)
-        chains.append(sites)
+        for _ in range(mult):
+            sites = list(range(ids.next, ids.next + len(edge_seq)))
+            ids.next += len(edge_seq)
+            for j, (site, (u, v)) in enumerate(zip(sites, edge_seq)):
+                e1, e2 = (u, site), (v, site)
+                edges += (e1, e2)
+                labs = labels[site] = {e1: 1, e2: 2}
+                if j:
+                    link = (sites[j - 1], site)
+                    edges.append(link)
+                    labels[link[0]][link] = 4
+                    labs[link] = 3
+            chains.append(sites)
 
-    for i in range(1, len(chains)):
-        u, v = chains[i - 1][-1], chains[i][0]
-        graph.add_edge(u, v)
-        mark(u, u, v, 4)
-        mark(v, u, v, 3)
-    for i in range(2, len(chains)):
-        u, v = chains[i - 2][-1], chains[i][0]
-        graph.add_edge(u, v)
-        mark(u, u, v, 4)
-        mark(v, u, v, 3)
-    for i in (0, 1):
-        head = chains[i][0]
-        graph.add_edge(entry_hub, head)
-        mark(head, entry_hub, head, 3)
-    for i in (len(chains) - 2, len(chains) - 1):
-        last = chains[i][-1]
-        graph.add_edge(last, b)
-        mark(last, last, b, 4)
+    heads = [sites[0] for sites in chains]
+    ends = [sites[-1] for sites in chains]
+    # consecutive chains, then the skip edges that jump one whole chain
+    for link in itertools.chain(zip(ends, heads[1:]), zip(ends, heads[2:])):
+        edges.append(link)
+        labels[link[0]][link] = 4
+        labels[link[1]][link] = 3
+    for head in heads[:2]:
+        edges.append((entry_hub, head))
+        labels[head][entry_hub, head] = 3
+    for end in ends[-2:]:
+        edges.append((b, end))
+        labels[end][b, end] = 4
+    graph = AnnotatedGraph.from_edges(spec.boundary, edges, labels)
 
-    for site, labs in labels.items():
-        graph.annotate(site, labs)
-
-    core = tuple(sorted(set(spec.boundary) | {chain_start, collector, entry_hub}))
+    core = spec.boundary + (chain_start, collector, entry_hub)
     bags: list[tuple[int, ...]] = [tuple(sorted(core + (tail_mid,)))]
     for ci, sites in enumerate(chains):
         for j, site in enumerate(sites):
@@ -470,10 +455,10 @@ def build_fingerprint_gadget(spec: GadgetSpec, start_id: int | None = None) -> A
             if j > 0:
                 extra.add(sites[j - 1])
             if ci > 0:
-                extra.add(chains[ci - 1][-1])
+                extra.add(ends[ci - 1])
             if ci > 1 and j == 0:
-                extra.add(chains[ci - 2][-1])
-            bags.append(tuple(sorted(set(core) | extra)))
+                extra.add(ends[ci - 2])
+            bags.append(core + tuple(sorted(extra)))
     graph.decomposition = PathDecomposition(bags)
     return graph
 
@@ -499,14 +484,19 @@ def expand_label_gadgets(graph: AnnotatedGraph) -> AnnotatedGraph:
     blob = {v: top + 9 * i for i, v in enumerate(sorted(labels))}
     end = top + 9 * len(blob)
     edges = [(s + a, s + b) for s in range(top, end, 9) for a, b in _GADGET_OFFSETS]
-    for e in graph.edges:
-        x, y = e
-        u = x if (s := blob.get(x)) is None else s + labels[x][e] - 1
-        v = y if (s := blob.get(y)) is None else s + labels[y][e] - 1
-        edges.append((u, v) if u < v else (v, u))
+    try:
+        for e in graph.edges:
+            x, y = e
+            u = x if (s := blob.get(x)) is None else s + labels[x][e] - 1
+            v = y if (s := blob.get(y)) is None else s + labels[y][e] - 1
+            edges.append((u, v) if u < v else (v, u))
+    except KeyError:
+        # an edge added after construction, at a site that has no label for it
+        site = x if x in labels and e not in labels[x] else y
+        raise ValidationError(f"label site {site} leaves edge {e} unlabeled") from None
     vertices = graph.vertices.difference(blob)
     vertices.update(range(top, end))
-    out = AnnotatedGraph._from_edges(vertices, edges)
+    out = AnnotatedGraph.from_edges(vertices, edges)
 
     if graph.decomposition is not None:
         seen: set[int] = set()
@@ -814,14 +804,19 @@ def assemble(
         raise ValidationError(
             "formula has no clauses; pass allow_empty to compile it anyway"
         )
-    with _stage("select_basis"):
-        params = select_basis(beta, gamma, p)
-
     pad = (-cnf.num_vars) % gamma
     nvars = cnf.num_vars + pad
     if nvars == 0:
         nvars = gamma
         pad = gamma
+    # count_sat predicts the residue at the end; refuse before compiling
+    if nvars > MAX_SAT_VARS:
+        raise ValidationError(
+            f"{nvars} variables after padding exceed the brute-force cap {MAX_SAT_VARS}"
+        )
+    with _stage("select_basis"):
+        params = select_basis(beta, gamma, p)
+
     q = nvars // gamma
     clauses = cnf.clauses if cnf.clauses else ((1, -1),)
     padded = Cnf(nvars, clauses)

@@ -268,6 +268,29 @@ def test_reduce_rejects_bad_dimacs(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text,line", [
+    # both used to raise a bare ValueError and exit 1 with a traceback
+    ("p cnf two 1\n1 0\n", 1),
+    ("p cnf 1 1\n1 x 0\n", 2),
+])
+def test_reduce_refuses_a_non_integer_dimacs_token_with_exit_2(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.cnf"
+    bad.write_text(text, encoding="ascii")
+    code, out, err = run(capsys, "reduce", "--cnf", str(bad), "--p", "3")
+    assert code == 2 and out == ""
+    assert f"line {line}: non-integer field" in err
+
+
+def test_reduce_refuses_too_many_variables_at_once(tmp_path, capsys):
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text("p cnf 1000000 1\n1 0\n", encoding="ascii")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "reduce", "--cnf", str(cnf), "--p", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "brute-force cap" in err
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "determinant")
     assert code == 0

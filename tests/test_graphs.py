@@ -1,6 +1,6 @@
 """Graph container, path decompositions, and the file formats.
 
-The bulk builders (`AnnotatedGraph._from_edges`, the set-based
+The bulk builders (`AnnotatedGraph.from_edges`, the set-based
 `union_into`, the one-join `write_hcgraph`) are checked against the
 per-edge versions they replaced, which stay here as references."""
 
@@ -70,17 +70,15 @@ class TestAnnotatedGraph:
         assert a.degree(2) == 3
 
     def test_annotation_must_cover_every_incident_edge(self):
-        g = path_graph(3)
+        edges = [(1, 2), (2, 3), (3, 4)]
         with pytest.raises(ValidationError, match=r"unlabeled: \[\(2, 3\)\]"):
-            g.annotate(2, {(1, 2): 1})
+            AnnotatedGraph.from_edges((), edges, {2: {(1, 2): 1}})
         with pytest.raises(ValidationError, match="non-incident edge"):
-            g.annotate(2, {(1, 2): 1, (2, 3): 2, (3, 4): 1})
-        g.annotate(2, {(1, 2): 1, (2, 3): 2})
-        assert g.annotations[2] == {(1, 2): 1, (2, 3): 2}
-
-    def test_fresh_id_exceeds_existing(self):
-        g = path_graph(5)
-        assert g.fresh_id() > 5
+            AnnotatedGraph.from_edges((), edges, {2: {(1, 2): 1, (2, 3): 2, (3, 4): 1}})
+        labels = {2: {(1, 2): 1, (2, 3): 2}}
+        g = AnnotatedGraph.from_edges((), edges, labels)
+        assert g.annotations == labels
+        assert g.annotations[2] is not labels[2]
 
 
 class TestPathDecomposition:
@@ -142,6 +140,8 @@ BAD_HCGRAPH_FILES = [
     ("hcgraph v1\nn 3\ne 1 2\ne 2 3\ne 2 1\n", r"duplicate edge \(1, 2\)"),
     ("hcgraph v1\nn 3\ne 3 3\n", r"loop edge at vertex 3"),
     ("hcgraph v1\ne 1 2\n", r"missing 'n' line"),
+    # used to read as the empty graph, whose count is 1
+    ("hcgraph v1\nn -3\n", r"line 2: negative vertex count -3"),
 ]
 
 
@@ -162,7 +162,7 @@ class TestFileFormats:
         write_hcgraph(p, g)
         back = read_hcgraph(p)
         assert back.edges == g.edges
-        assert getattr(back, "decomposition", None) is None
+        assert back.decomposition is None
 
     def test_header_line(self, tmp_path):
         g = path_graph(2)
@@ -199,10 +199,10 @@ class TestFileFormats:
         p = tmp_path / "huge.hcg"
         p.write_text("hcgraph v1\nn 1000000000000\n")
 
-        def no_vertices(self, v):
-            raise AssertionError("a vertex was added before the ceiling check")
+        def no_graph(*args):
+            raise AssertionError("a graph was built before the ceiling check")
 
-        monkeypatch.setattr(AnnotatedGraph, "add_vertex", no_vertices)
+        monkeypatch.setattr(AnnotatedGraph, "from_edges", no_graph)
         with pytest.raises(CapacityError, match="line 2"):
             read_hcgraph(p)
 
@@ -264,6 +264,14 @@ def ref_write_hcgraph(path, graph, decomposition=None):
                 fh.write("bag " + " ".join(str(renum[v]) for v in bag) + "\n")
 
 
+def copy_graph(graph):
+    """The graph rebuilt through from_edges, labels and bags included."""
+    out = AnnotatedGraph.from_edges(graph.vertices, list(graph.edges), graph.annotations)
+    if graph.decomposition is not None:
+        out.decomposition = PathDecomposition(list(graph.decomposition.bags))
+    return out
+
+
 def assert_same_graph(got, want):
     """Equal vertices, edges, adjacency, annotations and bags."""
     assert got.vertices == want.vertices
@@ -279,17 +287,14 @@ def assert_same_graph(got, want):
 @st.composite
 def annotated_graphs(draw, ids=st.integers(min_value=-3, max_value=9)):
     """A small graph on arbitrary ids, some vertices annotated."""
-    g = AnnotatedGraph()
-    for v in sorted(draw(st.sets(ids, max_size=8))):
-        g.add_vertex(v)
-    for u, v in itertools.combinations(sorted(g.vertices), 2):
-        if draw(st.booleans()):
-            g.add_edge(u, v)
-    for v in sorted(g.vertices):
-        if g.degree(v) and draw(st.booleans()):
-            labels = st.integers(min_value=1, max_value=4)
-            g.annotate(v, {edge_key(v, w): draw(labels) for w in sorted(g.neighbors(v))})
-    return g
+    vertices = sorted(draw(st.sets(ids, max_size=8)))
+    edges = [e for e in itertools.combinations(vertices, 2) if draw(st.booleans())]
+    labels = {}
+    for v in vertices:
+        incident = [e for e in edges if v in e]
+        if incident and draw(st.booleans()):
+            labels[v] = {e: draw(st.integers(min_value=1, max_value=4)) for e in incident}
+    return AnnotatedGraph.from_edges(vertices, edges, labels)
 
 
 class TestBulkBuildersAgainstReference:
@@ -302,24 +307,30 @@ class TestBulkBuildersAgainstReference:
             want.add_vertex(v)
         for u, v in keys:
             want.add_edge(u, v)
-        assert_same_graph(AnnotatedGraph._from_edges(vertices, keys), want)
+        assert_same_graph(AnnotatedGraph.from_edges(vertices, keys), want)
 
     @pytest.mark.parametrize(
-        "edges,message",
+        "edges,labels,message",
         [
-            ([(1, 2), (2, 3), (1, 2)], r"duplicate edge \(1, 2\)"),
-            ([(1, 2), (3, 3)], r"loop edge at vertex 3"),
-            ([(2, 1)], r"edge key \(2, 1\) is not sorted"),
+            ([(1, 2), (2, 3), (1, 2)], None, r"duplicate edge \(1, 2\)"),
+            ([(1, 2), (3, 3)], None, r"loop edge at vertex 3"),
+            ([(2, 1)], None, r"edge key \(2, 1\) is not sorted"),
+            # the four checks a label site gets
+            ([(1, 2)], {4: {}}, r"annotating unknown vertex 4"),
+            ([(1, 2), (2, 3)], {1: {(1, 2): 1, (2, 3): 2}}, r"non-incident edge \(2, 3\) at 1"),
+            ([(1, 2), (2, 3)], {1: {(2, 1): 1}}, r"non-incident edge \(2, 1\) at 1"),
+            ([(1, 2)], {1: {(1, 2): 5}}, r"label 5 outside 1\.\.4"),
+            ([(1, 2), (1, 3)], {1: {(1, 3): 4}}, r"vertex 1 leaves incident edges unlabeled: \[\(1, 2\)\]"),
         ],
     )
-    def test_from_edges_refuses_what_add_edge_refuses(self, edges, message):
+    def test_from_edges_refuses_what_add_edge_refuses(self, edges, labels, message):
         with pytest.raises(ValidationError, match=message):
-            AnnotatedGraph._from_edges({1, 2, 3}, edges)
+            AnnotatedGraph.from_edges({1, 2, 3}, edges, labels)
 
     @given(annotated_graphs(), annotated_graphs())
     @settings(max_examples=150, deadline=None)
     def test_union_into_matches_per_edge_union(self, a, b):
-        got, want = a.copy(), a.copy()
+        got, want = copy_graph(a), copy_graph(a)
         got.union_into(b)
         ref_union_into(want, b)
         assert_same_graph(got, want)

@@ -51,7 +51,7 @@ from matchconn.reduction import (
     parse_dimacs,
     select_basis,
 )
-from test_graphs import assert_same_graph, ref_union_into
+from test_graphs import assert_same_graph, copy_graph, ref_union_into
 
 LEFT_BASIS_TEXTS = (
     "d=11101;M=1-3|2-5",
@@ -121,6 +121,17 @@ junk after the end
     def test_unterminated_clause(self):
         with pytest.raises(ValidationError):
             parse_dimacs("p cnf 2 1\n1 -2\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p cnf two 1\n1 0\n", r"line 1: non-integer field in \['two', '1'\]"),
+            ("c comment\np cnf 2 1\n1 x 0\n", r"line 3: non-integer field in \['1', 'x', '0'\]"),
+        ],
+    )
+    def test_non_integer_token_names_its_line(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            parse_dimacs(text)
 
     @given(
         st.integers(1, 5).flatmap(
@@ -389,10 +400,7 @@ class TestExpandLabelGadgets:
         assert expand_label_gadgets(g) is g
 
     def test_single_site_rewiring(self):
-        g = AnnotatedGraph()
-        g.add_edge(1, 2)
-        g.add_edge(1, 3)
-        g.annotate(1, {(1, 2): 1, (1, 3): 3})
+        g = AnnotatedGraph.from_edges((), [(1, 2), (1, 3)], {1: {(1, 2): 1, (1, 3): 3}})
         out = expand_label_gadgets(g)
         assert len(out.vertices) == 11
         assert len(out.edges) == 12
@@ -400,6 +408,12 @@ class TestExpandLabelGadgets:
         assert out.has_edge(4, 2)
         assert out.has_edge(6, 3)
         assert 1 not in out.vertices
+
+    def test_edge_added_at_a_site_after_construction_is_named(self):
+        g = AnnotatedGraph.from_edges((), [(1, 2), (1, 3)], {1: {(1, 2): 1, (1, 3): 3}})
+        g.add_edge(1, 4)
+        with pytest.raises(ValidationError, match=r"label site 1 leaves edge \(1, 4\) unlabeled"):
+            expand_label_gadgets(g)
 
 
 def joint_fingerprint(f_left, f_right, left_ids, right_ids):
@@ -612,6 +626,15 @@ class TestAssemble:
         with pytest.raises(ValidationError):
             assemble(Cnf(1, ((1,),)), 3, gamma=0)
 
+    def test_too_many_variables_refused_before_select_basis(self, monkeypatch):
+        def no_basis(*args):
+            raise AssertionError("select_basis ran")
+
+        monkeypatch.setattr(reduction, "select_basis", no_basis)
+        for cnf, gamma in ((Cnf(200, ((1,),)), 1), (Cnf(MAX_SAT_VARS, ((1,),)), 3)):
+            with pytest.raises(ValidationError, match=f"exceed the brute-force cap {MAX_SAT_VARS}"):
+                assemble(cnf, 3, gamma=gamma)
+
     def test_stage_prefix_on_failures(self):
         with pytest.raises(ValidationError) as exc:
             assemble(Cnf(1, ((1,),)), 3, beta=4)
@@ -620,6 +643,106 @@ class TestAssemble:
 
 # ---------------------------------------------------------------------------
 # the pieces the compiler no longer validates, and its single validation
+
+
+def ref_build_fingerprint_gadget(spec, start_id=None):
+    """build_fingerprint_gadget as one add_edge per edge, the labels of each
+    site collected on the way."""
+    a, b = spec.anchors
+    graph = AnnotatedGraph()
+    for v in spec.boundary:
+        graph.add_vertex(v)
+    ids = itertools.count(start_id if start_id is not None else max(spec.boundary) + 1)
+    tail_mid = next(ids)
+    chain_start = next(ids)
+    collector = next(ids)
+    entry_hub = next(ids)
+    graph.add_edge(a, tail_mid)
+    graph.add_edge(tail_mid, chain_start)
+    graph.add_edge(collector, entry_hub)
+
+    sequence = []
+    for fp, mult in spec.counts:
+        sequence.extend([fp] * mult)
+
+    labels = {}
+
+    def mark(site, u, v, lab):
+        labels.setdefault(site, {})[edge_key(u, v)] = lab
+
+    anchor_pair = edge_key(a, b)
+    chains = []
+    for fp in sequence:
+        two = sorted(fp.degree_set(2))
+        path = [chain_start, *two, collector]
+        edge_seq = list(zip(path, path[1:]))
+        edge_seq.extend(p for p in fp.matching.pairs if p != anchor_pair)
+        sites = []
+        for u, v in edge_seq:
+            site = next(ids)
+            graph.add_vertex(site)
+            graph.add_edge(site, u)
+            mark(site, site, u, 1)
+            graph.add_edge(site, v)
+            mark(site, site, v, 2)
+            if sites:
+                prev = sites[-1]
+                graph.add_edge(prev, site)
+                mark(prev, prev, site, 4)
+                mark(site, prev, site, 3)
+            sites.append(site)
+        chains.append(sites)
+
+    for i in range(1, len(chains)):
+        u, v = chains[i - 1][-1], chains[i][0]
+        graph.add_edge(u, v)
+        mark(u, u, v, 4)
+        mark(v, u, v, 3)
+    for i in range(2, len(chains)):
+        u, v = chains[i - 2][-1], chains[i][0]
+        graph.add_edge(u, v)
+        mark(u, u, v, 4)
+        mark(v, u, v, 3)
+    for i in (0, 1):
+        head = chains[i][0]
+        graph.add_edge(entry_hub, head)
+        mark(head, entry_hub, head, 3)
+    for i in (len(chains) - 2, len(chains) - 1):
+        last = chains[i][-1]
+        graph.add_edge(last, b)
+        mark(last, last, b, 4)
+    graph.annotations = labels
+
+    core = tuple(sorted(set(spec.boundary) | {chain_start, collector, entry_hub}))
+    bags = [tuple(sorted(core + (tail_mid,)))]
+    for ci, sites in enumerate(chains):
+        for j, site in enumerate(sites):
+            extra = {site}
+            if j > 0:
+                extra.add(sites[j - 1])
+            if ci > 0:
+                extra.add(chains[ci - 1][-1])
+            if ci > 1 and j == 0:
+                extra.add(chains[ci - 2][-1])
+            bags.append(tuple(sorted(set(core) | extra)))
+    graph.decomposition = PathDecomposition(bags)
+    return graph
+
+
+class TestGadgetAgainstReference:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_specs_match_the_per_edge_builder(self, seed):
+        rng = random.Random(seed)
+        boundary = tuple(range(1, rng.choice([5, 6, 7]) + 1))
+        spec = random_gadget_spec(rng, boundary=boundary, budget=rng.choice([12, 64]))
+        start_id = rng.choice([None, len(spec.boundary) + 1 + rng.randrange(100)])
+        got = build_fingerprint_gadget(spec, start_id)
+        assert_same_graph(got, ref_build_fingerprint_gadget(spec, start_id))
+
+    def test_start_id_must_exceed_the_boundary(self):
+        spec = random_gadget_spec(random.Random(0))
+        with pytest.raises(GadgetError, match="does not exceed the boundary"):
+            build_fingerprint_gadget(spec, spec.boundary[-1])
 
 
 def ref_expand_label_gadgets(graph):
@@ -792,7 +915,7 @@ class TestSingleValidation:
         expanded = []
 
         def checked_union(self, other):
-            want = self.copy()
+            want = copy_graph(self)
             ref_union_into(want, other)
             union_into(self, other)
             assert_same_graph(self, want)
