@@ -23,6 +23,7 @@ from .amplify import verify_tensor_identity
 from .exactalg import PrimeField, det, rank
 from .graphs import AnnotatedGraph, edge_key
 from .hcount import (
+    _contract_label_gadgets,
     count_hc_bruteforce,
     count_hc_pathdp,
     enumerate_hamiltonian_cycles,
@@ -489,7 +490,52 @@ def _suite_label_gadget(large: bool) -> list[CheckLine]:
             f"{closures_with_cycles} of 50 closures had Hamiltonian cycles",
         )
     )
+    covers = _label_gadget_covers()
+    out.append(
+        CheckLine(
+            "label-gadget",
+            "every internal edge subset",
+            covers == {(1, 2): [1], (3, 4): [1]},
+            "2^10 subsets, ports taking 0-2 outside edges; paths of each cover "
+            f"by outside labels: {covers}",
+        )
+    )
     return out
+
+
+def _label_gadget_covers() -> dict[tuple[int, ...], list[int]]:
+    """Every way the gadget's internal edges can be part of a Hamiltonian
+    cycle: the subsets of LABEL_GADGET_EDGES where roles 5..9 have degree 2,
+    each port i has degree at most 2 and takes 2 - degree outside edges
+    labelled i, and no cycle closes inside. Returns, for each multiset of
+    outside labels, the number of paths of each such subset.
+    """
+    covers: dict[tuple[int, ...], list[int]] = {}
+    for mask in range(1 << len(LABEL_GADGET_EDGES)):
+        chosen = [e for i, e in enumerate(LABEL_GADGET_EDGES) if mask >> i & 1]
+        degree = dict.fromkeys(range(1, 10), 0)
+        for u, v in chosen:
+            degree[u] += 1
+            degree[v] += 1
+        if any(degree[r] != 2 for r in range(5, 10)) or any(degree[r] > 2 for r in range(1, 5)):
+            continue
+        root = list(range(10))
+
+        def find(r: int) -> int:
+            while root[r] != r:
+                r = root[r]
+            return r
+
+        closes = False
+        for u, v in chosen:
+            a, b = find(u), find(v)
+            closes |= a == b
+            root[a] = b
+        if not closes:
+            labels = tuple(r for r in range(1, 5) for _ in range(2 - degree[r]))
+            # a forest on nine vertices has 9 - |edges| components, all paths
+            covers.setdefault(labels, []).append(9 - len(chosen))
+    return dict(sorted(covers.items()))
 
 
 def _suite_reduction(large: bool) -> list[CheckLine]:
@@ -501,6 +547,7 @@ def _suite_reduction(large: bool) -> list[CheckLine]:
             measured = count_hc_pathdp(
                 result.graph, result.decomposition, modulus=p
             ).value
+            contracted, site_of = _contract_label_gadgets(result.graph, set())
             want_exact = count_sat(result.padded_cnf)
             want = want_exact % p
             ok = (
@@ -514,7 +561,9 @@ def _suite_reduction(large: bool) -> list[CheckLine]:
                     f"{name}, mod {p}",
                     ok,
                     f"models {want_exact}, residue {measured}, predicted "
-                    f"{result.predicted}, width {result.width}/{result.width_bound}",
+                    f"{result.predicted}, width {result.width}/{result.width_bound}, "
+                    f"{len(set(site_of.values()))} gadgets contracted, "
+                    f"{len(result.graph.vertices)} -> {len(contracted.vertices)} vertices",
                 )
             )
     return out

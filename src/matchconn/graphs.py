@@ -2,10 +2,12 @@
 
 AnnotatedGraph is a simple undirected graph with stable integer vertex ids.
 Vertices may carry a label-gadget annotation: a map from incident edges to
-labels 1..4, consumed by the reduction machinery when gadgets are expanded.
+labels 1..4. The reduction expands each such label site into the 9-vertex
+LABEL_GADGET_EDGES graph, and the bag sweep in hcount counts sites directly.
 Labels are fixed at construction: `AnnotatedGraph.from_edges` takes them
 with the edge list and checks in the same pass that every edge at a site
-carries one. A graph may also carry a path decomposition of itself.
+carries one, and `add_edge` and `union_into` refuse an edge that a site
+would leave unlabeled. A graph may also carry a path decomposition of itself.
 
 File format ("hcgraph v1"), plain ASCII text:
 
@@ -36,6 +38,7 @@ __all__ = [
     "read_hcgraph",
     "write_sidecar",
     "read_sidecar",
+    "LABEL_GADGET_EDGES",
 ]
 
 
@@ -43,6 +46,22 @@ __all__ = [
 # few hundred bytes of sets and dicts before any edge is read, and compiled
 # graphs stay in the tens of thousands of vertices.
 MAX_HCGRAPH_VERTICES = 1_000_000
+
+# Internal wiring of the 9-vertex replacement for a label site. External
+# edges labeled i attach to replacement vertex i (1 <= i <= 4); roles 5..9
+# have no other edges.
+LABEL_GADGET_EDGES = (
+    (1, 5),
+    (5, 3),
+    (6, 7),
+    (7, 8),
+    (4, 9),
+    (9, 2),
+    (2, 8),
+    (1, 6),
+    (3, 8),
+    (6, 4),
+)
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -167,7 +186,12 @@ class AnnotatedGraph:
         self._adj[v] = set()
 
     def add_edge(self, u: int, v: int) -> None:
+        """Add the plain edge u-v. An edge at a label site would have no
+        label, so it raises ValidationError, as a repeated edge does."""
         k = edge_key(u, v)
+        for w in k:
+            if w in self.annotations:
+                raise ValidationError(f"label site {w} would leave edge {k} unlabeled")
         self.add_vertex(u)
         self.add_vertex(v)
         if k in self.edges:
@@ -236,7 +260,21 @@ class AnnotatedGraph:
         return g
 
     def union_into(self, other: "AnnotatedGraph") -> None:
-        """Add all vertices, edges and annotations of `other` (ids must mesh)."""
+        """Add all vertices, edges and annotations of `other` (ids must mesh).
+
+        Every edge at a label site of the union must carry a label from one
+        of the two graphs; otherwise ValidationError is raised and this
+        graph is left unchanged.
+        """
+        # Only a shared vertex can be a site in one graph and meet an edge of
+        # the other; each graph labels every one of its own edges at its sites.
+        for w in other.vertices & self.vertices:
+            mine, theirs = self.annotations.get(w), other.annotations.get(w)
+            if (mine is None) != (theirs is None):
+                g, labs = (other, mine) if theirs is None else (self, theirs)
+                for x in g._adj[w]:
+                    if (e := edge_key(w, x)) not in labs:
+                        raise ValidationError(f"label site {w} would leave edge {e} unlabeled")
         new_vertices = other.vertices - self.vertices
         self.vertices |= new_vertices
         adj = self._adj

@@ -12,9 +12,17 @@ other:
   * count_hc_pathdp, partial_solution_spectrum and count_partial_solutions
     with a decomposition: one bag-sweep DP over packed-int states that
     returns fingerprint counts on the pinned boundary; all three counters
-    read that one table. Each bag's edges go in greedy order, the one whose
-    ends have the fewest edges left first, so vertices close and leave the
-    state early. Capacity MAX_DP_STATES live states.
+    read that one table. Before the sweep, every recognised 9-vertex label
+    gadget off the boundary is contracted to one label site, and the sweep
+    lets a site's cycle edges be partner labels only, 1 with 2 or 3 with 4,
+    which counts exactly what the gadget does. So the DP counters accept
+    annotated graphs as well as the plain graphs they expand to. Each bag's
+    edges go in greedy order, the one whose ends have the fewest edges left
+    first, so vertices close and leave the state early. Capacity
+    MAX_DP_STATES live states.
+
+The two oracles and enumerate_hamiltonian_cycles read plain graphs only
+and refuse label sites, as a pinned boundary does.
 
 Conventions: the empty graph has exactly one Hamiltonian cycle; graphs on
 one or two vertices have none.
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exactalg import CapacityError, ValidationError
-from .graphs import AnnotatedGraph, PathDecomposition
+from .graphs import LABEL_GADGET_EDGES, AnnotatedGraph, PathDecomposition
 from .matchings import Fingerprint, Matching
 
 __all__ = [
@@ -47,7 +55,7 @@ __all__ = [
 MAX_BRUTEFORCE_VERTICES = 20
 MAX_SUBSET_EDGES = 24
 # Ceiling on the live state table of the bag sweep. A state is one int key
-# of 1 + 2S + S*ceil(log2 S) bits for bags of S vertices plus its dict slot,
+# of 1 + 4S + S*ceil(log2 S) bits for bags of S vertices plus its dict slot,
 # about 120 bytes at S = 38, and compiled graphs peak at a few hundred to a
 # few thousand states.
 MAX_DP_STATES = 1_000_000
@@ -77,10 +85,22 @@ def _check_modulus(modulus: int | None) -> None:
         raise ValidationError(f"modulus {modulus} must be at least 2")
 
 
+def _refuse_labels(graph: AnnotatedGraph, counter: str) -> None:
+    """The oracles read plain graphs only: a label site's edges obey a rule
+    they do not check, so they would overcount."""
+    if graph.annotations:
+        site = min(graph.annotations)
+        raise ValidationError(
+            f"{counter} cannot read label sites (vertex {site}); expand them or use the bag sweep"
+        )
+
+
 def count_hc_bruteforce(graph: AnnotatedGraph, modulus: int | None = None) -> CountResult:
-    """Exact Hamiltonian cycle count (or residue) by frontier walk; capacity 20 vertices."""
+    """Exact Hamiltonian cycle count (or residue) by frontier walk; capacity
+    20 vertices. A graph with label sites raises ValidationError."""
     t0 = time.perf_counter()
     _check_modulus(modulus)
+    _refuse_labels(graph, "the brute-force counter")
     n = len(graph.vertices)
     if n > MAX_BRUTEFORCE_VERTICES:
         raise CapacityError(f"{n} vertices exceed the brute-force ceiling {MAX_BRUTEFORCE_VERTICES}")
@@ -127,8 +147,9 @@ def enumerate_hamiltonian_cycles(graph: AnnotatedGraph):
     Backtracking walk anchored at the smallest vertex; the orientation is
     fixed by requiring the second vertex on the walk to be smaller than the
     final one, so each undirected cycle appears exactly once. Same capacity
-    ceiling as the brute-force counter.
+    ceiling as the brute-force counter, and it refuses label sites too.
     """
+    _refuse_labels(graph, "the cycle enumerator")
     n = len(graph.vertices)
     if n > MAX_BRUTEFORCE_VERTICES:
         raise CapacityError(f"{n} vertices exceed the brute-force ceiling {MAX_BRUTEFORCE_VERTICES}")
@@ -212,6 +233,7 @@ def _shape_ok(chosen: list[tuple[int, int]], fp: Fingerprint) -> bool:
 def _count_partial_bruteforce(
     graph: AnnotatedGraph, boundary: Sequence[int], fp: Fingerprint
 ) -> int:
+    _refuse_labels(graph, "the subset oracle")
     edges = sorted(graph.edges)
     if len(edges) > MAX_SUBSET_EDGES:
         raise CapacityError(
@@ -308,6 +330,104 @@ def _edge_order(edges: list[tuple[int, int]], remaining: dict[int, int]):
                 heapq.heappush(heap, (remaining[f[0]] + remaining[f[1]], f))
 
 
+# Degrees of the label gadget's roles 5..9, which have no outside edges.
+_INTERIOR_DEGREES = tuple(
+    sum(r in e for e in LABEL_GADGET_EDGES) for r in range(5, 10)
+)
+
+
+def _gadget_at(adj: dict[int, set[int]], x: int) -> tuple[int, ...] | None:
+    """The ids of roles 1..9 of a label gadget whose role 7 is the degree-2
+    vertex x, or None.
+
+    The gadget's symmetries fix role 7 and take either neighbour of x to
+    role 6 and either other neighbour of role 6 to role 1, so the search
+    takes the smallest each time. Role 3 is then one of the two smallest
+    other neighbours of role 8, the one whose only common neighbour with
+    role 1 is role 5, and role 9 is the only common neighbour of roles 4
+    and 2. The symmetries map each partner pair {1, 2}, {3, 4} onto a
+    partner pair, so the roles found label the site correctly.
+
+    The search has found all ten edges of LABEL_GADGET_EDGES, so the nine
+    ids induce exactly those if no other edge joins two of them; roles 5..9
+    must also have no edge to the outside.
+    """
+    a, b = adj[x]
+    r6, r8 = (a, b) if a < b else (b, a)
+    if len(adj[r6]) < 3 or len(adj[r8]) < 3:
+        return None
+    r1, r4 = sorted(adj[r6] - {x})[:2]
+    e0, e1 = sorted(adj[r8] - {x})[:2]
+    for r3, r2 in ((e0, e1), (e1, e0)):
+        five, nine = adj[r1] & adj[r3], adj[r4] & adj[r2]
+        if len(five) != 1 or len(nine) != 1:
+            continue
+        roles = (r1, r2, r3, r4, *five, r6, x, r8, *nine)
+        members = set(roles)
+        if (
+            len(members) == 9
+            and sum(len(adj[m] & members) for m in roles) == 2 * len(LABEL_GADGET_EDGES)
+            and all(len(adj[m]) == d for m, d in zip(roles[4:], _INTERIOR_DEGREES))
+        ):
+            return roles
+    return None
+
+
+def _contract_label_gadgets(
+    graph: AnnotatedGraph, keep: set[int]
+) -> tuple[AnnotatedGraph, dict[int, int]]:
+    """Contract every recognised label gadget to one label site.
+
+    Returns the contracted graph and each contracted vertex's site id, the
+    smallest of its gadget's nine ids (the graph itself and {} when nothing
+    is contracted). Each degree-2 vertex, in sorted order, is tried as role 7
+    (_gadget_at). A match is taken unless one of its nine ids is in `keep`,
+    is a label site or is already contracted, or two of its ports' outside
+    edges would meet one vertex once contracted, which would make a
+    parallel edge. Each outside edge of a port takes the port's role as its
+    label at the site. The gadget's only covers are one path
+    leaving through ports 1 and 2 and one through 3 and 4, so a site whose
+    two cycle edges carry partner labels, 1 with 2 or 3 with 4, counts
+    exactly what the gadget counts.
+    """
+    adj = graph._adj
+    sites = graph.annotations
+    site_of: dict[int, int] = {}
+    port_label: dict[int, int] = {}
+    for x in sorted(graph.vertices):
+        if len(adj[x]) != 2 or x in site_of:
+            continue
+        roles = _gadget_at(adj, x)
+        if roles is None or any(m in keep or m in sites or m in site_of for m in roles):
+            continue
+        outside = [site_of.get(w, w) for m in roles[:4] for w in adj[m] if w not in roles]
+        if len(set(outside)) != len(outside):
+            continue
+        site = min(roles)
+        for m in roles:
+            site_of[m] = site
+        for label, m in enumerate(roles[:4], 1):
+            port_label[m] = label
+    if not site_of:
+        return graph, site_of
+    edges: list[tuple[int, int]] = []
+    labels: dict[int, dict[tuple[int, int], int]] = {}
+    for e in graph.edges:
+        u, v = e
+        su, sv = site_of.get(u, u), site_of.get(v, v)
+        if su == sv:
+            continue  # inside a gadget
+        k = (su, sv) if su < sv else (sv, su)
+        edges.append(k)
+        for w, sw in ((u, su), (v, sv)):
+            if w in port_label:
+                labels.setdefault(sw, {})[k] = port_label[w]
+            elif w in sites:
+                labels.setdefault(w, {})[k] = sites[w][e]
+    vertices = {site_of.get(v, v) for v in graph.vertices}
+    return AnnotatedGraph.from_edges(vertices, edges, labels), site_of
+
+
 def _sweep(
     graph: AnnotatedGraph,
     decomposition: PathDecomposition,
@@ -318,11 +438,22 @@ def _sweep(
     (fingerprint counts on the boundary, states_peak). All three DP counters
     read this one table. Raises CapacityError above MAX_DP_STATES states.
 
+    Once the decomposition is validated, every recognised label gadget off
+    the boundary is contracted to one label site (_contract_label_gadgets)
+    and each bag holds the site in place of its nine ids; the gadget is
+    connected, so the bags stay a decomposition and get no wider. The sweep
+    then runs on the contracted graph, where a plain vertex is a site
+    without labels.
+
     A state is one int, closed | d1 << 1 | d2 << (1 + S) | partner fields
-    << (1 + 2S). S bounds the vertex slots, freed after a vertex's last edge
-    and reused; d1 and d2 are the degree-1 and degree-2 slot masks; a slot's
-    W-bit field names the other end of its open path and is nonzero only
-    while the slot is in d1, so each state has one encoding.
+    << (1 + 2S) | label fields << (1 + 2S + SW). S bounds the vertex slots,
+    freed after a vertex's last edge and reused; d1 and d2 are the degree-1
+    and degree-2 slot masks; a slot's W-bit field names the other end of its
+    open path and is nonzero only while the slot is in d1, so each state has
+    one encoding. A site's 2-bit label field holds its first edge's label
+    minus 1 while the slot is in d1, and is 0 otherwise; its second edge must
+    carry the partner label, 1 with 2 or 3 with 4, that is the stored code
+    xor 1. Plain vertices keep the field at 0 and pass every check.
 
     Each bag's edges come from _edge_order: next is the pending edge whose
     ends have the fewest edges left over the whole sweep. A vertex is
@@ -343,18 +474,28 @@ def _sweep(
     bags = bags or [boundary]
     keep = set(boundary)
     first, _ = PathDecomposition(bags).validate(graph)
+    graph, site_of = _contract_label_gadgets(graph, keep)
+    if site_of:
+        site_first: dict[int, int] = {}
+        for m, site in site_of.items():
+            i = first.pop(m)
+            if site_first.get(site, i) >= i:
+                site_first[site] = i
+        first.update(site_first)
     if any(graph.degree(v) == 0 for v in graph.vertices if v not in keep):
         # an isolated vertex can never reach degree 2
         return {}, 1
     intro, edges_at = _bag_schedule(graph, bags, first)
     # Slot bound: a vertex off the boundary is freed at its last edge's home bag,
     # so every slot holder at bag i is in bag i; smallest-first reuse keeps slots < S.
-    S = max(len(set(bag)) for bag in bags)
+    S = max(len({site_of.get(v, v) for v in bag}) for bag in bags)
     W = (S - 1).bit_length()
     FIELD = (1 << W) - 1
     D1 = ((1 << S) - 1) << 1
     D2 = D1 << S
     off = [1 + 2 * S + s * W for s in range(S)]
+    lab_off = [1 + 2 * S + S * W + 2 * s for s in range(S)]
+    labels = graph.annotations
     slot_of: dict[int, int] = {}
     free_slots: list[int] = []
     states: dict[int, int] = {0: 1}
@@ -367,11 +508,22 @@ def _sweep(
             # with no slot free, slots 0 .. len(slot_of) - 1 are all taken
             slot_of[v] = heapq.heappop(free_slots) if free_slots else len(slot_of)
             assert slot_of[v] < S
-        for u, v in _edge_order(edges_at[i], remaining):
+        for e in _edge_order(edges_at[i], remaining):
+            u, v = e
             su, sv = slot_of[u], slot_of[v]
             bu, bv = 2 << su, 2 << sv  # degree-1 bits
             cu, cv = bu << S, bv << S  # degree-2 bits
             fu, fv = off[su], off[sv]
+            # label codes: set_u enters u's field at its first edge, and u's
+            # field must equal need_u for this edge to be its second
+            set_u = need_u = mask_u = set_v = need_v = mask_v = 0
+            if u in labels:
+                at, code = lab_off[su], labels[u][e] - 1
+                set_u, need_u, mask_u = code << at, (code ^ 1) << at, 3 << at
+            if v in labels:
+                at, code = lab_off[sv], labels[v][e] - 1
+                set_v, need_v, mask_v = code << at, (code ^ 1) << at, 3 << at
+            mask_uv, need_uv = mask_u | mask_v, need_u | need_v
             # skip branch, minus the states it strands: an endpoint outside
             # `keep` with one edge left after this one needs degree 1 or 2 now
             nxt = states
@@ -387,6 +539,8 @@ def _sweep(
                 if key & bu:
                     pu = key >> fu & FIELD
                     if key & bv:
+                        if key & mask_uv != need_uv:
+                            continue
                         if pu == sv:
                             # taking u-v closes the cycle; legal only if it
                             # is the last open path
@@ -397,25 +551,29 @@ def _sweep(
                             # join two paths: their far ends pu, pv now pair
                             pv = key >> fv & FIELD
                             nk = (
-                                key ^ bu ^ bv ^ cu ^ cv
+                                key ^ bu ^ bv ^ cu ^ cv ^ need_uv
                                 ^ (pu << fu) ^ (pv << fv)
                                 ^ ((su ^ pv) << off[pu]) ^ ((sv ^ pu) << off[pv])
                             )
                     else:
                         # u's path extends onto the fresh vertex v
+                        if key & mask_u != need_u:
+                            continue
                         nk = (
-                            key ^ bu ^ bv ^ cu
+                            key ^ bu ^ bv ^ cu ^ need_u ^ set_v
                             ^ (pu << fu) ^ (pu << fv) ^ ((su ^ sv) << off[pu])
                         )
                 elif key & bv:
+                    if key & mask_v != need_v:
+                        continue
                     pv = key >> fv & FIELD
                     nk = (
-                        key ^ bu ^ bv ^ cv
+                        key ^ bu ^ bv ^ cv ^ need_v ^ set_u
                         ^ (pv << fv) ^ (pv << fu) ^ ((su ^ sv) << off[pv])
                     )
                 else:
                     # open a new path u-v
-                    nk = key | bu | bv | (sv << fu) | (su << fv)
+                    nk = key | bu | bv | (sv << fu) | (su << fv) | set_u | set_v
                 cur = nxt.get(nk, 0) + cnt
                 if modulus is not None:
                     cur %= modulus
@@ -469,6 +627,10 @@ def _pinned_boundary(graph: AnnotatedGraph, boundary: Sequence[int], modulus: in
     missing = [v for v in b if v not in graph.vertices]
     if missing:
         raise ValidationError(f"boundary vertices {missing} not in graph")
+    sites = [v for v in b if v in graph.annotations]
+    if sites:
+        # a pinned vertex may end at degree 0 or 1, which a label site cannot
+        raise ValidationError(f"boundary vertices {sites} are label sites")
     return b
 
 

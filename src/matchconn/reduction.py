@@ -39,7 +39,7 @@ from .exactalg import (
     full_rank_submatrix,
     inverse,
 )
-from .graphs import AnnotatedGraph, PathDecomposition, _line_ints, edge_key
+from .graphs import LABEL_GADGET_EDGES, AnnotatedGraph, PathDecomposition, _line_ints, edge_key
 from .matchings import Fingerprint, Matching, build_H
 
 __all__ = [
@@ -73,21 +73,8 @@ DEFAULT_GADGET_BUDGET = 512
 # q*beta + WIDTH_CONSTANT*beta every time.
 WIDTH_CONSTANT = 6
 
-# Internal wiring of the 9-vertex replacement for an annotated vertex.
-# External edges labeled i attach to replacement vertex i (1 <= i <= 4).
-LABEL_GADGET_EDGES = (
-    (1, 5),
-    (5, 3),
-    (6, 7),
-    (7, 8),
-    (4, 9),
-    (9, 2),
-    (2, 8),
-    (1, 6),
-    (3, 8),
-    (6, 4),
-)
-# The same wiring as sorted (smaller, larger) offsets from role 1's id.
+# LABEL_GADGET_EDGES (from graphs, where hcount reads it too) as sorted
+# (smaller, larger) offsets from role 1's id.
 _GADGET_OFFSETS = tuple(sorted((min(r, s) - 1, max(r, s) - 1) for r, s in LABEL_GADGET_EDGES))
 
 
@@ -484,16 +471,13 @@ def expand_label_gadgets(graph: AnnotatedGraph) -> AnnotatedGraph:
     blob = {v: top + 9 * i for i, v in enumerate(sorted(labels))}
     end = top + 9 * len(blob)
     edges = [(s + a, s + b) for s in range(top, end, 9) for a, b in _GADGET_OFFSETS]
-    try:
-        for e in graph.edges:
-            x, y = e
-            u = x if (s := blob.get(x)) is None else s + labels[x][e] - 1
-            v = y if (s := blob.get(y)) is None else s + labels[y][e] - 1
-            edges.append((u, v) if u < v else (v, u))
-    except KeyError:
-        # an edge added after construction, at a site that has no label for it
-        site = x if x in labels and e not in labels[x] else y
-        raise ValidationError(f"label site {site} leaves edge {e} unlabeled") from None
+    # every edge at a site is labelled: from_edges, add_edge and union_into
+    # refuse anything else
+    for e in graph.edges:
+        x, y = e
+        u = x if (s := blob.get(x)) is None else s + labels[x][e] - 1
+        v = y if (s := blob.get(y)) is None else s + labels[y][e] - 1
+        edges.append((u, v) if u < v else (v, u))
     vertices = graph.vertices.difference(blob)
     vertices.update(range(top, end))
     out = AnnotatedGraph.from_edges(vertices, edges)

@@ -69,6 +69,23 @@ class TestAnnotatedGraph:
         assert a.has_edge(2, 5) and a.has_edge(1, 2)
         assert a.degree(2) == 3
 
+    def test_sites_stay_labelled(self):
+        a = AnnotatedGraph.from_edges((), [(1, 2)], {1: {(1, 2): 1}})
+        with pytest.raises(ValidationError, match=r"label site 1 would leave edge \(1, 3\) unlabeled"):
+            a.union_into(AnnotatedGraph.from_edges((), [(1, 3)]))
+        with pytest.raises(ValidationError, match=r"label site 1 would leave edge \(1, 4\) unlabeled"):
+            a.add_edge(1, 4)
+        # nor may a plain graph take the site from the other side
+        plain = AnnotatedGraph.from_edges((), [(1, 3)])
+        with pytest.raises(ValidationError, match=r"label site 1 would leave edge \(1, 3\) unlabeled"):
+            plain.union_into(a)
+        assert_same_graph(a, AnnotatedGraph.from_edges((), [(1, 2)], {1: {(1, 2): 1}}))
+        assert_same_graph(plain, AnnotatedGraph.from_edges((), [(1, 3)]))
+        # edges labelled on the side that brings them are fine
+        a.union_into(AnnotatedGraph.from_edges((), [(1, 3)], {1: {(1, 3): 2}}))
+        assert a.annotations == {1: {(1, 2): 1, (1, 3): 2}}
+        a.add_edge(2, 3)
+
     def test_annotation_must_cover_every_incident_edge(self):
         edges = [(1, 2), (2, 3), (3, 4)]
         with pytest.raises(ValidationError, match=r"unlabeled: \[\(2, 3\)\]"):
@@ -237,16 +254,21 @@ class TestFileFormats:
 
 
 def ref_union_into(graph, other):
-    """AnnotatedGraph.union_into as one add_edge per edge."""
+    """AnnotatedGraph.union_into as one add_edge per edge, the labels merged
+    afterwards and checked by rebuilding the result through from_edges,
+    which raises ValidationError for an edge left unlabeled at a site."""
+    merged = {v: dict(labs) for v, labs in graph.annotations.items()}
+    for v, labs in other.annotations.items():
+        merged.setdefault(v, {}).update(labs)
+    # add_edge refuses every edge at a site, so the plain edges go in first
+    graph.annotations = {}
     for v in other.vertices:
         graph.add_vertex(v)
     for u, v in other.edges:
         if not graph.has_edge(u, v):
             graph.add_edge(u, v)
-    for v, labs in other.annotations.items():
-        merged = dict(graph.annotations.get(v, {}))
-        merged.update(labs)
-        graph.annotations[v] = merged
+    graph.annotations = merged
+    AnnotatedGraph.from_edges(graph.vertices, sorted(graph.edges), merged)
 
 
 def ref_write_hcgraph(path, graph, decomposition=None):
@@ -331,8 +353,15 @@ class TestBulkBuildersAgainstReference:
     @settings(max_examples=150, deadline=None)
     def test_union_into_matches_per_edge_union(self, a, b):
         got, want = copy_graph(a), copy_graph(a)
+        try:
+            ref_union_into(want, b)
+        except ValidationError:
+            # an edge of one graph at a site of the other: refused, unchanged
+            with pytest.raises(ValidationError, match="unlabeled"):
+                got.union_into(b)
+            assert_same_graph(got, a)
+            return
         got.union_into(b)
-        ref_union_into(want, b)
         assert_same_graph(got, want)
         for v in b.annotations:
             assert got.annotations[v] is not b.annotations[v]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchconn import reduction
+from matchconn import hcount, reduction
 from matchconn.checks import CNF_CORPUS, random_gadget_spec
 from matchconn.exactalg import ValidationError
 from matchconn.graphs import (
@@ -410,10 +410,11 @@ class TestExpandLabelGadgets:
         assert 1 not in out.vertices
 
     def test_edge_added_at_a_site_after_construction_is_named(self):
+        # refused where it is added, so expansion never meets it
         g = AnnotatedGraph.from_edges((), [(1, 2), (1, 3)], {1: {(1, 2): 1, (1, 3): 3}})
-        g.add_edge(1, 4)
-        with pytest.raises(ValidationError, match=r"label site 1 leaves edge \(1, 4\) unlabeled"):
-            expand_label_gadgets(g)
+        with pytest.raises(ValidationError, match=r"label site 1 would leave edge \(1, 4\) unlabeled"):
+            g.add_edge(1, 4)
+        assert len(expand_label_gadgets(g).vertices) == 11
 
 
 def joint_fingerprint(f_left, f_right, left_ids, right_ids):
@@ -580,6 +581,29 @@ class TestAssemble:
         res = count_hc_pathdp(out.graph, modulus=p, decomposition=out.decomposition)
         assert res.value == out.predicted
         assert res.modulus == p
+
+    @pytest.mark.parametrize("name,cnf", CNF_CORPUS)
+    def test_contracted_sweep_counts_exactly_what_the_expanded_one_does(self, monkeypatch, name, cnf):
+        for p in (3, 5):
+            out = assemble(cnf, p)
+            fast = count_hc_pathdp(out.graph, out.decomposition)
+            with monkeypatch.context() as m:
+                m.setattr(hcount, "_contract_label_gadgets", lambda graph, keep: (graph, {}))
+                slow = count_hc_pathdp(out.graph, out.decomposition)
+            assert fast.value == slow.value == count_sat(out.padded_cnf)
+            assert count_hc_pathdp(out.graph, out.decomposition, p).value == out.predicted
+
+    @pytest.mark.parametrize("name,cnf", CNF_CORPUS)
+    def test_compiled_graphs_count_before_expansion(self, monkeypatch, name, cnf):
+        # the library path: the sweep reads the assembled graph's label
+        # sites directly, and counts what the expanded graph counts
+        expanded = assemble(cnf, 5)
+        monkeypatch.setattr(reduction, "expand_label_gadgets", lambda graph: graph)
+        out = assemble(cnf, 5)
+        assert out.graph.annotations
+        counted = count_hc_pathdp(out.graph, out.decomposition)
+        assert counted.value == count_hc_pathdp(expanded.graph, expanded.decomposition).value
+        assert counted.value % 5 == out.predicted
 
     def test_output_contract(self):
         out = assemble(Cnf(1, ((1,),)), 3)
