@@ -519,18 +519,16 @@ def _label_gadget_covers() -> dict[tuple[int, ...], list[int]]:
             degree[v] += 1
         if any(degree[r] != 2 for r in range(5, 10)) or any(degree[r] > 2 for r in range(1, 5)):
             continue
+        # union-find over the roles: an edge inside one component closes a cycle
         root = list(range(10))
-
-        def find(r: int) -> int:
-            while root[r] != r:
-                r = root[r]
-            return r
-
         closes = False
         for u, v in chosen:
-            a, b = find(u), find(v)
-            closes |= a == b
-            root[a] = b
+            while root[u] != u:
+                u = root[u]
+            while root[v] != v:
+                v = root[v]
+            closes |= u == v
+            root[u] = v
         if not closes:
             labels = tuple(r for r in range(1, 5) for _ in range(2 - degree[r]))
             # a forest on nine vertices has 9 - |edges| components, all paths

@@ -198,6 +198,14 @@ def test_a_gadget_contracts_to_one_site():
     assert contracted.annotations == {1: {(1, 11): 1, (1, 12): 2, (1, 13): 3, (1, 14): 4}}
     # the one cycle leaves the gadget through ports 1 and 2
     assert assert_matches_reference(g) == {EMPTY: 1}
+    assert count_hc_bruteforce(g).value == 1
+
+
+def test_a_gadget_alone_has_no_cycle():
+    # contracted, it is an isolated site
+    g = AnnotatedGraph.from_edges((), sorted(tuple(sorted(e)) for e in LABEL_GADGET_EDGES))
+    assert gadget_count(g) == 1
+    assert count_hc_pathdp(g).value == count_hc_bruteforce(g).value == 0
 
 
 @pytest.mark.parametrize(
