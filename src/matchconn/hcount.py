@@ -476,11 +476,10 @@ def _sweep(
     first, _ = PathDecomposition(bags).validate(graph)
     graph, site_of = _contract_label_gadgets(graph, keep)
     if site_of:
+        # a site's run of bags is the union of its nine ids' runs
         site_first: dict[int, int] = {}
         for m, site in site_of.items():
-            i = first.pop(m)
-            if site_first.get(site, i) >= i:
-                site_first[site] = i
+            site_first[site] = min(first.pop(m), site_first.get(site, len(bags)))
         first.update(site_first)
     if any(graph.degree(v) == 0 for v in graph.vertices if v not in keep):
         # an isolated vertex can never reach degree 2
