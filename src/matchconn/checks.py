@@ -21,9 +21,8 @@ from types import MappingProxyType
 
 from .amplify import verify_tensor_identity
 from .exactalg import PrimeField, det, rank
-from .graphs import AnnotatedGraph, edge_key
+from .graphs import LABEL_GADGET_EDGES, AnnotatedGraph, edge_key
 from .hcount import (
-    _contract_label_gadgets,
     count_hc_bruteforce,
     count_hc_pathdp,
     enumerate_hamiltonian_cycles,
@@ -39,13 +38,11 @@ from .matchings import (
     glue_boundaried,
 )
 from .reduction import (
-    LABEL_GADGET_EDGES,
     Cnf,
     GadgetSpec,
     assemble,
     build_fingerprint_gadget,
     count_sat,
-    expand_label_gadgets,
 )
 from .scheme import certify_spectrum, sphere_size, verify_scheme_axioms
 from .tableaux import (
@@ -441,9 +438,8 @@ def _suite_gadgets(large: bool) -> list[CheckLine]:
     for trial in range(25):
         spec = random_gadget_spec(rng)
         gadget = build_fingerprint_gadget(spec)
-        expanded = expand_label_gadgets(gadget)
         spectrum = partial_solution_spectrum(
-            expanded, spec.boundary, decomposition=expanded.decomposition
+            gadget, spec.boundary, decomposition=gadget.decomposition
         )
         want = {fp: m for fp, m in spec.counts}
         out.append(
@@ -541,17 +537,18 @@ def _suite_reduction(large: bool) -> list[CheckLine]:
     for name, cnf in CNF_CORPUS:
         for p in (3, 5):
             result = assemble(cnf, p)
-            result.decomposition.validate(result.graph)
+            width = result.decomposition.validate_expansion(result.graph)
             measured = count_hc_pathdp(
                 result.graph, result.decomposition, modulus=p
             ).value
-            contracted, site_of = _contract_label_gadgets(result.graph, set())
+            sites = len(result.graph.annotations)
+            swept = len(result.graph.vertices)
             want_exact = count_sat(result.padded_cnf)
             want = want_exact % p
             ok = (
                 measured == want
                 and result.predicted == want
-                and result.width <= result.width_bound
+                and result.width == width <= result.width_bound
             )
             out.append(
                 CheckLine(
@@ -560,8 +557,7 @@ def _suite_reduction(large: bool) -> list[CheckLine]:
                     ok,
                     f"models {want_exact}, residue {measured}, predicted "
                     f"{result.predicted}, width {result.width}/{result.width_bound}, "
-                    f"{len(set(site_of.values()))} gadgets contracted, "
-                    f"{len(result.graph.vertices)} -> {len(contracted.vertices)} vertices",
+                    f"{sites} label sites, {swept + 8 * sites} written -> {swept} swept vertices",
                 )
             )
     return out

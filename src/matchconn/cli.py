@@ -190,9 +190,11 @@ def _cmd_reduce(args) -> int:
     out = args.out or str(Path(args.cnf).with_suffix(".hcg"))
     write_hcgraph(out, result.graph, result.decomposition)
     write_sidecar(out + ".json", result.sidecar())
+    # each label site is written as nine vertices and ten more edges
+    graph, sites = result.graph, len(result.graph.annotations)
     print(
-        f"wrote {out} ({len(result.graph.vertices)} vertices, "
-        f"{len(result.graph.edges)} edges, width {result.width} <= "
+        f"wrote {out} ({len(graph.vertices) + 8 * sites} vertices, "
+        f"{len(graph.edges) + 10 * sites} edges, width {result.width} <= "
         f"{result.width_bound}) and {out}.json "
         f"(predicted residue {result.predicted} mod {args.p})"
     )
@@ -303,8 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:  # built on first use, then kept for the process
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, OSError) as exc:  # CapacityError, DecompositionError too

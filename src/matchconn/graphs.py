@@ -2,7 +2,7 @@
 
 AnnotatedGraph is a simple undirected graph with stable integer vertex ids.
 Vertices may carry a label-gadget annotation: a map from incident edges to
-labels 1..4. The reduction expands each such label site into the 9-vertex
+labels 1..4. `write_hcgraph` writes each such label site as the 9-vertex
 LABEL_GADGET_EDGES graph, and the bag sweep in hcount counts sites directly.
 Labels are fixed at construction: `AnnotatedGraph.from_edges` takes them
 with the edge list and checks in the same pass that every edge at a site
@@ -62,6 +62,8 @@ LABEL_GADGET_EDGES = (
     (3, 8),
     (6, 4),
 )
+# the same edges as sorted (smaller, larger) offsets from role 1
+_GADGET_OFFSETS = tuple(sorted((min(r, s) - 1, max(r, s) - 1) for r, s in LABEL_GADGET_EDGES))
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -162,8 +164,40 @@ class PathDecomposition:
             raise DecompositionError(probs[:20])
         return first, last
 
-    def relabel(self, mapping: dict[int, int]) -> "PathDecomposition":
-        return PathDecomposition([tuple(mapping[v] for v in bag) for bag in self.bags])
+    def validate_expansion(self, graph: "AnnotatedGraph") -> int:
+        """Validate the bags write_hcgraph writes for the graph's expansion
+        from these, and return their width.
+
+        Roles 3 and 4 of a label site s live over the run of s and the other
+        roles in first[s] alone. So once `validate` passes, only an edge
+        labelled 1 or 2 at s can miss: its other end must be in first[s].
+        """
+        first, last = self.validate(graph)
+        sites = graph.annotations
+        if not sites:
+            return self.width  # written as they are, repeats too
+        probs = []
+        for s, labs in sites.items():
+            at = first[s]
+            for (u, v), lab in labs.items():
+                w = u if v == s else v
+                # w's end, too, may live in its site's first bag alone
+                hi = first[w] if w in sites and sites[w][u, v] < 3 else last[w]
+                if lab < 3 and not first[w] <= at <= hi:
+                    probs.append(f"edge {u}-{v} labelled {lab} at site {s} misses bag {at}")
+        if probs:
+            raise DecompositionError(probs[:20])
+        # each vertex fills the bags of its run once: one id, or a site's nine
+        # in its first bag and two later, so bag sizes are prefix sums
+        size = [0] * (len(self.bags) + 1)
+        for v, i in first.items():
+            k = 2 if v in sites else 1
+            size[i] += k
+            size[last[v] + 1] -= k
+        for i in map(first.__getitem__, sites):
+            size[i] += 7
+            size[i + 1] -= 7
+        return max(itertools.accumulate(size), default=0) - 1
 
 
 class AnnotatedGraph:
@@ -299,17 +333,45 @@ class AnnotatedGraph:
 
 
 def write_hcgraph(path, graph: AnnotatedGraph, decomposition: PathDecomposition | None = None) -> None:
-    """Write graph (and bags) with vertices renumbered to 1..n in sorted order."""
-    if graph.annotations:
-        raise ValidationError("cannot serialize a graph with unexpanded annotations")
-    order = sorted(graph.vertices)
-    # the renumbering is monotone, so sorted keys stay sorted once renamed
-    name = {v: str(i) for i, v in enumerate(order, start=1)}
+    """Write graph (and bags) with vertices renumbered to 1..n in sorted order.
+
+    A label site is written as its gadget, the sorted sites in blocks of
+    nine ids above the plain vertices, role r at offset r - 1; an edge
+    labelled r ends at role r. A site's first bag lists its nine ids and
+    later bags roles 3 and 4. Bags with sites come out sorted, each id once.
+    """
+    sites = graph.annotations
     decomp = decomposition if decomposition is not None else graph.decomposition
-    lines = ["hcgraph v1", f"n {len(order)}"]
-    lines += [f"e {name[u]} {name[v]}" for u, v in sorted(graph.edges)]
+    order = sorted(graph.vertices.difference(sites))
+    top = len(order)
+    n = top + 9 * len(sites)
+    # a site is named by its role 1
+    name = {v: i for i, v in enumerate(order, start=1)}
+    name.update(zip(sorted(sites), range(top + 1, n, 9)))
+    edges = [(i + r, i + s) for i in range(top + 1, n, 9) for r, s in _GADGET_OFFSETS]
+    for e in graph.edges:
+        u, v = e
+        x = name[u] + sites[u][e] - 1 if u in sites else name[u]
+        y = name[v] + sites[v][e] - 1 if v in sites else name[v]
+        edges.append((x, y) if x < y else (y, x))
+    edges.sort()
+    word = list(map(str, range(n + 1)))
+    lines = ["hcgraph v1", f"n {n}"]
+    lines += [f"e {word[x]} {word[y]}" for x, y in edges]
     if decomp is not None:
-        lines += ["bag " + " ".join([name[v] for v in bag]) for bag in decomp.bags]
+        # a site's word is its nine ids until its first bag is written
+        for i in range(top + 1, n, 9):
+            word[i] = " ".join(word[i : i + 9])
+        for bag in decomp.bags:
+            ids = map(name.__getitem__, bag)
+            # with sites, as the expansion lists them: sorted, each id once
+            ids = sorted(set(ids)) if sites else list(ids)
+            lines.append("bag " + " ".join(map(word.__getitem__, ids)))
+            # sites sort last; their later bags hold roles 3 and 4
+            for i in reversed(ids):
+                if i <= top:
+                    break
+                word[i] = f"{i + 2} {i + 3}"
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -91,7 +91,7 @@ def _refuse_labels(graph: AnnotatedGraph, counter: str) -> None:
     if graph.annotations:
         site = min(graph.annotations)
         raise ValidationError(
-            f"{counter} cannot read label sites (vertex {site}); expand them or use the bag sweep"
+            f"{counter} cannot read label sites (vertex {site}); write them out or use the bag sweep"
         )
 
 

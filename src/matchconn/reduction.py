@@ -13,17 +13,18 @@ close to the number of variables. The stages:
   * build_base_case stacks one gadget per variable block to express a single
     clause; compose_clause glues clause columns along shared boundaries.
   * assemble adds the left and right attachment gadgets that close every
-    boundary, expands all label gadgets, and returns the final graph with
-    its decomposition and the predicted residue.
+    boundary and returns the final graph with its decomposition and the
+    predicted residue.
 
 Label annotations (1..4) are fixed when a gadget is built, in the one
 `AnnotatedGraph.from_edges` call that also checks every edge at a site
-carries one, and survive until the final expansion step, so a label site
-stays one vertex instead of nine while gadgets, clause columns and the
-assembly are built. Every stage builds its graph in passes linear in its
-edges and bags and trusts the pieces it built itself; assemble validates the
-path decomposition once, on the expanded graph it returns, at a cost of
-O(sum of bag sizes + edges).
+carries one. A label site stays one vertex instead of nine all the way
+through: `write_hcgraph` writes each site as its 9-vertex gadget, and the
+bag sweep counts sites directly. Every stage builds its graph in passes
+linear in its edges and bags and trusts the pieces it built itself;
+assemble validates once, with `PathDecomposition.validate_expansion`, the
+bags written for the graph it returns, at a cost of O(sum of bag sizes +
+edges).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .exactalg import (
     full_rank_submatrix,
     inverse,
 )
-from .graphs import LABEL_GADGET_EDGES, AnnotatedGraph, PathDecomposition, _line_ints, edge_key
+from .graphs import AnnotatedGraph, PathDecomposition, _line_ints, edge_key
 from .matchings import Fingerprint, Matching, build_H
 
 __all__ = [
@@ -47,19 +48,16 @@ __all__ = [
     "GadgetError",
     "Cnf",
     "parse_dimacs",
-    "format_dimacs",
     "count_sat",
     "ReductionParams",
     "select_basis",
     "GadgetSpec",
     "build_fingerprint_gadget",
-    "expand_label_gadgets",
     "ClausePiece",
     "build_base_case",
     "compose_clause",
     "ReductionOutput",
     "assemble",
-    "LABEL_GADGET_EDGES",
     "MAX_SAT_VARS",
     "DEFAULT_GADGET_BUDGET",
     "WIDTH_CONSTANT",
@@ -72,10 +70,6 @@ DEFAULT_GADGET_BUDGET = 512
 # assembled decomposition is measured and checked against
 # q*beta + WIDTH_CONSTANT*beta every time.
 WIDTH_CONSTANT = 6
-
-# LABEL_GADGET_EDGES (from graphs, where hcount reads it too) as sorted
-# (smaller, larger) offsets from role 1's id.
-_GADGET_OFFSETS = tuple(sorted((min(r, s) - 1, max(r, s) - 1) for r, s in LABEL_GADGET_EDGES))
 
 
 class BasisTooSmallError(ValidationError):
@@ -154,13 +148,6 @@ def parse_dimacs(text: str) -> Cnf:
             f"problem line declares {declared} clauses, found {len(clauses)}"
         )
     return Cnf(num_vars, tuple(clauses))
-
-
-def format_dimacs(cnf: Cnf) -> str:
-    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    for clause in cnf.clauses:
-        lines.append(" ".join(str(l) for l in clause + (0,)))
-    return "\n".join(lines) + "\n"
 
 
 def count_sat(cnf: Cnf) -> int:
@@ -450,58 +437,6 @@ def build_fingerprint_gadget(spec: GadgetSpec, start_id: int | None = None) -> A
     return graph
 
 
-def expand_label_gadgets(graph: AnnotatedGraph) -> AnnotatedGraph:
-    """Replace every annotated vertex by its 9-vertex implementation.
-
-    The annotated vertices, in sorted order, take consecutive blocks of nine
-    fresh ids above the old maximum, role r at offset r - 1. External edges
-    move to the replacement vertex named by their label; the internal wiring
-    is LABEL_GADGET_EDGES. The new graph is built in one pass from the full
-    edge list. If the input carries a path decomposition, each bag
-    occurrence of an annotated vertex is rewritten: the first occurrence
-    receives all nine replacement ids, later occurrences keep only vertices
-    3 and 4 (the only ones with edges to later-introduced sites). The
-    rewritten bags are not validated here; `assemble` validates the final
-    graph once. Graphs without annotations come back unchanged.
-    """
-    if not graph.annotations:
-        return graph
-    labels = graph.annotations
-    top = max(graph.vertices, default=0) + 1
-    blob = {v: top + 9 * i for i, v in enumerate(sorted(labels))}
-    end = top + 9 * len(blob)
-    edges = [(s + a, s + b) for s in range(top, end, 9) for a, b in _GADGET_OFFSETS]
-    # every edge at a site is labelled: from_edges, add_edge and union_into
-    # refuse anything else
-    for e in graph.edges:
-        x, y = e
-        u = x if (s := blob.get(x)) is None else s + labels[x][e] - 1
-        v = y if (s := blob.get(y)) is None else s + labels[y][e] - 1
-        edges.append((u, v) if u < v else (v, u))
-    vertices = graph.vertices.difference(blob)
-    vertices.update(range(top, end))
-    out = AnnotatedGraph.from_edges(vertices, edges)
-
-    if graph.decomposition is not None:
-        seen: set[int] = set()
-        bags = []
-        for bag in graph.decomposition.bags:
-            new_bag: list[int] = []
-            for v in bag:
-                s = blob.get(v)
-                if s is None:
-                    new_bag.append(v)
-                elif v in seen:
-                    new_bag += (s + 2, s + 3)
-                else:
-                    seen.add(v)
-                    new_bag += range(s, s + 9)
-            # a bag may list a vertex twice
-            bags.append(tuple(sorted(set(new_bag))))
-        out.decomposition = PathDecomposition(bags)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # clause columns
 
@@ -722,7 +657,8 @@ def _left_attachment_fingerprint(
 
 @dataclass
 class ReductionOutput:
-    """Compiled graph plus everything needed to check it."""
+    """Compiled graph, label sites kept, plus everything needed to check it;
+    `width` is that of the bags write_hcgraph writes."""
 
     graph: AnnotatedGraph
     decomposition: PathDecomposition
@@ -776,8 +712,9 @@ def assemble(
     every right-basis fingerprint once on the last boundary; left
     attachments carry the lifted inverse-column sums and thread a ring of
     interface vertices so everything closes into Hamiltonian cycles. The
-    result is fully expanded (no annotations) and its decomposition width
-    is checked against q*beta + WIDTH_CONSTANT*beta.
+    result keeps its label sites; the width of the decomposition written
+    for its expansion is checked against q*beta + WIDTH_CONSTANT*beta and
+    returned as `width`.
 
     The predicted residue refers to the padded formula; with gamma = 1 no
     padding ever happens and it equals #SAT(cnf) mod p.
@@ -893,15 +830,10 @@ def assemble(
                 bags.append(tuple(sorted(all_right | set(gb))))
         full.decomposition = PathDecomposition(bags)
 
-    with _stage("expand_label_gadgets"):
-        expanded = expand_label_gadgets(full)
+        # The one validation of the pipeline, of the bags write_hcgraph
+        # writes for this graph: a bad bag anywhere upstream is caught here.
+        width = full.decomposition.validate_expansion(full)
 
-    # The one validation of the pipeline, on the graph that is written out:
-    # a bad bag anywhere upstream survives expansion and is caught here.
-    with _stage("assemble"):
-        expanded.decomposition.validate(expanded)
-
-    width = expanded.decomposition.width
     bound = q * beta + WIDTH_CONSTANT * beta
     if width > bound:
         raise ValidationError(
@@ -910,8 +842,8 @@ def assemble(
         )
     predicted = count_sat(padded) % p
     return ReductionOutput(
-        graph=expanded,
-        decomposition=expanded.decomposition,
+        graph=full,
+        decomposition=full.decomposition,
         params=params,
         predicted=predicted,
         width=width,

@@ -1,17 +1,19 @@
 """Command-line surface: exit codes, report stability, file round trips."""
 
+import hashlib
 import json
 import re
 import time
 
 import pytest
 
-from matchconn import __version__, hcount
-from matchconn.checks import PUBLISHED
+from matchconn import __version__, cli, hcount, reduction
+from matchconn.checks import CNF_CORPUS, PUBLISHED
 from matchconn.cli import MAX_TABLEAUX_N, main
 from matchconn.graphs import AnnotatedGraph, PathDecomposition, write_hcgraph
 from matchconn.matchings import build_H, build_M
 from test_graphs import BAD_HCGRAPH_FILES
+from test_reduction import GOLDEN_HCGRAPH_SHA256, format_dimacs
 
 
 def run(capsys, *argv):
@@ -215,6 +217,65 @@ def test_reduce_then_count_round_trip(tmp_path, capsys):
     assert payload["modulus"] == 5
     assert payload["states_peak"] > 0
     assert "runtime_ms" in payload
+
+
+def test_reduce_reports_the_written_graph(tmp_path, capsys):
+    # the expansion's counts: V + 8 and E + 10 per label site of the
+    # assembled graph; the line as the expanding compiler printed it
+    cnf = tmp_path / "pair.cnf"
+    cnf.write_text(format_dimacs(CNF_CORPUS[4][1]), encoding="ascii")
+    out = tmp_path / "pair.hcg"
+    code, text, _ = run(capsys, "reduce", "--cnf", str(cnf), "--p", "5", "--out", str(out))
+    assert code == 0
+    assert text == (
+        f"wrote {out} (1402 vertices, 1988 edges, width 32 <= 40) and "
+        f"{out}.json (predicted residue 2 mod 5)\n"
+    )
+
+
+@pytest.mark.parametrize("corpus_index,p,beta,gamma", sorted(GOLDEN_HCGRAPH_SHA256))
+def test_reduce_writes_the_golden_bytes_without_an_expanded_graph(
+    tmp_path, capsys, monkeypatch, corpus_index, p, beta, gamma
+):
+    def no_expansion(graph):
+        raise AssertionError("the expanded graph was built")
+
+    monkeypatch.setattr(reduction, "expand_label_gadgets", no_expansion, raising=False)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(format_dimacs(CNF_CORPUS[corpus_index][1]), encoding="ascii")
+    out = tmp_path / "f.hcg"
+    code, _, _ = run(capsys, "reduce", "--cnf", str(cnf), "--p", str(p), "--beta", str(beta),
+                     "--gamma", str(gamma), "--out", str(out))
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_HCGRAPH_SHA256[(corpus_index, p, beta, gamma)]
+
+
+def test_one_parser_serves_successive_calls(capsys, monkeypatch):
+    real, built = cli.build_parser, []
+
+    def build():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", build)
+    code, out, _ = run(capsys, "det", "--k", "4")
+    assert code == 0 and "# command: det" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"matchconn {__version__}\n"
+    code, out, _ = run(capsys, "rank", "--k", "4", "--field", "p:3")
+    assert code == 0 and out.splitlines()[-1] == "3"
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--k"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    # the failed parse leaves nothing behind for the next call
+    code, out, _ = run(capsys, "det", "--k", "4")
+    assert code == 0 and "parameters: kind=M k=4" in out
+    assert built == [1]
 
 
 def test_count_output_stable_except_runtime(tmp_path, capsys):

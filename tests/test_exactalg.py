@@ -29,7 +29,7 @@ from matchconn.exactalg import (
     rank,
 )
 from matchconn.cli import main
-from matchconn.graphs import write_hcgraph
+from matchconn.graphs import read_hcgraph, write_hcgraph
 from matchconn.hcount import count_hc_pathdp
 from matchconn.matchings import build_M
 from matchconn.reduction import assemble
@@ -673,25 +673,31 @@ def test_rational_rank_of_low_rank_shapes(a):
     assert rank(ExactMatrix(RATIONALS, a)) == oracle_rank(a.tolist())
 
 
+def compiled_graph(tmp_path):
+    """The plain graph `reduce` writes for CNF_CORPUS[4] mod 5, read back."""
+    path = tmp_path / "g.hcg"
+    result = assemble(CNF_CORPUS[4][1], 5)
+    write_hcgraph(path, result.graph, result.decomposition)
+    return result, path, read_hcgraph(path)
+
+
 def test_golden_graph_counts_with_fewer_states(tmp_path, capsys):
     # dead-skip pruning on a compiled graph: the residue stays the one the
     # reduction predicts, from strictly fewer states than the tuple-key sweep
-    result = assemble(CNF_CORPUS[4][1], 5)
-    counted = count_hc_pathdp(result.graph, result.decomposition, 5)
+    result, path, graph = compiled_graph(tmp_path)
+    counted = count_hc_pathdp(graph, graph.decomposition, 5)
     assert counted.value == result.sidecar()["predicted_mod_p"]
-    got, peak = hcount._sweep(result.graph, result.decomposition, (), 5)
-    want, ref_peak = ref_fingerprint_table(result.graph, result.decomposition.bags, (), 5)
+    got, peak = hcount._sweep(graph, graph.decomposition, (), 5)
+    want, ref_peak = ref_fingerprint_table(graph, graph.decomposition.bags, (), 5)
     assert got == want and peak == counted.states_peak < ref_peak
-    path = tmp_path / "g.hcg"
-    write_hcgraph(path, result.graph, result.decomposition)
     assert main(["count", "--graph", str(path), "--mod", "5"]) == 0
     assert json.loads(capsys.readouterr().out)["residue"] == counted.value
 
 
-def test_greedy_edge_order_lowers_the_peak_of_a_compiled_graph(monkeypatch):
-    result = assemble(CNF_CORPUS[4][1], 5)
-    greedy = count_hc_pathdp(result.graph, result.decomposition, 5)
+def test_greedy_edge_order_lowers_the_peak_of_a_compiled_graph(tmp_path, monkeypatch):
+    _, _, graph = compiled_graph(tmp_path)
+    greedy = count_hc_pathdp(graph, graph.decomposition, 5)
     monkeypatch.setattr(hcount, "_edge_order", lambda edges, remaining: edges)
-    in_sorted_order = count_hc_pathdp(result.graph, result.decomposition, 5)
+    in_sorted_order = count_hc_pathdp(graph, graph.decomposition, 5)
     assert greedy.value == in_sorted_order.value
     assert greedy.states_peak < in_sorted_order.states_peak

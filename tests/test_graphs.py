@@ -2,7 +2,10 @@
 
 The bulk builders (`AnnotatedGraph.from_edges`, the set-based
 `union_into`, the one-join `write_hcgraph`) are checked against the
-per-edge versions they replaced, which stay here as references."""
+per-edge versions they replaced, which stay here as references. A graph
+with label sites is written as its expansion, so the writer and
+`validate_expansion` are checked against the per-edge expansion
+`ref_expand_label_gadgets`."""
 
 import itertools
 
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from matchconn.exactalg import CapacityError, ValidationError
 from matchconn.graphs import (
+    LABEL_GADGET_EDGES,
     AnnotatedGraph,
     DecompositionError,
     PathDecomposition,
@@ -139,11 +143,6 @@ class TestPathDecomposition:
         assert first == {1: 0, 2: 0, 3: 3}
         assert last == {1: 3, 2: 1, 3: 4}
         assert gap == {1: 1}
-
-    def test_relabel(self):
-        d = PathDecomposition([(1, 2), (2, 3)])
-        r = d.relabel({1: 10, 2: 20, 3: 30})
-        assert list(r.bags) == [(10, 20), (20, 30)]
 
 
 # Each malformed graph file with the message read_hcgraph names it by.
@@ -286,6 +285,59 @@ def ref_write_hcgraph(path, graph, decomposition=None):
                 fh.write("bag " + " ".join(str(renum[v]) for v in bag) + "\n")
 
 
+def ref_expand_label_gadgets(graph):
+    """The graph with every label site replaced by its 9-vertex gadget, one
+    add_edge per edge, and its bags rewritten through occurrence_intervals.
+
+    The sorted sites take blocks of nine ids above every id of the graph
+    and its bags, role r at offset r - 1, so an unknown bag vertex stays
+    unknown; an edge labelled r at a site moves to role r. A site's first
+    bag gets all nine ids and its later bags roles 3 and 4; every rewritten
+    bag is sorted and lists each id once. A graph without sites comes back
+    as it is.
+    """
+    if not graph.annotations:
+        return graph
+    out = AnnotatedGraph()
+    bags = graph.decomposition.bags if graph.decomposition is not None else []
+    base = max(itertools.chain(graph.vertices, *bags), default=0) + 1
+    blob = {}
+    for v in sorted(graph.annotations):
+        blob[v] = {role: base + role - 1 for role in range(1, 10)}
+        base += 9
+    for v in sorted(graph.vertices):
+        if v in blob:
+            for w in blob[v].values():
+                out.add_vertex(w)
+            for r, s in LABEL_GADGET_EDGES:
+                out.add_edge(blob[v][r], blob[v][s])
+        else:
+            out.add_vertex(v)
+
+    def image(v, other):
+        if v not in blob:
+            return v
+        return blob[v][graph.annotations[v][edge_key(v, other)]]
+
+    for u, v in sorted(graph.edges):
+        out.add_edge(image(u, v), image(v, u))
+    if graph.decomposition is not None:
+        first, _, _ = graph.decomposition.occurrence_intervals()
+        bags = []
+        for idx, bag in enumerate(graph.decomposition.bags):
+            new_bag = []
+            for v in bag:
+                if v not in blob:
+                    new_bag.append(v)
+                elif idx == first[v]:
+                    new_bag.extend(blob[v].values())
+                else:
+                    new_bag.extend((blob[v][3], blob[v][4]))
+            bags.append(tuple(sorted(set(new_bag))))
+        out.decomposition = PathDecomposition(bags)
+    return out
+
+
 def copy_graph(graph):
     """The graph rebuilt through from_edges, labels and bags included."""
     out = AnnotatedGraph.from_edges(graph.vertices, list(graph.edges), graph.annotations)
@@ -382,6 +434,126 @@ class TestBulkBuildersAgainstReference:
             write_hcgraph(got, g, decomp)
             ref_write_hcgraph(want, g, decomp)
             assert got.read_bytes() == want.read_bytes()
+
+
+    @given(annotated_graphs(ids=st.integers(min_value=-40, max_value=40)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_write_expands_label_sites_like_the_reference(self, g, data):
+        import tempfile
+        from pathlib import Path
+
+        vertices = sorted(g.vertices)
+        bag = st.lists(st.sampled_from(vertices), max_size=6) if vertices else st.just([])
+        bags = data.draw(st.one_of(st.none(), st.lists(bag, max_size=5)))
+        g.decomposition = None if bags is None else decomposition_from(bags)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.hcg", Path(tmp) / "want.hcg"
+            write_hcgraph(got, g)
+            ref_write_hcgraph(want, ref_expand_label_gadgets(g))
+            assert got.read_bytes() == want.read_bytes()
+
+
+class TestWrittenExpansion:
+    def test_plain_graph_keeps_its_bags_as_given(self, tmp_path):
+        g = path_graph(3)
+        p = tmp_path / "g.hcg"
+        write_hcgraph(p, g, PathDecomposition([(2, 1, 1), (3, 2)]))
+        assert p.read_text() == "hcgraph v1\nn 3\ne 1 2\ne 2 3\nbag 2 1 1\nbag 3 2\n"
+
+    def test_single_site_rewiring(self, tmp_path):
+        # plain 2 and 3 become 1 and 2; site 1 takes 3..11, role r at 2 + r
+        g = AnnotatedGraph.from_edges((), [(1, 2), (1, 3)], {1: {(1, 2): 1, (1, 3): 3}})
+        p = tmp_path / "g.hcg"
+        write_hcgraph(p, g, PathDecomposition([(3, 1), (1, 2)]))
+        back = read_hcgraph(p)
+        assert len(back.vertices) == 11 and len(back.edges) == 12
+        assert back.has_edge(1, 3) and back.has_edge(2, 5)
+        assert back.edges - {(1, 3), (2, 5)} == {
+            edge_key(r + 2, s + 2) for r, s in LABEL_GADGET_EDGES
+        }
+        # sorted bags: the site's nine ids first, then its roles 3 and 4
+        assert back.decomposition.bags == [(2, *range(3, 12)), (1, 5, 6)]
+
+    def test_edge_added_at_a_site_after_construction_is_refused(self, tmp_path):
+        g = AnnotatedGraph.from_edges((), [(1, 2), (1, 3)], {1: {(1, 2): 1, (1, 3): 3}})
+        with pytest.raises(ValidationError, match=r"label site 1 would leave edge \(1, 4\) unlabeled"):
+            g.add_edge(1, 4)
+        p = tmp_path / "g.hcg"
+        write_hcgraph(p, g)
+        assert p.read_text().splitlines()[1] == "n 11"
+
+
+# ---------------------------------------------------------------------------
+# validate_expansion: the label-run rule against validating the expansion
+
+
+@st.composite
+def annotated_decompositions(draw):
+    """Bags, valid or damaged, of a graph with label sites on random edges."""
+    g, bags = draw(st.one_of(interval_decompositions(max_vertices=7, max_bags=5),
+                             damaged_decompositions()))
+    edges = sorted(g.edges)
+    vertices = sorted(g.vertices)
+    sites = draw(st.sets(st.sampled_from(vertices), max_size=4)) if vertices else set()
+    labels = {
+        v: {e: draw(st.integers(min_value=1, max_value=4)) for e in edges if v in e}
+        for v in sorted(sites)
+    }
+    g = AnnotatedGraph.from_edges(vertices, edges, labels)
+    g.decomposition = decomposition_from(bags)
+    return g
+
+
+def assert_expansion_checked_like_the_reference(g):
+    """validate_expansion passes iff the expansion's bags validate, and then
+    returns their width."""
+    x = ref_expand_label_gadgets(g)
+    want = x.decomposition.violations(x)
+    try:
+        width = g.decomposition.validate_expansion(g)
+    except DecompositionError:
+        assert want
+        return False
+    assert not want
+    assert width == x.decomposition.width
+    return True
+
+
+class TestValidateExpansion:
+    @given(annotated_decompositions())
+    @settings(max_examples=400, deadline=None)
+    def test_passes_exactly_when_the_expansion_validates(self, g):
+        assert_expansion_checked_like_the_reference(g)
+
+    @pytest.mark.parametrize("lab,ok", [(1, False), (2, False), (3, True), (4, True)])
+    def test_only_roles_3_and_4_reach_past_the_first_bag(self, lab, ok):
+        # site 1 starts in bag 0; vertex 2 joins it in bag 1 only
+        g = AnnotatedGraph.from_edges((), [(1, 2)], {1: {(1, 2): lab}})
+        g.decomposition = PathDecomposition([(1,), (1, 2)])
+        g.decomposition.validate(g)
+        assert assert_expansion_checked_like_the_reference(g) is ok
+        if not ok:
+            with pytest.raises(DecompositionError, match=f"edge 1-2 labelled {lab} at site 1 "
+                               "misses bag 0"):
+                g.decomposition.validate_expansion(g)
+
+    @pytest.mark.parametrize("lab,ok", [(1, False), (2, False), (3, True), (4, True)])
+    def test_two_sites_on_one_edge(self, lab, ok):
+        # sites 1 and 2 share both bags but start apart; the edge carries
+        # label 2 at site 2, so it needs site 1's role `lab` in bag 1
+        g = AnnotatedGraph.from_edges((), [(1, 2)], {1: {(1, 2): lab}, 2: {(1, 2): 2}})
+        g.decomposition = PathDecomposition([(1,), (1, 2)])
+        assert assert_expansion_checked_like_the_reference(g) is ok
+
+    def test_a_site_counts_nine_ids_in_its_first_bag_and_two_later(self):
+        # expanded bags: nine ids, then plain 1 and 3 with roles 3 and 4
+        g = AnnotatedGraph.from_edges((), [(1, 2), (2, 3)], {2: {(1, 2): 3, (2, 3): 4}})
+        g.decomposition = PathDecomposition([(2,), (1, 2, 3)])
+        assert g.decomposition.validate_expansion(g) == 8
+        assert assert_expansion_checked_like_the_reference(g)
+        g.decomposition = PathDecomposition([(1, 2, 3), (1, 2, 3), (2, 3)])
+        assert g.decomposition.validate_expansion(g) == 10
+        assert assert_expansion_checked_like_the_reference(g)
 
 
 # ---------------------------------------------------------------------------

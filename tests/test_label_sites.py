@@ -26,7 +26,8 @@ from matchconn.hcount import (
     partial_solution_spectrum,
 )
 from matchconn.matchings import Fingerprint, Matching
-from matchconn.reduction import build_fingerprint_gadget, expand_label_gadgets
+from matchconn.reduction import build_fingerprint_gadget
+from test_graphs import ref_expand_label_gadgets
 from test_hcount import ref_fingerprint_table, separation_bags, with_boundary
 
 EMPTY = Fingerprint((), (), Matching(()))
@@ -48,7 +49,7 @@ def label_aware_count(graph, modulus=None):
 
 def expansion_order(graph, order):
     """`order` with each site replaced by its nine expansion ids, role 1 first,
-    as expand_label_gadgets numbers them."""
+    as ref_expand_label_gadgets numbers them."""
     top = max(graph.vertices) + 1
     base = {v: top + 9 * i for i, v in enumerate(sorted(graph.annotations))}
     out = []
@@ -99,7 +100,7 @@ def test_sites_count_as_their_expansion(instance):
     g, order, modulus = instance
     want = label_aware_count(g, modulus)
     assert count_hc_pathdp(g, PathDecomposition(separation_bags(g, order)), modulus).value == want
-    x = expand_label_gadgets(g)
+    x = ref_expand_label_gadgets(g)
     bags = separation_bags(x, expansion_order(g, order))
     ref, _ = ref_fingerprint_table(x, bags, (), modulus)
     assert ref.get(EMPTY, 0) == want
@@ -117,7 +118,7 @@ def perturbed_expansions(draw):
     vertices; each of these must keep the gadget expanded.
     """
     g, order, modulus = draw(labelled_instances())
-    x = expand_label_gadgets(g)
+    x = ref_expand_label_gadgets(g)
     xorder = expansion_order(g, order)
     pick = st.sampled_from(xorder)
     edges = set(x.edges)
@@ -153,7 +154,7 @@ def one_site(labels):
 def test_a_site_takes_partner_labels_only(labels, want):
     g = one_site(labels)
     assert count_hc_pathdp(g).value == want
-    assert count_hc_pathdp(expand_label_gadgets(g)).value == want
+    assert count_hc_pathdp(ref_expand_label_gadgets(g)).value == want
 
 
 def test_counters_that_cannot_read_labels_refuse_sites():
@@ -254,7 +255,7 @@ def test_fingerprint_gadgets_count_the_same_annotated_and_expanded(trial):
     rng = random.Random(VERIFY_SEED + trial)
     spec = random_gadget_spec(rng)
     gadget = build_fingerprint_gadget(spec)
-    expanded = expand_label_gadgets(gadget)
+    expanded = ref_expand_label_gadgets(gadget)
     want = {fp: m for fp, m in spec.counts}
     for g in (gadget, expanded):
         assert partial_solution_spectrum(g, spec.boundary, decomposition=g.decomposition) == want

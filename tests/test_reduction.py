@@ -4,14 +4,16 @@ algebra, and end-to-end counts.
 The block identities are checked against joint fingerprints rebuilt locally
 in this file, so the tests do not reuse the compiler's own shape helpers.
 The compiler validates only the graph `assemble` returns; the pieces it
-builds on the way are validated here instead, and the bulk expansion is
-checked against the per-edge one it replaced.
+builds on the way are validated here instead, and the file written for each
+is checked against the per-edge expansion `ref_expand_label_gadgets`.
 """
 
 import hashlib
 import itertools
 import random
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +23,12 @@ from matchconn import hcount, reduction
 from matchconn.checks import CNF_CORPUS, random_gadget_spec
 from matchconn.exactalg import ValidationError
 from matchconn.graphs import (
+    LABEL_GADGET_EDGES,
     AnnotatedGraph,
     DecompositionError,
     PathDecomposition,
     edge_key,
+    read_hcgraph,
     write_hcgraph,
 )
 from matchconn.hcount import (
@@ -35,7 +39,6 @@ from matchconn.hcount import (
 from matchconn.matchings import Fingerprint, Matching, enumerate_fingerprints
 from matchconn.reduction import (
     DEFAULT_GADGET_BUDGET,
-    LABEL_GADGET_EDGES,
     MAX_SAT_VARS,
     BasisTooSmallError,
     Cnf,
@@ -46,12 +49,16 @@ from matchconn.reduction import (
     build_fingerprint_gadget,
     compose_clause,
     count_sat,
-    expand_label_gadgets,
-    format_dimacs,
     parse_dimacs,
     select_basis,
 )
-from test_graphs import assert_same_graph, copy_graph, ref_union_into
+from test_graphs import (
+    assert_same_graph,
+    copy_graph,
+    ref_expand_label_gadgets,
+    ref_union_into,
+    ref_write_hcgraph,
+)
 
 LEFT_BASIS_TEXTS = (
     "d=11101;M=1-3|2-5",
@@ -65,6 +72,14 @@ RIGHT_BASIS_TEXTS = (
     "d=11112;M=1-2|3-4",
     "d=11121;M=1-2|3-5",
 )
+
+
+def format_dimacs(cnf):
+    """DIMACS text for the formula: the writer parse_dimacs is checked against."""
+    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
+    for clause in cnf.clauses:
+        lines.append(" ".join(str(l) for l in clause + (0,)))
+    return "\n".join(lines) + "\n"
 
 
 class TestCnf:
@@ -315,7 +330,7 @@ class TestFingerprintGadget:
         f2 = five_fp((1, 1, 1, 0, 1), [(1, 2), (3, 5)])
         spec = GadgetSpec.make((1, 2, 3, 4, 5), (1, 2), {f1: 2, f2: 1})
         gadget = build_fingerprint_gadget(spec)
-        expanded = expand_label_gadgets(gadget)
+        expanded = ref_expand_label_gadgets(gadget)
         expanded.decomposition.validate(expanded)
         got = partial_solution_spectrum(expanded, (1, 2, 3, 4, 5))
         assert got == {f1: 2, f2: 1}
@@ -347,9 +362,11 @@ class TestFingerprintGadget:
         )
         f3 = Fingerprint(boundary, (0, 0, 0, 1, 1, 1, 1), Matching(((4, 5), (6, 7))))
         spec = GadgetSpec.make(boundary, (6, 7), {f1: 1, f2: 1, f3: 1})
-        expanded = expand_label_gadgets(build_fingerprint_gadget(spec))
+        gadget = build_fingerprint_gadget(spec)
+        expanded = ref_expand_label_gadgets(gadget)
         assert len(expanded.vertices) == 92
         assert expanded.decomposition.width == 22
+        assert gadget.decomposition.validate_expansion(gadget) == 22
         assert partial_solution_spectrum(expanded, boundary) == {f1: 1, f2: 1, f3: 1}
 
 
@@ -391,30 +408,6 @@ class TestLabelBlob:
             if has_ham_path(a, b)
         }
         assert pairs == {(1, 2), (3, 4)}
-
-
-class TestExpandLabelGadgets:
-    def test_plain_graph_passes_through(self):
-        g = AnnotatedGraph()
-        g.add_edge(1, 2)
-        assert expand_label_gadgets(g) is g
-
-    def test_single_site_rewiring(self):
-        g = AnnotatedGraph.from_edges((), [(1, 2), (1, 3)], {1: {(1, 2): 1, (1, 3): 3}})
-        out = expand_label_gadgets(g)
-        assert len(out.vertices) == 11
-        assert len(out.edges) == 12
-        # replacement ids start after the old maximum, role r at base+r-1
-        assert out.has_edge(4, 2)
-        assert out.has_edge(6, 3)
-        assert 1 not in out.vertices
-
-    def test_edge_added_at_a_site_after_construction_is_named(self):
-        # refused where it is added, so expansion never meets it
-        g = AnnotatedGraph.from_edges((), [(1, 2), (1, 3)], {1: {(1, 2): 1, (1, 3): 3}})
-        with pytest.raises(ValidationError, match=r"label site 1 would leave edge \(1, 4\) unlabeled"):
-            g.add_edge(1, 4)
-        assert len(expand_label_gadgets(g).vertices) == 11
 
 
 def joint_fingerprint(f_left, f_right, left_ids, right_ids):
@@ -466,7 +459,7 @@ class TestClauseAlgebra:
         clause = (1,)
         piece = build_base_case(params, [L], [R], [(1,)], clause, start_id=11)
         piece.graph.decomposition = PathDecomposition(piece.bags)
-        expanded = expand_label_gadgets(piece.graph)
+        expanded = ref_expand_label_gadgets(piece.graph)
         measured = partial_solution_spectrum(expanded, L + R, modulus=p)
         expected = {}
         for idx in range(2):
@@ -500,7 +493,7 @@ class TestClauseAlgebra:
         )
         col = compose_clause(piece1, piece2)
         col.graph.decomposition = PathDecomposition(col.bags)
-        expanded = expand_label_gadgets(col.graph)
+        expanded = ref_expand_label_gadgets(col.graph)
         measured = partial_solution_spectrum(expanded, L + R, modulus=p)
 
         n = len(params.right_basis)
@@ -583,29 +576,31 @@ class TestAssemble:
         assert res.modulus == p
 
     @pytest.mark.parametrize("name,cnf", CNF_CORPUS)
-    def test_contracted_sweep_counts_exactly_what_the_expanded_one_does(self, monkeypatch, name, cnf):
+    def test_contracted_sweep_counts_exactly_what_the_expanded_one_does(
+        self, monkeypatch, tmp_path, name, cnf
+    ):
         for p in (3, 5):
             out = assemble(cnf, p)
-            fast = count_hc_pathdp(out.graph, out.decomposition)
+            written = write_and_read(tmp_path, out)
+            fast = count_hc_pathdp(written, written.decomposition)
             with monkeypatch.context() as m:
                 m.setattr(hcount, "_contract_label_gadgets", lambda graph, keep: (graph, {}))
-                slow = count_hc_pathdp(out.graph, out.decomposition)
+                slow = count_hc_pathdp(written, written.decomposition)
             assert fast.value == slow.value == count_sat(out.padded_cnf)
-            assert count_hc_pathdp(out.graph, out.decomposition, p).value == out.predicted
+            assert count_hc_pathdp(written, written.decomposition, p).value == out.predicted
 
     @pytest.mark.parametrize("name,cnf", CNF_CORPUS)
-    def test_compiled_graphs_count_before_expansion(self, monkeypatch, name, cnf):
+    def test_compiled_graphs_count_before_expansion(self, tmp_path, name, cnf):
         # the library path: the sweep reads the assembled graph's label
-        # sites directly, and counts what the expanded graph counts
-        expanded = assemble(cnf, 5)
-        monkeypatch.setattr(reduction, "expand_label_gadgets", lambda graph: graph)
+        # sites directly, and counts what the written file counts
         out = assemble(cnf, 5)
         assert out.graph.annotations
         counted = count_hc_pathdp(out.graph, out.decomposition)
-        assert counted.value == count_hc_pathdp(expanded.graph, expanded.decomposition).value
+        written = write_and_read(tmp_path, out)
+        assert counted.value == count_hc_pathdp(written, written.decomposition).value
         assert counted.value % 5 == out.predicted
 
-    def test_output_contract(self):
+    def test_output_contract(self, tmp_path):
         out = assemble(Cnf(1, ((1,),)), 3)
         assert set(out.sidecar()) == {
             "p",
@@ -616,8 +611,13 @@ class TestAssemble:
             "predicted_mod_p",
         }
         assert out.width <= out.width_bound == out.q * 5 + 6 * 5
-        assert out.graph.annotations == {}
-        out.decomposition.validate(out.graph)
+        written = write_and_read(tmp_path, out)
+        assert written.annotations == {}
+        written.decomposition.validate(written)
+        assert written.decomposition.width == out.width
+        sites = len(out.graph.annotations)
+        assert len(written.vertices) == len(out.graph.vertices) + 8 * sites
+        assert len(written.edges) == len(out.graph.edges) + 10 * sites
         assert out.pad_vars == 0
         assert out.padded_cnf == Cnf(1, ((1,),))
 
@@ -769,55 +769,25 @@ class TestGadgetAgainstReference:
             build_fingerprint_gadget(spec, spec.boundary[-1])
 
 
-def ref_expand_label_gadgets(graph):
-    """expand_label_gadgets as one add_edge per edge, with bags rewritten
-    through occurrence_intervals."""
-    if not graph.annotations:
-        return graph
-    out = AnnotatedGraph()
-    base = max(graph.vertices, default=0) + 1
-    blob = {}
-    for v in sorted(graph.annotations):
-        blob[v] = {role: base + role - 1 for role in range(1, 10)}
-        base += 9
-    for v in sorted(graph.vertices):
-        if v in blob:
-            for w in blob[v].values():
-                out.add_vertex(w)
-            for r, s in LABEL_GADGET_EDGES:
-                out.add_edge(blob[v][r], blob[v][s])
-        else:
-            out.add_vertex(v)
-
-    def image(v, other):
-        if v not in blob:
-            return v
-        return blob[v][graph.annotations[v][edge_key(v, other)]]
-
-    for u, v in sorted(graph.edges):
-        out.add_edge(image(u, v), image(v, u))
-    if graph.decomposition is not None:
-        first, _, _ = graph.decomposition.occurrence_intervals()
-        bags = []
-        for idx, bag in enumerate(graph.decomposition.bags):
-            new_bag = []
-            for v in bag:
-                if v not in blob:
-                    new_bag.append(v)
-                elif idx == first[v]:
-                    new_bag.extend(blob[v].values())
-                else:
-                    new_bag.extend((blob[v][3], blob[v][4]))
-            bags.append(tuple(sorted(set(new_bag))))
-        out.decomposition = PathDecomposition(bags)
-    return out
+def write_and_read(tmp_path, out):
+    """The graph `reduce` writes for an assemble output, read back."""
+    path = tmp_path / "out.hcg"
+    write_hcgraph(path, out.graph, out.decomposition)
+    return read_hcgraph(path)
 
 
-def expand_and_check(graph):
-    """Bulk expansion, equal to the reference and validly decomposed."""
-    expanded = expand_label_gadgets(graph)
-    assert_same_graph(expanded, ref_expand_label_gadgets(graph))
+def assert_written_like_the_reference(graph):
+    """The file written for the graph and its bags equals the per-line
+    writer's on the per-edge expansion, whose bags are valid and as wide as
+    validate_expansion says."""
+    expanded = ref_expand_label_gadgets(graph)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.hcg", Path(tmp) / "want.hcg"
+        write_hcgraph(got, graph)
+        ref_write_hcgraph(want, expanded)
+        assert got.read_bytes() == want.read_bytes()
     expanded.decomposition.validate(expanded)
+    assert graph.decomposition.validate_expansion(graph) == expanded.decomposition.width
     return expanded
 
 
@@ -847,7 +817,7 @@ class TestPiecesValidateOutsideTheCompiler:
         spec = random_gadget_spec(random.Random(seed), boundary=tuple(range(1, size + 1)))
         gadget = build_fingerprint_gadget(spec)
         gadget.decomposition.validate(gadget)
-        expand_and_check(gadget)
+        assert_written_like_the_reference(gadget)
 
     def test_gadget_with_a_repeated_bag_vertex_expands_like_the_reference(self):
         spec = random_gadget_spec(random.Random(7))
@@ -856,7 +826,7 @@ class TestPiecesValidateOutsideTheCompiler:
         site = next(v for v in bags[1] if v in gadget.annotations)
         bags[1] = bags[1] + (site,)
         bags[2] = bags[2] + tuple(v for v in bags[2] if v in gadget.annotations)
-        expand_and_check(gadget)
+        assert_written_like_the_reference(gadget)
 
     @pytest.mark.parametrize("beta,p", [(5, 3), (5, 5), (6, 5)])
     @pytest.mark.parametrize("q", [1, 2])
@@ -868,7 +838,7 @@ class TestPiecesValidateOutsideTheCompiler:
         column = compose_clause(*pieces)
         column.graph.decomposition = PathDecomposition(column.bags)
         column.graph.decomposition.validate(column.graph)
-        expand_and_check(column.graph)
+        assert_written_like_the_reference(column.graph)
 
     def test_column_of_three_equals_pairwise_gluing(self):
         params = select_basis(5, 1, 3)
@@ -934,9 +904,7 @@ class TestSingleValidation:
     @pytest.mark.parametrize("name,cnf", CNF_CORPUS)
     def test_corpus_compiles_match_the_per_edge_builders(self, monkeypatch, name, cnf):
         union_into = AnnotatedGraph.union_into
-        expand = reduction.expand_label_gadgets
         unions = []
-        expanded = []
 
         def checked_union(self, other):
             want = copy_graph(self)
@@ -945,18 +913,27 @@ class TestSingleValidation:
             assert_same_graph(self, want)
             unions.append(other)
 
-        def checked_expand(graph):
-            out = expand(graph)
-            assert_same_graph(out, ref_expand_label_gadgets(graph))
-            expanded.append(out)
-            return out
-
         monkeypatch.setattr(AnnotatedGraph, "union_into", checked_union)
-        monkeypatch.setattr(reduction, "expand_label_gadgets", checked_expand)
         for p, beta, gamma in ((3, 5, 1), (5, 5, 2)):
             out = assemble(cnf, p, beta=beta, gamma=gamma)
-            assert expanded[-1] is out.graph
+            assert out.graph.decomposition is out.decomposition
+            expanded = assert_written_like_the_reference(out.graph)
+            assert out.width == expanded.decomposition.width
         assert unions
+
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.lists(st.lists(st.integers(min_value=-3, max_value=3).filter(bool), max_size=3),
+                 min_size=1, max_size=3),
+        st.sampled_from([(3, 5, 1), (5, 5, 2), (7, 6, 1), (5, 6, 2)]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_random_compiles_are_written_like_the_reference(self, num_vars, clauses, shape):
+        p, beta, gamma = shape
+        cnf = Cnf.from_clauses(num_vars, [[l for l in c if abs(l) <= num_vars] for c in clauses])
+        out = assemble(cnf, p, beta=beta, gamma=gamma)
+        expanded = assert_written_like_the_reference(out.graph)
+        assert out.width == expanded.decomposition.width
 
 
 # write_hcgraph output measured before the single kernel and before the
