@@ -8,7 +8,7 @@ Typical runs:
     python scripts/rank_sweep.py --large --mods 3 5 7 --no-rational
 
 Order 12 needs --large (a 10395-dimensional matrix; one rank of M_12 mod 3
-took 97 s and 961 MB peak memory on a shared 2-core VM).
+took 34 s and 582 MB peak memory on a shared 2-core VM).
 """
 
 from __future__ import annotations

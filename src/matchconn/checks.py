@@ -170,7 +170,7 @@ def random_label_closure(rng: random.Random):
 def order_12_ranks() -> MappingProxyType:
     """Ranks of the order-12 matrix mod 3, 5 and 7, computed once per process.
 
-    Each is an elimination of 90-100 s and 1 GB on a 2-core VM; rank-mod-p
+    Each is an elimination of 35-70 s and 0.6 GB on a 2-core VM; rank-mod-p
     and rank-formula both read them.
     """
     m12 = build_M(12, large=True)

@@ -6,16 +6,16 @@ and Kronecker products. Over GF(p) the array holds residues 0..p-1. Each
 field has one elimination kernel, and rank, determinant, inverse, nullity
 and full-rank extraction all read its pivots:
 
-  * GF(p): `_eliminate_mod`, blocked row reduction. Each panel of
-    `_PANEL` = 64 columns is eliminated left-looking, one float64
-    matrix-vector product per column, and the rest of the matrix takes one
-    BLAS product per chunk of `_CHUNK_ROWS` rows, reduced mod p by a
-    floor-multiply. Sums stay below 64 * (p - 1)^2 + p < 2^53 for every p up
-    to the certification prime, so the result is exact; a larger p is
-    refused. Rank of the order-10 matrix (945 x 945) takes about 0.12 s on a
-    2-core VM. The work array is int64, or int32 above
-    `_INT32_ENTRIES` entries. Every call checks the memory ceiling from the
-    environment first.
+  * GF(p): `_residues` writes the residues into one int32 work array (every
+    p up to the certification prime is below 2^31) with no full-size
+    temporary, after checking the memory ceiling from the environment, and
+    `_eliminate_mod` row-reduces it in place. Each panel of up to `_PANEL` =
+    64 pivots is eliminated left-looking, one float64 matrix-vector product
+    per column, and the rest of the matrix takes one BLAS product per chunk
+    of `_CHUNK_ROWS` rows, reduced mod p by a floor-multiply. Sums stay below
+    64 * (p - 1)^2 + p < 2^53 for every p up to the certification prime, so
+    the result is exact; a larger p is refused. Rank of the order-10 matrix
+    (945 x 945) takes about 0.1 s and 6.6 MB on a 2-core VM.
   * Q: `_bareiss`, fraction-free elimination over Z on Python ints, so no
     rounding or overflow ever happens. Input above `MAX_BAREISS_ROWS` = 512
     rows is refused with CapacityError. `inverse` works mod p only: its one
@@ -153,11 +153,11 @@ def parse_field(token: str) -> FieldSpec:
 
 def _memory_limit_bytes() -> int:
     raw = os.environ.get(MEMORY_ENV_VAR, "")
-    try:
-        mb = int(raw) if raw else DEFAULT_MEMORY_MB
-    except ValueError:
-        mb = DEFAULT_MEMORY_MB
-    return mb * (1 << 20)
+    if not raw:
+        return DEFAULT_MEMORY_MB << 20
+    if not raw.strip().isdecimal():
+        raise ValidationError(f"{MEMORY_ENV_VAR}={raw!r} is not a whole number of megabytes")
+    return int(raw) << 20
 
 
 # ---------------------------------------------------------------------------
@@ -332,99 +332,113 @@ def _integer_rows(matrix: ExactMatrix) -> list[list[int]]:
 # _PANEL pivot rows of residues, exact while _PANEL * (p - 1)^2 + p < 2^53:
 # for every p up to _CERT_PRIME.
 _PANEL = 64
-# Rows per step of the trailing update; bounds its float64 temporaries to a
-# few row blocks whatever the matrix size.
-_CHUNK_ROWS = 256
-# Above this many entries the work array is int32 (every residue is below
-# 2^31), which halves the footprint of the order-12 matrices.
-_INT32_ENTRIES = 16_000_000
+# Rows per step of the trailing update: its two float64 buffers hold this
+# many rows whatever the matrix size.
+_CHUNK_ROWS = 128
 
 
-def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+def _workspace_bytes(m: int, n: int) -> int:
+    """Bytes an m x n elimination allocates: the int32 work array, F and U,
+    the two float64 chunk buffers and their bool mask, and the int64 and
+    float64 vectors of one column and one pivot-row step."""
+    c = min(m, _CHUNK_ROWS)
+    return 4 * m * n + 8 * _PANEL * (m + n) + 17 * c * n + 32 * (m + n)
+
+
+def _residues(a: np.ndarray, p: int, ncols: int | None = None) -> np.ndarray:
+    """a mod p in a fresh int32 work array, `ncols` wide (zero past a).
+
+    No full-size temporary: a cast copy when a already holds residues, else
+    one remainder whose int64 loop (uint64 for uint64 input, so nothing
+    wraps) casts block by block. int32 holds every residue, since p is at
+    most `_CERT_PRIME`. Raises CapacityError above `_CERT_PRIME`, and when
+    `_workspace_bytes` exceeds the memory ceiling, before allocating.
+    """
+    if p > _CERT_PRIME:
+        raise CapacityError(f"modulus {p} exceeds the float64 elimination ceiling {_CERT_PRIME}")
+    m, n = a.shape
+    width = ncols or n
+    need, limit = _workspace_bytes(m, width), _memory_limit_bytes()
+    if need > limit:
+        raise CapacityError(f"elimination needs about {need >> 20} MB, over the "
+                            f"{limit >> 20} MB ceiling ({MEMORY_ENV_VAR})")
+    work = np.zeros((m, width), dtype=np.int32)
+    if a.size and (a.min() < 0 or a.max() >= p):
+        div = np.uint64(p) if a.dtype == np.uint64 else np.int64(p)
+        np.remainder(a, div, out=work[:, :n], casting="unsafe")
+    else:
+        work[:, :n] = a
+    return work
+
+
+def _reduce_mod(x: np.ndarray, p: int, q: np.ndarray | None = None) -> np.ndarray:
     """Reduce a float64 array of integers below 2^53 in size to 0..p-1 in place.
 
-    floor(x * (1/p)) is off by at most one, which the +-p fix-up absorbs.
-    On a 256 x 945 block it took about half the time of float %.
+    floor(x * (1/p)) is off by at most one, which the +-p fix-up absorbs;
+    `q` is scratch of x's shape. About half the time of float %.
     """
-    q = x * (1.0 / p)
+    q = np.multiply(x, 1.0 / p, out=q)
     np.floor(q, out=q)
     q *= p
     x -= q
-    x[x < 0] += p
-    x[x >= p] -= p
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
     return x
 
 
-def _eliminate_mod(
-    a: np.ndarray, p: int, jordan: bool = False
-) -> tuple[np.ndarray, list[int], int]:
-    """Row reduction mod p on a copy of an integer array.
+def _eliminate_mod(work: np.ndarray, p: int, jordan: bool = False) -> tuple[list[int], int]:
+    """Row reduction mod p, in place on an int32 work array from `_residues`.
 
-    Returns (work, pivot columns, determinant factor). Every pivot row is
-    scaled to a leading 1 and cleared below (and above, with `jordan`), and
-    pivots are taken left to right, so the pivot columns are exactly the
-    greedy choice of columns independent of those before them. The factor is
-    the row-swap sign times the product of the pivots, mod p: the determinant
-    of square input of full rank.
+    Returns (pivot columns, determinant factor). Every pivot row is scaled to
+    a leading 1 and cleared below (and above, with `jordan`), and pivots are
+    taken left to right: the greedy choice of columns independent of those
+    before them. The factor is the row-swap sign times the product of the
+    pivots mod p, the determinant of square input of full rank.
 
     Blocked, with delayed reduction over float64 BLAS (Dumas, Giorgi and
-    Pernet, ACM TOMS 35(3), 2008). Each panel of `_PANEL` columns is
-    eliminated left-looking (Golub and Van Loan, Matrix Computations, 3.2):
-    with t pivots taken in the panel and r the next pivot row, column j is
-    brought up to date as work[r:, j] - F[r:, :t] @ U[:t, j], one
-    matrix-vector product reduced by one int64 %, and its first nonzero row
-    is the pivot. F[i, t] is the entry row i held in pivot t's column when it
-    was cleared, and U[t] is pivot row t over the remaining width,
-    work[r, j:] - F[r, :t] @ U[:t, j:] scaled to a leading 1. A swap moves
-    whole rows of the work array and of F. Before the first pivot of a panel
-    its columns are already reduced and need only the nonzero search, and a
-    panel with no nonzero entry below the pivot rows is skipped. With
-    `jordan` every row above r takes its multiplier from the same formula,
-    and a pivot row of this panel reads as its U row from its own step on.
-    After the panel, every row that took a multiplier becomes work - F @ U
-    (from the panel's first column for the rows above, past its last for the
-    rows below), one BLAS product per chunk of `_CHUNK_ROWS` rows. Sums stay
-    below _PANEL * (p - 1)^2 + p < 2^53, so every float is an exact integer
-    and the result equals column-at-a-time elimination entry for entry.
-    Cost: O(m * n * rank) flops in BLAS plus one O(m * _PANEL) product per
-    column. Raises CapacityError above `_CERT_PRIME`, and when the work
-    array, F, U and the chunk temporaries would exceed the memory ceiling.
+    Pernet, ACM TOMS 35(3), 2008). A panel starts at the first column not yet
+    eliminated and closes after `_PANEL` pivots or 4 * `_PANEL` columns, so a
+    rank-deficient matrix still takes up to `_PANEL` pivots per trailing
+    update. It is eliminated left-looking (Golub and Van Loan, Matrix
+    Computations, 3.2): with t pivots taken in the panel and r the next
+    pivot row, column j is brought up to date as work[r:, j] - F[r:, :t] @
+    U[:t, j], one matrix-vector product reduced by one int64 %, and its first
+    nonzero row is the pivot. F[i, t] is the entry row i held in pivot t's
+    column when it was cleared, and U[t] is pivot row t over the remaining
+    width, work[r, j:] - F[r, :t] @ U[:t, j:] scaled to a leading 1. A swap
+    moves whole rows of the work array and of F. Before the first pivot of a
+    panel its columns are already reduced and need only the nonzero search,
+    and 4 * `_PANEL` columns with no nonzero entry below the pivot rows are
+    skipped. With `jordan` every row above r takes its multiplier from the
+    same formula, and a pivot row of this panel reads as its U row from its
+    own step on. After the panel, every row that took a multiplier becomes
+    work - F @ U (from the panel's first column for the rows above, past its
+    last for the rows below), one BLAS product per chunk of `_CHUNK_ROWS`
+    rows into two reused float64 buffers. Sums stay below
+    _PANEL * (p - 1)^2 + p < 2^53, so every float is an exact integer and the
+    result equals column-at-a-time elimination entry for entry. Cost:
+    O(m * n * rank) flops in BLAS plus one O(m * _PANEL) product per column,
+    in the memory of `_workspace_bytes`.
     """
-    if p > _CERT_PRIME:
-        raise CapacityError(
-            f"modulus {p} exceeds the float64 elimination ceiling {_CERT_PRIME}"
-        )
-    m, n = a.shape
-    dtype = np.int32 if a.size > _INT32_ENTRIES else np.int64
-    need = a.size * np.dtype(dtype).itemsize + 8 * (
-        m * _PANEL + _PANEL * n + 3 * min(m, _CHUNK_ROWS) * n
-    )
-    if need > _memory_limit_bytes():
-        raise CapacityError(
-            f"elimination needs about {need >> 20} MB, over the "
-            f"{_memory_limit_bytes() >> 20} MB ceiling ({MEMORY_ENV_VAR})"
-        )
-    if not np.can_cast(a.dtype, dtype):
-        a = a % p
-    # Not an in-place %=: freeing the astype temporary here measured a 3 MB
-    # lower peak RSS over a certify round (allocator reuse of the chunks).
-    work = a.astype(dtype) % p
+    m, n = work.shape
     pivots: list[int] = []
     d = 1
     F = np.empty((m, _PANEL))
     U = np.empty((_PANEL, n))
-    for c0 in range(0, n, _PANEL):
+    xbuf, ybuf = np.empty((2, min(m, _CHUNK_ROWS) * n))
+    c0 = 0
+    while c0 < n and len(pivots) < m:
         r0 = len(pivots)
-        if r0 == m:
-            break
-        c1 = min(c0 + _PANEL, n)
+        c1 = min(c0 + 4 * _PANEL, n)
         if not work[r0:, c0:c1].any():
+            c0 = c1
             continue
         for j in range(c0, c1):
             r = len(pivots)
-            if r == m:
-                break
             t = r - r0
+            if r == m or t == _PANEL:
+                c1 = j
+                break
             top = 0 if jordan else r
             if t:
                 col = work[top:, j] - (F[top:, :t] @ U[:t, j]).astype(np.int64)
@@ -462,18 +476,18 @@ def _eliminate_mod(
         k = len(pivots) - r0
         work[r0 + k :, c0:c1] = 0
         for start, stop, lo_col in ((0, r0 + k if jordan else 0, c0), (r0 + k, m, c1)):
-            if lo_col == n:
-                continue
-            V = U[:k, lo_col:]
             for lo in range(start, stop, _CHUNK_ROWS):
                 hi = min(lo + _CHUNK_ROWS, stop)
                 Fc = F[lo:hi, :k]
-                if not Fc.any():
+                if lo_col == n or not Fc.any():
                     continue
-                x = work[lo:hi, lo_col:].astype(np.float64)
-                x -= Fc @ V
-                work[lo:hi, lo_col:] = _reduce_mod(x, p)
-    return work, pivots, d % p
+                size = (hi - lo) * (n - lo_col)
+                x, y = (b[:size].reshape(hi - lo, n - lo_col) for b in (xbuf, ybuf))
+                x[...] = work[lo:hi, lo_col:]
+                x -= np.matmul(Fc, U[:k, lo_col:], out=y)
+                work[lo:hi, lo_col:] = _reduce_mod(x, p, y)
+        c0 = c1
+    return pivots, d % p
 
 
 def _small_fraction(x: int, p: int) -> Fraction | None:
@@ -494,21 +508,22 @@ def _small_fraction(x: int, p: int) -> Fraction | None:
 def _kernel_certifies(a: np.ndarray, r: int) -> bool:
     """True if an exact integer kernel shows that a has rational rank <= r.
 
-    `a` is an int64 array whose rank mod `_CERT_PRIME` is r. Gauss-Jordan
+    `a` is an integer array whose rank mod `_CERT_PRIME` is r. Gauss-Jordan
     mod that prime gives pivot columns C and, for each free column j, the
     kernel vector x_j = 1, x_C = -R[:, j]. Each residue is read back as a small
     fraction, each vector is scaled to integers, and A x = 0 is checked in
-    int64 under a bound that rules out overflow. The vectors restrict to a
-    scaled identity on the free columns, so they are independent and the
-    rational nullity is at least n - r. False when a residue has no small
-    fraction, the bound fails or a product is nonzero; the caller then runs
-    Bareiss. The eigenspaces of the order-8 matrix pass with fractions whose
-    parts are at most 5: each nullity takes about 20 ms on a 2-core VM,
-    where Bareiss took 0.13-0.31 s.
+    int64 (a is widened only for that product) under a bound that rules out
+    overflow. The vectors restrict to a scaled identity on the free columns,
+    so they are independent and the rational nullity is at least n - r.
+    False when a residue has no small fraction, the bound fails or a product
+    is nonzero; the caller then runs Bareiss. The eigenspaces of the order-8
+    matrix pass with fractions whose parts are at most 5: each nullity takes
+    about 20 ms on a 2-core VM, where Bareiss took 0.13-0.31 s.
     """
     p = _CERT_PRIME
     n = a.shape[1]
-    work, pivots, _ = _eliminate_mod(a, p, jordan=True)
+    work = _residues(a, p)
+    pivots, _ = _eliminate_mod(work, p, jordan=True)
     free = np.setdiff1d(np.arange(n), pivots)
     residues, where = np.unique((-work[:r, free] % p).ravel(), return_inverse=True)
     del work
@@ -525,13 +540,14 @@ def _kernel_certifies(a: np.ndarray, r: int) -> bool:
     s = np.array(scales, dtype=np.int64)
     kernel[pivots] = num * (s // den)
     kernel[free, np.arange(free.size)] = s
-    return not (a @ kernel).any()
+    return not (a.astype(np.int64, copy=False) @ kernel).any()
 
 
 def _pivot_columns(matrix: ExactMatrix) -> list[int]:
     """Pivot columns of the row echelon form over the matrix's own field."""
     if isinstance(matrix.field, PrimeField):
-        return _eliminate_mod(matrix._arr, matrix.field.p)[1]
+        p = matrix.field.p
+        return _eliminate_mod(_residues(matrix._arr, p), p)[0]
     return _bareiss(_integer_rows(matrix))[0]
 
 
@@ -545,8 +561,8 @@ def rank(matrix: ExactMatrix) -> int:
         # Certify via one modular elimination when full rank, which is exact
         # (rank mod p never exceeds rational rank), or by a verified integer
         # kernel; otherwise Bareiss.
-        arr = matrix.numpy()
-        r_mod = len(_eliminate_mod(arr, _CERT_PRIME)[1])
+        arr = matrix._arr
+        r_mod = len(_eliminate_mod(_residues(arr, _CERT_PRIME), _CERT_PRIME)[0])
         if r_mod == min(matrix.nrows, matrix.ncols) or _kernel_certifies(arr, r_mod):
             return r_mod
     return len(_pivot_columns(matrix))
@@ -558,7 +574,8 @@ def det(matrix: ExactMatrix) -> int:
         raise ValidationError("determinant of a non-square matrix")
     n = matrix.nrows
     if isinstance(matrix.field, PrimeField):
-        _, pivots, d = _eliminate_mod(matrix._arr, matrix.field.p)
+        p = matrix.field.p
+        pivots, d = _eliminate_mod(_residues(matrix._arr, p), p)
     else:
         pivots, d = _bareiss(_integer_rows(matrix))
     return d if len(pivots) == n else 0
@@ -576,11 +593,12 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
     if matrix.nrows != matrix.ncols:
         raise ValidationError("inverse of a non-square matrix")
     n = matrix.nrows
-    aug = np.hstack([matrix.numpy(), np.eye(n, dtype=np.int64)])
-    work, pivots, _ = _eliminate_mod(aug, fld.p, jordan=True)
+    aug = _residues(matrix._arr, fld.p, ncols=2 * n)
+    aug[:, n:][np.diag_indices(n)] = 1
+    pivots, _ = _eliminate_mod(aug, fld.p, jordan=True)
     if pivots != list(range(n)):
         raise ValidationError("matrix is singular over " + repr(fld))
-    return ExactMatrix(fld, work[:, n:].copy(), matrix.col_labels, matrix.row_labels)
+    return ExactMatrix(fld, aug[:, n:].astype(np.int64), matrix.col_labels, matrix.row_labels)
 
 
 def kronecker(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -603,7 +621,6 @@ def nullity_shift(matrix: ExactMatrix, shift) -> int:
     if matrix.nrows != matrix.ncols:
         raise ValidationError("nullity_shift needs a square matrix")
     n = matrix.nrows
-    a = matrix.numpy()
     diag = np.diag_indices(n)
     s = Fraction(shift)
     u, v = s.numerator, s.denominator
@@ -611,10 +628,12 @@ def nullity_shift(matrix: ExactMatrix, shift) -> int:
         p = matrix.field.p
         if v % p == 0:
             raise ValidationError(f"shift {s} has no value mod {p}: {p} divides its denominator")
-        a[diag] -= u * pow(v, -1, p) % p
-        return n - len(_eliminate_mod(a, p)[1])
-    biggest = max(-int(a.min()), int(a.max())) if a.size else 0
+        work = _residues(matrix._arr, p)
+        work[diag] = (work[diag] - u * pow(v, -1, p) % p) % p
+        return n - len(_eliminate_mod(work, p)[0])
+    biggest = max(-int(matrix._arr.min()), int(matrix._arr.max())) if n else 0
     if biggest * v + abs(u) < 2**63:
+        a = matrix.numpy()
         a *= v
         a[diag] -= u
         return n - rank(ExactMatrix(RATIONALS, a))

@@ -44,6 +44,13 @@ def test_rank_mod_p(capsys):
     assert str(PUBLISHED["ranks_order_10_mod_p"][7]) in out
 
 
+def test_a_bad_memory_setting_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("MATCHCONN_MEMORY_MB", "abc")
+    code, out, err = run(capsys, "rank", "--kind", "M", "--k", "4", "--field", "p:7")
+    assert code == 2 and out == ""
+    assert "MATCHCONN_MEMORY_MB='abc'" in err
+
+
 def test_rank_rational(capsys):
     code, out, _ = run(capsys, "rank", "--k", "6", "--field", "q")
     assert code == 0

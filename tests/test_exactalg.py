@@ -4,6 +4,7 @@ replaced, which stay here as references."""
 
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -268,8 +269,34 @@ def test_memory_ceiling_covers_every_elimination(monkeypatch, field):
         rank(m)
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5", "1.5", " "])
+def test_a_bad_memory_setting_is_refused(monkeypatch, raw):
+    monkeypatch.setenv("MATCHCONN_MEMORY_MB", raw)
+    with pytest.raises(ValidationError, match=f"MATCHCONN_MEMORY_MB={raw!r}") as info:
+        rank(square([[2, 1], [1, 3]], PrimeField(7)))
+    assert not isinstance(info.value, CapacityError)
+
+
+def test_memory_setting_unset_or_zero(monkeypatch):
+    monkeypatch.delenv("MATCHCONN_MEMORY_MB", raising=False)
+    assert exactalg._memory_limit_bytes() == exactalg.DEFAULT_MEMORY_MB << 20
+    monkeypatch.setenv("MATCHCONN_MEMORY_MB", "")
+    assert exactalg._memory_limit_bytes() == exactalg.DEFAULT_MEMORY_MB << 20
+    monkeypatch.setenv("MATCHCONN_MEMORY_MB", "0")
+    assert exactalg._memory_limit_bytes() == 0
+    monkeypatch.setenv("MATCHCONN_MEMORY_MB", "12")
+    assert exactalg._memory_limit_bytes() == 12 << 20
+
+
 # ---------------------------------------------------------------------------
 # references: the separate GF(p) eliminations used before the single kernel
+
+
+def eliminate(a: np.ndarray, p: int, jordan: bool = False):
+    """The residue step and the in-place kernel: (work, pivots, det factor)."""
+    work = exactalg._residues(a, p)
+    pivots, d = exactalg._eliminate_mod(work, p, jordan)
+    return work, pivots, d
 
 
 def ref_rank_mod(a: np.ndarray, p: int, big: bool = False, chunk: int = 2048) -> int:
@@ -450,7 +477,7 @@ def low_rank_arrays(draw, max_dim=7):
 def check_against_references(a: np.ndarray) -> None:
     m, n = a.shape
     for p in PRIMES + (CERT_PRIME,):
-        pivots = exactalg._eliminate_mod(a, p)[1]
+        pivots = eliminate(a, p)[1]
         assert len(pivots) == ref_rank_mod(a % p, p) == ref_rank_mod(a % p, p, big=True, chunk=3)
     for p in PRIMES:
         mat = ExactMatrix(PrimeField(p), a)
@@ -558,12 +585,11 @@ def test_integer_shift_of_numpy_matrix_near_int64_limit():
     assert nullity_shift(ExactMatrix(RATIONALS, a), Fraction(1, 2)) == 0
 
 
-@given(low_rank_arrays(max_dim=9), st.sampled_from([16_000_000, 0]))
+@given(low_rank_arrays(max_dim=9))
 @settings(max_examples=60, deadline=None)
-def test_mod_p_kernel_multi_chunk_paths(a, int32_entries):
+def test_mod_p_kernel_multi_chunk_paths(a):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactalg, "_CHUNK_ROWS", 3)
-        mp.setattr(exactalg, "_INT32_ENTRIES", int32_entries)
         check_against_references(a)
 
 
@@ -581,14 +607,13 @@ def test_floor_multiply_reduction_fixes_a_missed_quotient(p, x):
 
 def check_blocked_kernel(a: np.ndarray, primes=PRIMES + (211, CERT_PRIME)) -> None:
     """The blocked kernel equals the column-at-a-time one entry for entry:
-    work array (echelon and Jordan), pivot list, determinant factor, dtype;
-    and the inverse equals Gauss-Jordan on row lists."""
-    int32 = a.size > exactalg._INT32_ENTRIES
+    work array (echelon and Jordan), pivot list, determinant factor; the
+    work array is int32; and the inverse equals Gauss-Jordan on row lists."""
     for p in primes:
         for jordan in (False, True):
-            work, pivots, d = exactalg._eliminate_mod(a, p, jordan=jordan)
-            want_work, want_pivots, want_d = ref_eliminate_mod(a, p, jordan, int32)
-            assert work.dtype == want_work.dtype
+            work, pivots, d = eliminate(a, p, jordan)
+            want_work, want_pivots, want_d = ref_eliminate_mod(a, p, jordan, int32=True)
+            assert work.dtype == want_work.dtype == np.int32
             assert np.array_equal(work, want_work)
             assert pivots == want_pivots and d == want_d
         m, n = a.shape
@@ -601,21 +626,16 @@ def check_blocked_kernel(a: np.ndarray, primes=PRIMES + (211, CERT_PRIME)) -> No
                 assert inverse(ExactMatrix(PrimeField(p), a)).rows() == want
 
 
-@given(
-    low_rank_arrays(max_dim=9),
-    st.sampled_from([1, 2, 3]),
-    st.sampled_from([16_000_000, 0]),
-)
-@example(np.array([[0, 1, 1], [1, 1, 0], [1, 0, 1]]), 2, 0)
-@example(np.array([[2, 0, 1, 1], [0, 0, 1, 0], [4, 0, 2, 3]]), 3, 16_000_000)
+@given(low_rank_arrays(max_dim=9), st.sampled_from([1, 2, 3]))
+@example(np.array([[0, 1, 1], [1, 1, 0], [1, 0, 1]]), 2)
+@example(np.array([[2, 0, 1, 1], [0, 0, 1, 0], [4, 0, 2, 3]]), 3)
 @settings(max_examples=120, deadline=None)
-def test_blocked_kernel_across_panel_and_chunk_boundaries(a, panel, int32_entries):
+def test_blocked_kernel_across_panel_and_chunk_boundaries(a, panel):
     # pivot-free columns, row swaps and rank deficiency fall on both sides of
     # every panel edge and every 3-row chunk edge
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactalg, "_PANEL", panel)
         mp.setattr(exactalg, "_CHUNK_ROWS", 3)
-        mp.setattr(exactalg, "_INT32_ENTRIES", int32_entries)
         check_blocked_kernel(a)
 
 
@@ -639,14 +659,94 @@ def test_blocked_kernel_on_the_order_eight_matrix():
     check_blocked_kernel(build_M(8).numpy())
 
 
+@pytest.mark.parametrize("m,n,k", [(80, 700, 20), (150, 400, 140), (70, 300, 70)])
+def test_blocked_kernel_closes_rank_deficient_panels(m, n, k):
+    # default panel width: a panel closes after 4 * 64 columns with few
+    # pivots (rank 20 over 700 columns), or after 64 pivots spread over more
+    # than 64 columns (every other column a copy of its neighbour)
+    rng = np.random.default_rng(m * n + k)
+    a = rng.integers(-3, 4, size=(m, k)) @ rng.integers(-3, 4, size=(k, n))
+    if k > 100:
+        a[:, 1::2] = a[:, 0::2][:, : n // 2]
+    check_blocked_kernel(a, primes=(3, 65521))
+
+
+RESIDUE_INPUTS = [
+    np.array([[-128, -1, 0, 1], [127, -7, 6, 2]], dtype=np.int8),
+    np.array([[0, 1, 2**62 + 5, 2**63 + 1], [2**64 - 1, 2**64 - 2**62, 7, 2**62]], dtype=np.uint64),
+    np.array(
+        [[2**62, -(2**62), 2**62 - 1, 2**63 - 1], [-(2**62) - 1, -(2**63), 0, -1]], dtype=np.int64
+    ),
+    np.array([[0, 1], [1, 0]], dtype=np.int8),
+]
+RESIDUE_PRIMES = PRIMES + (211, CERT_PRIME)
+near_2_62 = st.integers(min_value=2**62 - 2**20, max_value=2**62 + 2**20)
+
+
+def check_residues(a: np.ndarray, p: int) -> None:
+    got = exactalg._residues(a, p)
+    assert got.dtype == np.int32
+    assert got.tolist() == [[int(x) % p for x in row] for row in a.tolist()]
+
+
+@pytest.mark.parametrize("p", RESIDUE_PRIMES)
+@pytest.mark.parametrize("a", RESIDUE_INPUTS, ids=["int8", "uint64", "int64", "residues"])
+def test_residues_of_extreme_entries(a, p):
+    check_residues(a, p)
+
+
+@given(
+    st.sampled_from([np.int8, np.uint64, np.int64]),
+    st.lists(st.one_of(small_entries, near_2_62, near_2_62.map(lambda x: -x)), min_size=6, max_size=6),
+    st.sampled_from(RESIDUE_PRIMES),
+)
+@settings(max_examples=100, deadline=None)
+def test_residues_equal_python_remainders(dtype, values, p):
+    info = np.iinfo(dtype)
+    kept = [x for x in values if info.min <= x <= info.max] or [0]
+    check_residues(np.array(kept, dtype=dtype)[None, :], p)
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m,n,chunk", [(300, 200, 128), (200, 300, 128), (260, 260, 32)])
+def test_traced_peak_stays_within_the_workspace_estimate(monkeypatch, m, n, chunk):
+    # the last shape takes nine 32-row chunks per trailing update
+    monkeypatch.setattr(exactalg, "_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(m + n)
+    a = rng.integers(-3, 4, size=(m, 150)) @ rng.integers(-3, 4, size=(150, n))
+    for jordan in (False, True):
+        peak = traced_peak(lambda: eliminate(a, 65521, jordan))
+        assert 4 * m * n <= peak <= exactalg._workspace_bytes(m, n)
+
+
+def test_order_ten_footprint():
+    # one int32 work array (3.6 MB) and no int64 copy of the 945 x 945 matrix
+    m10 = build_M(10)
+    mod_p = m10.with_field(PrimeField(65521))
+    for call in (
+        lambda: rank(mod_p),
+        lambda: rank(m10),
+        lambda: nullity_shift(mod_p, 2),
+    ):
+        assert traced_peak(call) <= 8 << 20
+
+
 def test_float64_panel_update_is_exact_up_to_the_largest_modulus():
     # every trailing-update sum is an integer below 2^53, so float64 holds it
     p = exactalg._CERT_PRIME
     assert exactalg._PANEL * (p - 1) ** 2 + p < 2**53
     a = np.array([[p - 1, p - 2], [1, p - 1]], dtype=np.int64)
-    assert exactalg._eliminate_mod(a, p)[1] == [0, 1]
+    assert eliminate(a, p)[1] == [0, 1]
     with pytest.raises(CapacityError, match="float64 elimination ceiling"):
-        exactalg._eliminate_mod(a, 1_000_033)
+        eliminate(a, 1_000_033)
 
 
 @given(low_rank_arrays(), st.data())
