@@ -537,12 +537,11 @@ def _suite_reduction(large: bool) -> list[CheckLine]:
     for name, cnf in CNF_CORPUS:
         for p in (3, 5):
             result = assemble(cnf, p)
-            width = result.decomposition.validate_expansion(result.graph)
-            measured = count_hc_pathdp(
-                result.graph, result.decomposition, modulus=p
-            ).value
-            sites = len(result.graph.annotations)
-            swept = len(result.graph.vertices)
+            graph = result.graph
+            width = graph.decomposition.validate_expansion(graph)
+            measured = count_hc_pathdp(graph, graph.decomposition, modulus=p).value
+            sites = len(graph.annotations)
+            swept = len(graph.vertices)
             want_exact = count_sat(result.padded_cnf)
             want = want_exact % p
             ok = (

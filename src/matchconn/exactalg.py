@@ -212,12 +212,17 @@ class ExactMatrix:
             raise ValidationError("matrix data must be 2-dimensional")
         if not np.issubdtype(data.dtype, np.integer):
             raise ValidationError("matrix data must have integer dtype")
+        # numpy() and kronecker read entries as int64, so larger ones would wrap
+        if data.dtype == np.uint64 and data.size and data.max() > np.iinfo(np.int64).max:
+            raise ValidationError("matrix entry outside the int64 range")
         # copy only to reduce, so the 0/1 matrices most callers pass share
-        # their array
+        # their array; an int64 divisor (uint64 for uint64 input) keeps a
+        # small dtype from overflowing on a large p
         if isinstance(field, PrimeField) and data.size and (
             data.min() < 0 or data.max() >= field.p
         ):
-            data = data % field.p
+            div = np.uint64(field.p) if data.dtype == np.uint64 else np.int64(field.p)
+            data = np.remainder(data, div)
         self._arr = data
         self.nrows, self.ncols = data.shape
         self.row_labels = list(row_labels) if row_labels is not None else list(range(self.nrows))

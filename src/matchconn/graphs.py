@@ -6,8 +6,8 @@ labels 1..4. `write_hcgraph` writes each such label site as the 9-vertex
 LABEL_GADGET_EDGES graph, and the bag sweep in hcount counts sites directly.
 Labels are fixed at construction: `AnnotatedGraph.from_edges` takes them
 with the edge list and checks in the same pass that every edge at a site
-carries one, and `add_edge` and `union_into` refuse an edge that a site
-would leave unlabeled. A graph may also carry a path decomposition of itself.
+carries one, and `add_edge` refuses an edge that a site would leave
+unlabeled. A graph may also carry a path decomposition of itself.
 
 File format ("hcgraph v1"), plain ASCII text:
 
@@ -293,37 +293,6 @@ class AnnotatedGraph:
             g.annotations[v] = dict(labs)
         return g
 
-    def union_into(self, other: "AnnotatedGraph") -> None:
-        """Add all vertices, edges and annotations of `other` (ids must mesh).
-
-        Every edge at a label site of the union must carry a label from one
-        of the two graphs; otherwise ValidationError is raised and this
-        graph is left unchanged.
-        """
-        # Only a shared vertex can be a site in one graph and meet an edge of
-        # the other; each graph labels every one of its own edges at its sites.
-        for w in other.vertices & self.vertices:
-            mine, theirs = self.annotations.get(w), other.annotations.get(w)
-            if (mine is None) != (theirs is None):
-                g, labs = (other, mine) if theirs is None else (self, theirs)
-                for x in g._adj[w]:
-                    if (e := edge_key(w, x)) not in labs:
-                        raise ValidationError(f"label site {w} would leave edge {e} unlabeled")
-        new_vertices = other.vertices - self.vertices
-        self.vertices |= new_vertices
-        adj = self._adj
-        for v in new_vertices:
-            adj[v] = set()
-        new_edges = other.edges - self.edges
-        self.edges |= new_edges
-        for u, v in new_edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        for v, labs in other.annotations.items():
-            merged = dict(self.annotations.get(v, {}))
-            merged.update(labs)
-            self.annotations[v] = merged
-
     def __repr__(self) -> str:
         return f"AnnotatedGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
@@ -383,41 +352,49 @@ def _line_ints(fields: list[str], lineno: int) -> list[int]:
         raise ValidationError(f"line {lineno}: non-integer field in {fields}") from None
 
 
+def _not_ascii(path, exc: UnicodeDecodeError) -> ValidationError:
+    """The error for a text file holding a byte outside ASCII."""
+    return ValidationError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not ASCII")
+
+
 def read_hcgraph(path) -> AnnotatedGraph:
     edges: list[tuple[int, int]] = []
     bags: list[tuple[int, ...]] = []
     declared = None
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "hcgraph v1":
-            raise ValidationError(f"bad header {header!r}, expected 'hcgraph v1'")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            tag = parts[0]
-            if tag == "e":
-                if len(parts) != 3:
-                    raise ValidationError(f"line {lineno}: bad edge line")
-                u, v = _line_ints(parts[1:], lineno)
-                edges.append((u, v) if u < v else (v, u))
-            elif tag == "bag":
-                bags.append(tuple(_line_ints(parts[1:], lineno)))
-            elif tag == "n":
-                if len(parts) != 2:
-                    raise ValidationError(f"line {lineno}: bad vertex-count line")
-                if declared is not None:
-                    raise ValidationError(f"line {lineno}: second 'n' line")
-                (declared,) = _line_ints(parts[1:], lineno)
-                if declared < 0:
-                    raise ValidationError(f"line {lineno}: negative vertex count {declared}")
-                if declared > MAX_HCGRAPH_VERTICES:
-                    raise CapacityError(
-                        f"line {lineno}: {declared} vertices exceed the "
-                        f"{MAX_HCGRAPH_VERTICES} ceiling"
-                    )
-            else:
-                raise ValidationError(f"line {lineno}: unknown tag {tag!r}")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().strip()
+            if header != "hcgraph v1":
+                raise ValidationError(f"bad header {header!r}, expected 'hcgraph v1'")
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.split()
+                if not parts:
+                    continue
+                tag = parts[0]
+                if tag == "e":
+                    if len(parts) != 3:
+                        raise ValidationError(f"line {lineno}: bad edge line")
+                    u, v = _line_ints(parts[1:], lineno)
+                    edges.append((u, v) if u < v else (v, u))
+                elif tag == "bag":
+                    bags.append(tuple(_line_ints(parts[1:], lineno)))
+                elif tag == "n":
+                    if len(parts) != 2:
+                        raise ValidationError(f"line {lineno}: bad vertex-count line")
+                    if declared is not None:
+                        raise ValidationError(f"line {lineno}: second 'n' line")
+                    (declared,) = _line_ints(parts[1:], lineno)
+                    if declared < 0:
+                        raise ValidationError(f"line {lineno}: negative vertex count {declared}")
+                    if declared > MAX_HCGRAPH_VERTICES:
+                        raise CapacityError(
+                            f"line {lineno}: {declared} vertices exceed the "
+                            f"{MAX_HCGRAPH_VERTICES} ceiling"
+                        )
+                else:
+                    raise ValidationError(f"line {lineno}: unknown tag {tag!r}")
+    except UnicodeDecodeError as exc:
+        raise _not_ascii(path, exc) from None
     if declared is None:
         raise ValidationError("missing 'n' line")
     g = AnnotatedGraph.from_edges(range(1, declared + 1), edges)

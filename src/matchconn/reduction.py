@@ -9,22 +9,24 @@ close to the number of variables. The stages:
     encoding of truth assignments into the first members of B_r.
   * build_fingerprint_gadget realizes any prescribed list of partial-solution
     multiplicities (all sharing one anchor pair) as an explicit graph built
-    from label gadgets, with a narrow path decomposition.
+    from label gadgets, with a narrow path decomposition; the compiler
+    takes the same gadget as its edges, labels and bags.
   * build_base_case stacks one gadget per variable block to express a single
     clause; compose_clause glues clause columns along shared boundaries.
   * assemble adds the left and right attachment gadgets that close every
     boundary and returns the final graph with its decomposition and the
     predicted residue.
 
-Label annotations (1..4) are fixed when a gadget is built, in the one
-`AnnotatedGraph.from_edges` call that also checks every edge at a site
-carries one. A label site stays one vertex instead of nine all the way
-through: `write_hcgraph` writes each site as its 9-vertex gadget, and the
-bag sweep counts sites directly. Every stage builds its graph in passes
-linear in its edges and bags and trusts the pieces it built itself;
-assemble validates once, with `PathDecomposition.validate_expansion`, the
-bags written for the graph it returns, at a cost of O(sum of bag sizes +
-edges).
+The stages pass plain data, not graphs: sorted edge keys, the labels
+(1..4) of each label site, bags and the next free id. assemble builds the
+one graph from all of it in a single `AnnotatedGraph.from_edges` call, which
+also checks that every edge at a site carries a label. A label site stays
+one vertex instead of nine all the way through: `write_hcgraph` writes each
+site as its 9-vertex gadget, and the bag sweep counts sites directly. Every
+stage runs in passes linear in its edges and bags and trusts the parts it
+wrote itself; assemble validates once, with
+`PathDecomposition.validate_expansion`, the bags written for the graph it
+returns, at a cost of O(sum of bag sizes + edges).
 """
 
 from __future__ import annotations
@@ -341,50 +343,29 @@ class GadgetSpec:
         return sum(m for _, m in self.counts)
 
 
-class _IdAlloc:
-    """Hands out consecutive fresh vertex ids."""
-
-    def __init__(self, start: int) -> None:
-        self.next = start
-
-    def take(self) -> int:
-        v = self.next
-        self.next += 1
-        return v
+# What the compiler's stages pass on instead of graphs: sorted edge keys,
+# the labels of each label site, and bags.
+_Edges = list[tuple[int, int]]
+_Labels = dict[int, dict[tuple[int, int], int]]
+_Bags = list[tuple[int, ...]]
 
 
-def build_fingerprint_gadget(spec: GadgetSpec, start_id: int | None = None) -> AnnotatedGraph:
-    """Realize the prescribed multiplicities with chains of label gadgets.
-
-    One chain per supported fingerprint occurrence (repeats consecutive, in
-    canonical fingerprint order). Chain i covers the edge sequence made of a
-    path from the chain start through the fingerprint's degree-2 vertices to
-    the collector, followed by the non-anchor matching pairs; each edge in
-    the sequence becomes a label-gadget vertex whose label-1/label-2 edges
-    attach its endpoints. Consecutive positions link with labels 4 -> 3, as
-    do consecutive chains and the skip edges that jump one whole chain.
-    Entry edges reach the first two chains through a forced hub next to the
-    collector, and the last two chains exit to the second anchor.
-
-    The returned graph is built in one pass from its edge list and site
-    labels, and carries a path decomposition whose bags all contain
-    boundary + {chain start, collector, hub}, so its width is the boundary
-    size plus a constant. Fresh ids start at `start_id`, by default one
-    above the boundary, and must exceed it.
-    """
+def _gadget_parts(spec: GadgetSpec, start_id: int | None) -> tuple[_Edges, _Labels, _Bags, int]:
+    """The edge keys, site labels and bags of `build_fingerprint_gadget`'s
+    graph, and the first id above the fresh ones it took. Every vertex of
+    the gadget is in its bags."""
     a, b = spec.anchors
     start = start_id if start_id is not None else spec.boundary[-1] + 1
     if start <= spec.boundary[-1]:
         raise GadgetError(f"start id {start} does not exceed the boundary {spec.boundary}")
-    ids = _IdAlloc(start)
-    tail_mid = ids.take()  # forces the tail: degree 2 with neighbors a, chain start
-    chain_start = ids.take()
-    collector = ids.take()
-    entry_hub = ids.take()  # degree-2 hub: collector on one side, one entry on the other
+    # tail_mid forces the tail: degree 2 with neighbors a and the chain start;
+    # entry_hub is a degree-2 hub: collector on one side, one entry on the other
+    tail_mid, chain_start, collector, entry_hub = range(start, start + 4)
+    next_id = start + 4
     # Fresh ids exceed the boundary and grow in the order they are taken, so
     # every key below is written sorted: (older id, newer id).
     edges = [(a, tail_mid), (tail_mid, chain_start), (collector, entry_hub)]
-    labels: dict[int, dict[tuple[int, int], int]] = {}
+    labels: _Labels = {}
 
     anchor_pair = edge_key(a, b)
     chains: list[list[int]] = []
@@ -393,8 +374,8 @@ def build_fingerprint_gadget(spec: GadgetSpec, start_id: int | None = None) -> A
         edge_seq = list(zip(path, path[1:]))
         edge_seq.extend(p for p in fp.matching.pairs if p != anchor_pair)
         for _ in range(mult):
-            sites = list(range(ids.next, ids.next + len(edge_seq)))
-            ids.next += len(edge_seq)
+            sites = list(range(next_id, next_id + len(edge_seq)))
+            next_id += len(edge_seq)
             for j, (site, (u, v)) in enumerate(zip(sites, edge_seq)):
                 e1, e2 = (u, site), (v, site)
                 edges += (e1, e2)
@@ -419,10 +400,9 @@ def build_fingerprint_gadget(spec: GadgetSpec, start_id: int | None = None) -> A
     for end in ends[-2:]:
         edges.append((b, end))
         labels[end][b, end] = 4
-    graph = AnnotatedGraph.from_edges(spec.boundary, edges, labels)
 
     core = spec.boundary + (chain_start, collector, entry_hub)
-    bags: list[tuple[int, ...]] = [tuple(sorted(core + (tail_mid,)))]
+    bags: _Bags = [tuple(sorted(core + (tail_mid,)))]
     for ci, sites in enumerate(chains):
         for j, site in enumerate(sites):
             extra = {site}
@@ -433,6 +413,30 @@ def build_fingerprint_gadget(spec: GadgetSpec, start_id: int | None = None) -> A
             if ci > 1 and j == 0:
                 extra.add(ends[ci - 2])
             bags.append(core + tuple(sorted(extra)))
+    return edges, labels, bags, next_id
+
+
+def build_fingerprint_gadget(spec: GadgetSpec, start_id: int | None = None) -> AnnotatedGraph:
+    """Realize the prescribed multiplicities with chains of label gadgets.
+
+    One chain per supported fingerprint occurrence (repeats consecutive, in
+    canonical fingerprint order). Chain i covers the edge sequence made of a
+    path from the chain start through the fingerprint's degree-2 vertices to
+    the collector, followed by the non-anchor matching pairs; each edge in
+    the sequence becomes a label-gadget vertex whose label-1/label-2 edges
+    attach its endpoints. Consecutive positions link with labels 4 -> 3, as
+    do consecutive chains and the skip edges that jump one whole chain.
+    Entry edges reach the first two chains through a forced hub next to the
+    collector, and the last two chains exit to the second anchor.
+
+    The returned graph is built in one pass from its edge list and site
+    labels, and carries a path decomposition whose bags all contain
+    boundary + {chain start, collector, hub}, so its width is the boundary
+    size plus a constant. Fresh ids start at `start_id`, by default one
+    above the boundary, and must exceed it.
+    """
+    edges, labels, bags, _ = _gadget_parts(spec, start_id)
+    graph = AnnotatedGraph.from_edges(spec.boundary, edges, labels)
     graph.decomposition = PathDecomposition(bags)
     return graph
 
@@ -443,12 +447,18 @@ def build_fingerprint_gadget(spec: GadgetSpec, start_id: int | None = None) -> A
 
 @dataclass
 class ClausePiece:
-    """One or more glued clause columns, open at the left and right boundary."""
+    """One or more glued clause columns, open at the left and right boundary.
 
-    graph: AnnotatedGraph
-    bags: list[tuple[int, ...]]
+    The piece is its edge keys, site labels and bags; its vertices are the
+    vertices of its bags, and `next_id` is the first id above them.
+    """
+
+    edges: _Edges
+    labels: _Labels
+    bags: _Bags
     left_blocks: tuple[tuple[int, ...], ...]
     right_blocks: tuple[tuple[int, ...], ...]
+    next_id: int
 
 
 # Interface degree patterns (top, bottom) a block may expose, depending on
@@ -526,10 +536,11 @@ def build_base_case(
     q = len(left_blocks)
     if q == 0 or len(right_blocks) != q or len(var_blocks) != q:
         raise ValidationError("need matching nonempty block lists")
-    ids = _IdAlloc(start_id)
-    chain = [ids.take() for _ in range(q + 1)]  # chain[i-1]=bottom_i, chain[i]=top_i
-    graph = AnnotatedGraph()
-    bags: list[tuple[int, ...]] = []
+    chain = list(range(start_id, start_id + q + 1))  # chain[i-1]=bottom_i, chain[i]=top_i
+    next_id = chain[-1] + 1
+    edges: _Edges = []
+    labels: _Labels = {}
+    bags: _Bags = []
     all_left = [v for blk in left_blocks for v in blk]
     all_right = [v for blk in right_blocks for v in blk]
     bags.append(tuple(sorted(all_left)))
@@ -557,15 +568,15 @@ def build_base_case(
                     counts[fp] = mult
         boundary = tuple(sorted(left_ids + right_ids + (top, bottom)))
         spec = GadgetSpec.make(boundary, (left_ids[0], right_ids[0]), counts)
-        gadget = build_fingerprint_gadget(spec, ids.next)
-        ids.next = max(gadget.vertices) + 1
-        graph.union_into(gadget)
+        g_edges, g_labels, g_bags, next_id = _gadget_parts(spec, next_id)
+        edges += g_edges
+        labels.update(g_labels)  # fresh sites: no gadget labels another's
         hold = set(
             v
             for blk in itertools.chain(left_blocks[i - 1 :], right_blocks[: i - 1])
             for v in blk
         )
-        for gb in gadget.decomposition.bags:
+        for gb in g_bags:
             bags.append(tuple(sorted(hold | set(gb))))
         sep = set(
             v for blk in itertools.chain(left_blocks[i:], right_blocks[:i]) for v in blk
@@ -573,29 +584,31 @@ def build_base_case(
         sep.add(chain[i])
         bags.append(tuple(sorted(sep)))
     bags.append(tuple(sorted(all_right)))
-    piece = ClausePiece(
-        graph=graph,
+    return ClausePiece(
+        edges=edges,
+        labels=labels,
         bags=bags,
         left_blocks=tuple(tuple(b) for b in left_blocks),
         right_blocks=tuple(tuple(b) for b in right_blocks),
+        next_id=next_id,
     )
-    return piece
 
 
 def compose_clause(*pieces: ClausePiece) -> ClausePiece:
     """Glue clause pieces left to right, each along the boundary it shares
     with the next.
 
-    Each neighbouring pair must share its boundary blocks, that boundary
-    must be independent in both pieces, and no piece may meet an earlier
-    one off the boundary they share. The glued graph copies each piece's
-    graph once.
+    Each neighbouring pair must share its boundary blocks, no edge of
+    either piece may join two vertices of that boundary, and no piece may
+    meet an earlier one off the boundary they share. The glued piece copies
+    each piece's edges, labels and bags once.
     """
     if not pieces:
         raise ValidationError("need at least one clause piece")
-    graph = AnnotatedGraph()
-    graph.union_into(pieces[0].graph)
+    edges = list(pieces[0].edges)
+    labels = dict(pieces[0].labels)
     bags = list(pieces[0].bags)
+    seen = set(itertools.chain.from_iterable(bags))
     for left, right in zip(pieces, pieces[1:]):
         if left.right_blocks != right.left_blocks:
             raise ValidationError(
@@ -603,27 +616,31 @@ def compose_clause(*pieces: ClausePiece) -> ClausePiece:
                 f"{left.right_blocks} vs {right.left_blocks}"
             )
         shared = set(v for blk in right.left_blocks for v in blk)
-        for side, g in (("left", left.graph), ("right", right.graph)):
-            for u in sorted(shared & g.vertices):
-                inside = g.neighbors(u) & shared
-                if inside:
-                    u, v = edge_key(u, min(inside))
-                    raise ValidationError(
-                        f"shared boundary is not independent in the {side} piece "
-                        f"(edge {u}-{v})"
-                    )
-        overlap = (graph.vertices & right.graph.vertices) - shared
+        for side, piece in (("left", left), ("right", right)):
+            inside = [e for e in piece.edges if e[0] in shared and e[1] in shared]
+            if inside:
+                u, v = min(inside)
+                raise ValidationError(
+                    f"shared boundary is not independent in the {side} piece "
+                    f"(edge {u}-{v})"
+                )
+        mine = set(itertools.chain.from_iterable(right.bags))
+        overlap = (seen & mine) - shared
         if overlap:
             raise ValidationError(
                 f"clause pieces overlap off the shared boundary: {sorted(overlap)[:5]}"
             )
-        graph.union_into(right.graph)
+        seen |= mine
+        edges += right.edges
+        labels.update(right.labels)
         bags += right.bags
     return ClausePiece(
-        graph=graph,
+        edges=edges,
+        labels=labels,
         bags=bags,
         left_blocks=pieces[0].left_blocks,
         right_blocks=pieces[-1].right_blocks,
+        next_id=max(piece.next_id for piece in pieces),
     )
 
 
@@ -661,7 +678,6 @@ class ReductionOutput:
     `width` is that of the bags write_hcgraph writes."""
 
     graph: AnnotatedGraph
-    decomposition: PathDecomposition
     params: ReductionParams
     predicted: int
     width: int
@@ -744,18 +760,17 @@ def assemble(
     m = len(clauses)
     var_blocks = [tuple(range(i * gamma + 1, (i + 1) * gamma + 1)) for i in range(q)]
 
-    ids = _IdAlloc(1)
-    boundaries: list[list[tuple[int, ...]]] = []
-    for _ in range(m + 1):
-        boundaries.append([tuple(ids.take() for _ in range(beta)) for _ in range(q)])
+    ids = itertools.count(1)
+    boundaries = [[tuple(itertools.islice(ids, beta)) for _ in range(q)] for _ in range(m + 1)]
+    next_id = next(ids)
 
     with _stage("build_base_case"):
         pieces = []
         for j, clause in enumerate(clauses):
             piece = build_base_case(
-                params, boundaries[j], boundaries[j + 1], var_blocks, clause, ids.next
+                params, boundaries[j], boundaries[j + 1], var_blocks, clause, next_id
             )
-            ids.next = max(piece.graph.vertices) + 1
+            next_id = piece.next_id
             pieces.append(piece)
     with _stage("compose_clause"):
         column = compose_clause(*pieces)
@@ -768,27 +783,23 @@ def assemble(
             mapping = {j + 1: block[j] for j in range(beta)}
             counts = {fp.relabel(mapping): 1 for fp in params.right_basis}
             spec = GadgetSpec.make(block, (block[0], block[1]), counts)
-            gadget = build_fingerprint_gadget(spec, ids.next)
-            ids.next = max(gadget.vertices) + 1
-            right_gadgets.append(gadget)
+            right_gadgets.append(_gadget_parts(spec, next_id))
+            next_id = right_gadgets[-1][3]
 
     # Left attachments thread a ring: the top of block i is the bottom of
     # block i+1 (cyclically); one block collapses to a subdivided edge
     # between two distinct interface vertices instead of a self-loop.
     with _stage("left_attachment"):
-        ring_edges: list[tuple[int, int]] = []
+        ring_edges: _Edges = []
         if q >= 2:
-            ring = [ids.take() for _ in range(q)]
-            tops = ring
+            ring = tops = list(range(next_id, next_id + q))
             bottoms = [ring[(i + 1) % q] for i in range(q)]
         else:
-            top_v = ids.take()
-            bottom_v = ids.take()
-            mid_v = ids.take()
-            ring = [top_v, bottom_v, mid_v]
+            ring = [top_v, bottom_v, mid_v] = list(range(next_id, next_id + 3))
             tops = [top_v]
             bottoms = [bottom_v]
-            ring_edges = [(top_v, mid_v), (mid_v, bottom_v)]
+            ring_edges = [(top_v, mid_v), (bottom_v, mid_v)]
+        next_id += len(ring)
         left_gadgets = []
         for i in range(q):
             block = boundaries[0][i]
@@ -800,34 +811,35 @@ def assemble(
                 counts[_left_attachment_fingerprint(f_a, block, tops[i], bottoms[i])] = weight
             boundary = tuple(sorted(block + (tops[i], bottoms[i])))
             spec = GadgetSpec.make(boundary, (block[0], tops[i]), counts)
-            gadget = build_fingerprint_gadget(spec, ids.next)
-            ids.next = max(gadget.vertices) + 1
-            left_gadgets.append(gadget)
+            left_gadgets.append(_gadget_parts(spec, next_id))
+            next_id = left_gadgets[-1][3]
 
     with _stage("assemble"):
-        # compose_clause returned a fresh graph, so it grows in place
-        full = column.graph
-        for g in right_gadgets:
-            full.union_into(g)
-        for g in left_gadgets:
-            full.union_into(g)
-        for u, v in ring_edges:
-            full.add_edge(u, v)
+        # compose_clause returned fresh lists, so they grow in place; the
+        # vertices are those of the parts' bags and edges
+        edges, labels = column.edges, column.labels
+        vertices = set(itertools.chain.from_iterable(column.bags))
+        for g_edges, g_labels, g_bags, _ in left_gadgets + right_gadgets:
+            edges += g_edges
+            labels.update(g_labels)
+            vertices.update(itertools.chain.from_iterable(g_bags))
+        edges += ring_edges
 
         all_left = set(v for blk in boundaries[0] for v in blk)
         all_right = set(v for blk in boundaries[m] for v in blk)
-        bags: list[tuple[int, ...]] = []
+        bags: _Bags = []
         # the wrap-around ring vertex stays in every prefix bag
         pin = {ring[0]} if q >= 2 else set()
-        for g in left_gadgets:
-            for gb in g.decomposition.bags:
+        for _, _, g_bags, _ in left_gadgets:
+            for gb in g_bags:
                 bags.append(tuple(sorted(all_left | pin | set(gb))))
         if q == 1:
             bags.append(tuple(sorted(all_left | set(ring))))
         bags.extend(column.bags)
-        for g in right_gadgets:
-            for gb in g.decomposition.bags:
+        for _, _, g_bags, _ in right_gadgets:
+            for gb in g_bags:
                 bags.append(tuple(sorted(all_right | set(gb))))
+        full = AnnotatedGraph.from_edges(vertices, edges, labels)
         full.decomposition = PathDecomposition(bags)
 
         # The one validation of the pipeline, of the bags write_hcgraph
@@ -843,7 +855,6 @@ def assemble(
     predicted = count_sat(padded) % p
     return ReductionOutput(
         graph=full,
-        decomposition=full.decomposition,
         params=params,
         predicted=predicted,
         width=width,

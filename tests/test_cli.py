@@ -349,6 +349,25 @@ def test_reduce_refuses_a_non_integer_dimacs_token_with_exit_2(tmp_path, capsys,
     assert f"line {line}: non-integer field" in err
 
 
+def test_count_refuses_a_non_ascii_graph_file_with_exit_2(tmp_path, capsys):
+    # used to die in a UnicodeDecodeError traceback with exit 1
+    graph = tmp_path / "bad.hcg"
+    graph.write_bytes(b"hcgraph v1\nn 3\ne 1 2\n\xff\n")
+    code, out, err = run(capsys, "count", "--graph", str(graph))
+    assert code == 2 and out == ""
+    assert err == f"error: {graph}: byte 0xff is not ASCII\n"
+
+
+def test_reduce_refuses_a_non_ascii_dimacs_file_with_exit_2(tmp_path, capsys):
+    # used to die in a UnicodeDecodeError traceback with exit 1
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_bytes(b"c caf\xc3\xa9\np cnf 1 1\n1 0\n")
+    code, out, err = run(capsys, "reduce", "--cnf", str(cnf), "--p", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: {cnf}: byte 0xc3 is not ASCII\n"
+    assert not (tmp_path / "bad.hcg").exists()
+
+
 def test_reduce_refuses_too_many_variables_at_once(tmp_path, capsys):
     cnf = tmp_path / "wide.cnf"
     cnf.write_text("p cnf 1000000 1\n1 0\n", encoding="ascii")

@@ -248,6 +248,29 @@ def test_reduced_numpy_data_is_shared_not_copied():
     assert ExactMatrix(RATIONALS, data).with_field(PrimeField(3))._arr is data
 
 
+@pytest.mark.parametrize(
+    "dtype,entry", [(np.int8, -1), (np.int16, -1), (np.uint16, 65535), (np.uint64, 2**63 - 1)]
+)
+def test_small_dtypes_reduce_modulo_a_large_prime(dtype, entry):
+    # `data % p` raised a bare OverflowError for an int8 array and p = 65521
+    data = np.array([[entry, 0], [0, 1]], dtype=dtype)
+    m = ExactMatrix(PrimeField(65521), data)
+    assert m.rows() == [[entry % 65521, 0], [0, 1]]
+    assert rank(m) == 2
+
+
+def test_uint64_entries_above_the_int64_range_are_refused():
+    # kronecker read 2**64 - 1 through numpy() as -1, while rank and det
+    # read the true value
+    with pytest.raises(ValidationError, match="outside the int64 range"):
+        kronecker(ExactMatrix(RATIONALS, np.array([[2**64 - 1]], dtype=np.uint64)), identity(1))
+    with pytest.raises(ValidationError, match="outside the int64 range"):
+        ExactMatrix(PrimeField(5), np.array([[1, 2**63]], dtype=np.uint64))
+    top = ExactMatrix(RATIONALS, np.array([[2**63 - 1]], dtype=np.uint64))
+    assert kronecker(top, identity(1)).rows() == [[2**63 - 1]] == top.rows()
+    assert det(top) == 2**63 - 1
+
+
 @pytest.mark.parametrize("as_numpy", [True, False])
 def test_submatrix_with_no_rows_keeps_its_columns(as_numpy):
     rows = [[1, 2, 3], [4, 5, 6]]
@@ -777,7 +800,7 @@ def compiled_graph(tmp_path):
     """The plain graph `reduce` writes for CNF_CORPUS[4] mod 5, read back."""
     path = tmp_path / "g.hcg"
     result = assemble(CNF_CORPUS[4][1], 5)
-    write_hcgraph(path, result.graph, result.decomposition)
+    write_hcgraph(path, result.graph)
     return result, path, read_hcgraph(path)
 
 

@@ -1,8 +1,8 @@
 """Graph container, path decompositions, and the file formats.
 
-The bulk builders (`AnnotatedGraph.from_edges`, the set-based
-`union_into`, the one-join `write_hcgraph`) are checked against the
-per-edge versions they replaced, which stay here as references. A graph
+The bulk builders (`AnnotatedGraph.from_edges`, the one-join
+`write_hcgraph`) are checked against the per-edge versions they replaced,
+which stay here as references. A graph
 with label sites is written as its expansion, so the writer and
 `validate_expansion` are checked against the per-edge expansion
 `ref_expand_label_gadgets`."""
@@ -64,31 +64,16 @@ class TestAnnotatedGraph:
         assert g.degree(2) == 2
         assert g.neighbors(3) == {2, 4}
 
-    def test_union_into_merges_shared_vertices(self):
-        a = path_graph(3)
-        b = AnnotatedGraph()
-        b.add_edge(2, 5)
-        a.union_into(b)
-        assert a.vertices == {1, 2, 3, 5}
-        assert a.has_edge(2, 5) and a.has_edge(1, 2)
-        assert a.degree(2) == 3
-
     def test_sites_stay_labelled(self):
         a = AnnotatedGraph.from_edges((), [(1, 2)], {1: {(1, 2): 1}})
-        with pytest.raises(ValidationError, match=r"label site 1 would leave edge \(1, 3\) unlabeled"):
-            a.union_into(AnnotatedGraph.from_edges((), [(1, 3)]))
         with pytest.raises(ValidationError, match=r"label site 1 would leave edge \(1, 4\) unlabeled"):
             a.add_edge(1, 4)
-        # nor may a plain graph take the site from the other side
-        plain = AnnotatedGraph.from_edges((), [(1, 3)])
-        with pytest.raises(ValidationError, match=r"label site 1 would leave edge \(1, 3\) unlabeled"):
-            plain.union_into(a)
+        with pytest.raises(ValidationError, match=r"label site 1 would leave edge \(1, 4\) unlabeled"):
+            a.add_edge(4, 1)
         assert_same_graph(a, AnnotatedGraph.from_edges((), [(1, 2)], {1: {(1, 2): 1}}))
-        assert_same_graph(plain, AnnotatedGraph.from_edges((), [(1, 3)]))
-        # edges labelled on the side that brings them are fine
-        a.union_into(AnnotatedGraph.from_edges((), [(1, 3)], {1: {(1, 3): 2}}))
-        assert a.annotations == {1: {(1, 2): 1, (1, 3): 2}}
+        # an edge away from every site is fine
         a.add_edge(2, 3)
+        assert_same_graph(a, AnnotatedGraph.from_edges((), [(1, 2), (2, 3)], {1: {(1, 2): 1}}))
 
     def test_annotation_must_cover_every_incident_edge(self):
         edges = [(1, 2), (2, 3), (3, 4)]
@@ -252,24 +237,6 @@ class TestFileFormats:
 # references: the per-edge builders and writer the bulk ones replaced
 
 
-def ref_union_into(graph, other):
-    """AnnotatedGraph.union_into as one add_edge per edge, the labels merged
-    afterwards and checked by rebuilding the result through from_edges,
-    which raises ValidationError for an edge left unlabeled at a site."""
-    merged = {v: dict(labs) for v, labs in graph.annotations.items()}
-    for v, labs in other.annotations.items():
-        merged.setdefault(v, {}).update(labs)
-    # add_edge refuses every edge at a site, so the plain edges go in first
-    graph.annotations = {}
-    for v in other.vertices:
-        graph.add_vertex(v)
-    for u, v in other.edges:
-        if not graph.has_edge(u, v):
-            graph.add_edge(u, v)
-    graph.annotations = merged
-    AnnotatedGraph.from_edges(graph.vertices, sorted(graph.edges), merged)
-
-
 def ref_write_hcgraph(path, graph, decomposition=None):
     """write_hcgraph as one write per line, keys rebuilt by edge_key."""
     order = sorted(graph.vertices)
@@ -338,14 +305,6 @@ def ref_expand_label_gadgets(graph):
     return out
 
 
-def copy_graph(graph):
-    """The graph rebuilt through from_edges, labels and bags included."""
-    out = AnnotatedGraph.from_edges(graph.vertices, list(graph.edges), graph.annotations)
-    if graph.decomposition is not None:
-        out.decomposition = PathDecomposition(list(graph.decomposition.bags))
-    return out
-
-
 def assert_same_graph(got, want):
     """Equal vertices, edges, adjacency, annotations and bags."""
     assert got.vertices == want.vertices
@@ -400,23 +359,6 @@ class TestBulkBuildersAgainstReference:
     def test_from_edges_refuses_what_add_edge_refuses(self, edges, labels, message):
         with pytest.raises(ValidationError, match=message):
             AnnotatedGraph.from_edges({1, 2, 3}, edges, labels)
-
-    @given(annotated_graphs(), annotated_graphs())
-    @settings(max_examples=150, deadline=None)
-    def test_union_into_matches_per_edge_union(self, a, b):
-        got, want = copy_graph(a), copy_graph(a)
-        try:
-            ref_union_into(want, b)
-        except ValidationError:
-            # an edge of one graph at a site of the other: refused, unchanged
-            with pytest.raises(ValidationError, match="unlabeled"):
-                got.union_into(b)
-            assert_same_graph(got, a)
-            return
-        got.union_into(b)
-        assert_same_graph(got, want)
-        for v in b.annotations:
-            assert got.annotations[v] is not b.annotations[v]
 
     @given(annotated_graphs(ids=st.integers(min_value=-40, max_value=40)), st.data())
     @settings(max_examples=100, deadline=None)

@@ -54,9 +54,7 @@ from matchconn.reduction import (
 )
 from test_graphs import (
     assert_same_graph,
-    copy_graph,
     ref_expand_label_gadgets,
-    ref_union_into,
     ref_write_hcgraph,
 )
 
@@ -458,8 +456,7 @@ class TestClauseAlgebra:
         L, R = tuple(range(1, 6)), tuple(range(6, 11))
         clause = (1,)
         piece = build_base_case(params, [L], [R], [(1,)], clause, start_id=11)
-        piece.graph.decomposition = PathDecomposition(piece.bags)
-        expanded = ref_expand_label_gadgets(piece.graph)
+        expanded = ref_expand_label_gadgets(piece_graph(piece))
         measured = partial_solution_spectrum(expanded, L + R, modulus=p)
         expected = {}
         for idx in range(2):
@@ -488,12 +485,8 @@ class TestClauseAlgebra:
         params = select_basis(5, 1, p)
         L, M, R = tuple(range(1, 6)), tuple(range(6, 11)), tuple(range(11, 16))
         piece1 = build_base_case(params, [L], [M], [(1,)], c1, start_id=16)
-        piece2 = build_base_case(
-            params, [M], [R], [(1,)], c2, start_id=max(piece1.graph.vertices) + 1
-        )
-        col = compose_clause(piece1, piece2)
-        col.graph.decomposition = PathDecomposition(col.bags)
-        expanded = ref_expand_label_gadgets(col.graph)
+        piece2 = build_base_case(params, [M], [R], [(1,)], c2, start_id=piece1.next_id)
+        expanded = ref_expand_label_gadgets(piece_graph(compose_clause(piece1, piece2)))
         measured = partial_solution_spectrum(expanded, L + R, modulus=p)
 
         n = len(params.right_basis)
@@ -538,7 +531,7 @@ class TestClauseAlgebra:
     def test_contradictory_pair_counts_zero_models(self):
         # same two clauses as above, closed up by the full pipeline
         out = assemble(Cnf(1, ((1,), (-1,))), 3)
-        res = count_hc_pathdp(out.graph, modulus=3, decomposition=out.decomposition)
+        res = count_hc_pathdp(out.graph, modulus=3)
         assert out.predicted == 0
         assert res.value == 0
 
@@ -547,9 +540,7 @@ class TestClauseAlgebra:
         params = select_basis(5, 1, p)
         L, M, R = tuple(range(1, 6)), tuple(range(6, 11)), tuple(range(11, 16))
         piece1 = build_base_case(params, [L], [M], [(1,)], (1,), start_id=16)
-        piece3 = build_base_case(
-            params, [R], [L], [(1,)], (1,), start_id=max(piece1.graph.vertices) + 1
-        )
+        piece3 = build_base_case(params, [R], [L], [(1,)], (1,), start_id=piece1.next_id)
         with pytest.raises(ValidationError):
             compose_clause(piece1, piece3)
 
@@ -571,7 +562,7 @@ class TestAssemble:
     def test_count_round_trip(self, cnf, p):
         out = assemble(cnf, p)
         assert out.predicted == count_sat(cnf) % p
-        res = count_hc_pathdp(out.graph, modulus=p, decomposition=out.decomposition)
+        res = count_hc_pathdp(out.graph, modulus=p)
         assert res.value == out.predicted
         assert res.modulus == p
 
@@ -595,7 +586,7 @@ class TestAssemble:
         # sites directly, and counts what the written file counts
         out = assemble(cnf, 5)
         assert out.graph.annotations
-        counted = count_hc_pathdp(out.graph, out.decomposition)
+        counted = count_hc_pathdp(out.graph)
         written = write_and_read(tmp_path, out)
         assert counted.value == count_hc_pathdp(written, written.decomposition).value
         assert counted.value % 5 == out.predicted
@@ -627,13 +618,13 @@ class TestAssemble:
         out = assemble(Cnf(0, ()), 3, allow_empty=True)
         assert out.padded_cnf == Cnf(1, ((1, -1),))
         assert out.predicted == 2
-        res = count_hc_pathdp(out.graph, modulus=3, decomposition=out.decomposition)
+        res = count_hc_pathdp(out.graph, modulus=3)
         assert res.value == 2
 
     def test_empty_clause_kills_every_model(self):
         out = assemble(Cnf(1, ((),)), 3)
         assert out.predicted == 0
-        res = count_hc_pathdp(out.graph, modulus=3, decomposition=out.decomposition)
+        res = count_hc_pathdp(out.graph, modulus=3)
         assert res.value == 0
 
     def test_padding_with_wider_encoding(self):
@@ -643,7 +634,7 @@ class TestAssemble:
         assert out.padded_cnf == Cnf(2, ((1,),))
         # the padding variable is free, so the padded model count doubles
         assert out.predicted == 2
-        res = count_hc_pathdp(out.graph, modulus=3, decomposition=out.decomposition)
+        res = count_hc_pathdp(out.graph, modulus=3)
         assert res.value == 2
 
     def test_gamma_zero_rejected(self):
@@ -772,7 +763,7 @@ class TestGadgetAgainstReference:
 def write_and_read(tmp_path, out):
     """The graph `reduce` writes for an assemble output, read back."""
     path = tmp_path / "out.hcg"
-    write_hcgraph(path, out.graph, out.decomposition)
+    write_hcgraph(path, out.graph)
     return read_hcgraph(path)
 
 
@@ -805,9 +796,19 @@ def clause_pieces(params, clauses, q=1):
         piece = build_base_case(
             params, boundaries[j], boundaries[j + 1], [(i + 1,) for i in range(q)], clause, start
         )
-        start = max(piece.graph.vertices) + 1
+        start = piece.next_id
         pieces.append(piece)
     return pieces
+
+
+def piece_graph(piece):
+    """The graph of a clause piece, on the vertices of its bags, with its
+    bags as the decomposition."""
+    graph = AnnotatedGraph.from_edges(
+        itertools.chain.from_iterable(piece.bags), piece.edges, piece.labels
+    )
+    graph.decomposition = PathDecomposition(piece.bags)
+    return graph
 
 
 class TestPiecesValidateOutsideTheCompiler:
@@ -834,27 +835,32 @@ class TestPiecesValidateOutsideTheCompiler:
         params = select_basis(beta, 1, p)
         pieces = clause_pieces(params, [(1,), (-1, q), (q,)][: q + 1], q=q)
         for piece in pieces:
-            PathDecomposition(piece.bags).validate(piece.graph)
-        column = compose_clause(*pieces)
-        column.graph.decomposition = PathDecomposition(column.bags)
-        column.graph.decomposition.validate(column.graph)
-        assert_written_like_the_reference(column.graph)
+            graph = piece_graph(piece)
+            graph.decomposition.validate(graph)
+        column = piece_graph(compose_clause(*pieces))
+        column.decomposition.validate(column)
+        assert_written_like_the_reference(column)
 
     def test_column_of_three_equals_pairwise_gluing(self):
         params = select_basis(5, 1, 3)
         p1, p2, p3 = clause_pieces(params, [(1,), (-1,), (1,)])
         once = compose_clause(p1, p2, p3)
         twice = compose_clause(compose_clause(p1, p2), p3)
-        assert_same_graph(once.graph, twice.graph)
+        assert_same_graph(piece_graph(once), piece_graph(twice))
         assert once.bags == twice.bags
         assert (once.left_blocks, once.right_blocks) == (p1.left_blocks, p3.right_blocks)
-        assert compose_clause(p1).graph is not p1.graph
+        assert once.next_id == twice.next_id == p3.next_id
+        alone = compose_clause(p1)
+        assert_same_graph(piece_graph(alone), piece_graph(p1))
+        assert alone.edges is not p1.edges
+        assert alone.labels is not p1.labels
+        assert alone.bags is not p1.bags
 
     def test_compose_refuses_an_edge_inside_the_shared_boundary(self):
         params = select_basis(5, 1, 3)
         p1, p2 = clause_pieces(params, [(1,), (1,)])
         a, b = p2.left_blocks[0][:2]
-        p2.graph.add_edge(a, b)
+        p2.edges.append((a, b))
         with pytest.raises(ValidationError, match=f"not independent in the right piece .edge {a}-{b}"):
             compose_clause(p1, p2)
 
@@ -863,8 +869,8 @@ class TestPiecesValidateOutsideTheCompiler:
         # any boundary the third piece shares
         params = select_basis(5, 1, 3)
         p1, p2, p3 = clause_pieces(params, [(1,), (1,), (1,)])
-        interior = max(p1.graph.vertices)
-        p3.graph.add_vertex(interior)
+        interior = max(itertools.chain.from_iterable(p1.bags))
+        p3.bags.append((interior,))
         with pytest.raises(ValidationError, match=f"overlap off the shared boundary: .{interior}"):
             compose_clause(p1, p2, p3)
         with pytest.raises(ValidationError):
@@ -885,17 +891,17 @@ class TestSingleValidation:
         assert calls == [out.graph]
 
     def test_a_corrupted_piece_fails_the_final_validation(self, monkeypatch):
-        build = reduction.build_fingerprint_gadget
+        parts = reduction._gadget_parts
         built = []
 
-        def drop_last_bag(spec, start_id=None):
-            gadget = build(spec, start_id)
-            built.append(gadget)
+        def drop_last_bag(spec, start_id):
+            edges, labels, bags, next_id = parts(spec, start_id)
+            built.append(spec)
             if len(built) == 3:
-                gadget.decomposition.bags.pop()
-            return gadget
+                bags.pop()
+            return edges, labels, bags, next_id
 
-        monkeypatch.setattr(reduction, "build_fingerprint_gadget", drop_last_bag)
+        monkeypatch.setattr(reduction, "_gadget_parts", drop_last_bag)
         with pytest.raises(DecompositionError) as exc:
             assemble(CNF_CORPUS[4][1], 5)
         assert str(exc.value).startswith("[assemble] ")
@@ -903,23 +909,33 @@ class TestSingleValidation:
 
     @pytest.mark.parametrize("name,cnf", CNF_CORPUS)
     def test_corpus_compiles_match_the_per_edge_builders(self, monkeypatch, name, cnf):
-        union_into = AnnotatedGraph.union_into
-        unions = []
+        # assemble builds one graph, through one from_edges call, and no
+        # gadget graph on the way
+        init, from_edges = AnnotatedGraph.__init__, AnnotatedGraph.from_edges.__func__
+        graphs, bulk = [], []
 
-        def checked_union(self, other):
-            want = copy_graph(self)
-            ref_union_into(want, other)
-            union_into(self, other)
-            assert_same_graph(self, want)
-            unions.append(other)
+        def counted_init(self):
+            init(self)
+            graphs.append(self)
 
-        monkeypatch.setattr(AnnotatedGraph, "union_into", checked_union)
+        def counted_from_edges(cls, *args):
+            bulk.append(from_edges(cls, *args))
+            return bulk[-1]
+
+        def no_gadget_graph(*args):
+            raise AssertionError("assemble built a gadget graph")
+
         for p, beta, gamma in ((3, 5, 1), (5, 5, 2)):
-            out = assemble(cnf, p, beta=beta, gamma=gamma)
-            assert out.graph.decomposition is out.decomposition
+            with monkeypatch.context() as patch:
+                patch.setattr(AnnotatedGraph, "__init__", counted_init)
+                patch.setattr(AnnotatedGraph, "from_edges", classmethod(counted_from_edges))
+                patch.setattr(reduction, "build_fingerprint_gadget", no_gadget_graph)
+                out = assemble(cnf, p, beta=beta, gamma=gamma)
+            assert graphs == bulk == [out.graph]
+            graphs.clear()
+            bulk.clear()
             expanded = assert_written_like_the_reference(out.graph)
             assert out.width == expanded.decomposition.width
-        assert unions
 
     @given(
         st.integers(min_value=1, max_value=3),
@@ -953,6 +969,6 @@ def test_compiled_graph_bytes_unchanged(tmp_path, corpus_index, p, beta, gamma):
     result = assemble(CNF_CORPUS[corpus_index][1], p, beta=beta, gamma=gamma)
     assert result.pad_vars == (1 if gamma == 2 else 0)
     path = tmp_path / "g.hcg"
-    write_hcgraph(path, result.graph, result.decomposition)
+    write_hcgraph(path, result.graph)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_HCGRAPH_SHA256[(corpus_index, p, beta, gamma)]
