@@ -32,7 +32,7 @@ from .exactalg import (
     parse_field,
     rank,
 )
-from .graphs import _not_ascii, read_hcgraph, write_hcgraph, write_sidecar
+from .graphs import open_ascii, read_hcgraph, write_hcgraph, write_sidecar
 from .hcount import count_hc_bruteforce, count_hc_pathdp
 from .matchings import build_H, build_M
 from .reduction import assemble, parse_dimacs, select_basis
@@ -185,11 +185,9 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    try:
-        text = Path(args.cnf).read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        raise _not_ascii(args.cnf, exc) from None
-    result = assemble(parse_dimacs(text), args.p, beta=args.beta, gamma=args.gamma)
+    with open_ascii(args.cnf) as fh:
+        cnf = parse_dimacs(fh.read())
+    result = assemble(cnf, args.p, beta=args.beta, gamma=args.gamma)
     out = args.out or str(Path(args.cnf).with_suffix(".hcg"))
     write_hcgraph(out, result.graph)
     write_sidecar(out + ".json", result.sidecar())

@@ -216,13 +216,11 @@ class ExactMatrix:
         if data.dtype == np.uint64 and data.size and data.max() > np.iinfo(np.int64).max:
             raise ValidationError("matrix entry outside the int64 range")
         # copy only to reduce, so the 0/1 matrices most callers pass share
-        # their array; an int64 divisor (uint64 for uint64 input) keeps a
-        # small dtype from overflowing on a large p
+        # their array
         if isinstance(field, PrimeField) and data.size and (
             data.min() < 0 or data.max() >= field.p
         ):
-            div = np.uint64(field.p) if data.dtype == np.uint64 else np.int64(field.p)
-            data = np.remainder(data, div)
+            data = np.remainder(data, _divisor(data, field.p))
         self._arr = data
         self.nrows, self.ncols = data.shape
         self.row_labels = list(row_labels) if row_labels is not None else list(range(self.nrows))
@@ -350,6 +348,13 @@ def _workspace_bytes(m: int, n: int) -> int:
     return 4 * m * n + 8 * _PANEL * (m + n) + 17 * c * n + 32 * (m + n)
 
 
+def _divisor(a: np.ndarray, p: int) -> np.integer:
+    """p as a divisor that reduces the integer array `a` without overflow:
+    int64, so a small dtype does not have to hold p, or uint64 for uint64
+    input, whose entries above 2^63 an int64 loop would not hold."""
+    return np.uint64(p) if a.dtype == np.uint64 else np.int64(p)
+
+
 def _residues(a: np.ndarray, p: int, ncols: int | None = None) -> np.ndarray:
     """a mod p in a fresh int32 work array, `ncols` wide (zero past a).
 
@@ -369,8 +374,7 @@ def _residues(a: np.ndarray, p: int, ncols: int | None = None) -> np.ndarray:
                             f"{limit >> 20} MB ceiling ({MEMORY_ENV_VAR})")
     work = np.zeros((m, width), dtype=np.int32)
     if a.size and (a.min() < 0 or a.max() >= p):
-        div = np.uint64(p) if a.dtype == np.uint64 else np.int64(p)
-        np.remainder(a, div, out=work[:, :n], casting="unsafe")
+        np.remainder(a, _divisor(a, p), out=work[:, :n], casting="unsafe")
     else:
         work[:, :n] = a
     return work

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import itertools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .exactalg import CapacityError, ValidationError
 
@@ -352,49 +353,54 @@ def _line_ints(fields: list[str], lineno: int) -> list[int]:
         raise ValidationError(f"line {lineno}: non-integer field in {fields}") from None
 
 
-def _not_ascii(path, exc: UnicodeDecodeError) -> ValidationError:
-    """The error for a text file holding a byte outside ASCII."""
-    return ValidationError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not ASCII")
+@contextmanager
+def open_ascii(path) -> Iterator[TextIO]:
+    """Open a text file to read as ASCII. A byte outside ASCII, met while
+    reading, raises ValidationError naming the file and the byte."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"{path}: byte 0x{exc.object[exc.start]:02x} is not ASCII"
+            ) from None
 
 
 def read_hcgraph(path) -> AnnotatedGraph:
     edges: list[tuple[int, int]] = []
     bags: list[tuple[int, ...]] = []
     declared = None
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().strip()
-            if header != "hcgraph v1":
-                raise ValidationError(f"bad header {header!r}, expected 'hcgraph v1'")
-            for lineno, line in enumerate(fh, start=2):
-                parts = line.split()
-                if not parts:
-                    continue
-                tag = parts[0]
-                if tag == "e":
-                    if len(parts) != 3:
-                        raise ValidationError(f"line {lineno}: bad edge line")
-                    u, v = _line_ints(parts[1:], lineno)
-                    edges.append((u, v) if u < v else (v, u))
-                elif tag == "bag":
-                    bags.append(tuple(_line_ints(parts[1:], lineno)))
-                elif tag == "n":
-                    if len(parts) != 2:
-                        raise ValidationError(f"line {lineno}: bad vertex-count line")
-                    if declared is not None:
-                        raise ValidationError(f"line {lineno}: second 'n' line")
-                    (declared,) = _line_ints(parts[1:], lineno)
-                    if declared < 0:
-                        raise ValidationError(f"line {lineno}: negative vertex count {declared}")
-                    if declared > MAX_HCGRAPH_VERTICES:
-                        raise CapacityError(
-                            f"line {lineno}: {declared} vertices exceed the "
-                            f"{MAX_HCGRAPH_VERTICES} ceiling"
-                        )
-                else:
-                    raise ValidationError(f"line {lineno}: unknown tag {tag!r}")
-    except UnicodeDecodeError as exc:
-        raise _not_ascii(path, exc) from None
+    with open_ascii(path) as fh:
+        header = fh.readline().strip()
+        if header != "hcgraph v1":
+            raise ValidationError(f"bad header {header!r}, expected 'hcgraph v1'")
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.split()
+            if not parts:
+                continue
+            tag = parts[0]
+            if tag == "e":
+                if len(parts) != 3:
+                    raise ValidationError(f"line {lineno}: bad edge line")
+                u, v = _line_ints(parts[1:], lineno)
+                edges.append((u, v) if u < v else (v, u))
+            elif tag == "bag":
+                bags.append(tuple(_line_ints(parts[1:], lineno)))
+            elif tag == "n":
+                if len(parts) != 2:
+                    raise ValidationError(f"line {lineno}: bad vertex-count line")
+                if declared is not None:
+                    raise ValidationError(f"line {lineno}: second 'n' line")
+                (declared,) = _line_ints(parts[1:], lineno)
+                if declared < 0:
+                    raise ValidationError(f"line {lineno}: negative vertex count {declared}")
+                if declared > MAX_HCGRAPH_VERTICES:
+                    raise CapacityError(
+                        f"line {lineno}: {declared} vertices exceed the "
+                        f"{MAX_HCGRAPH_VERTICES} ceiling"
+                    )
+            else:
+                raise ValidationError(f"line {lineno}: unknown tag {tag!r}")
     if declared is None:
         raise ValidationError("missing 'n' line")
     g = AnnotatedGraph.from_edges(range(1, declared + 1), edges)

@@ -18,8 +18,8 @@ close to the number of variables. The stages:
     predicted residue.
 
 The stages pass plain data, not graphs: sorted edge keys, the labels
-(1..4) of each label site, bags and the next free id. assemble builds the
-one graph from all of it in a single `AnnotatedGraph.from_edges` call, which
+(1..4) of each label site, and bags, which hold every vertex, so the next
+free id is one above the largest bag vertex. assemble builds the one graph from all of it in a single `AnnotatedGraph.from_edges` call, which
 also checks that every edge at a site carries a label. A label site stays
 one vertex instead of nine all the way through: `write_hcgraph` writes each
 site as its 9-vertex gadget, and the bag sweep counts sites directly. Every
@@ -343,14 +343,7 @@ class GadgetSpec:
         return sum(m for _, m in self.counts)
 
 
-# What the compiler's stages pass on instead of graphs: sorted edge keys,
-# the labels of each label site, and bags.
-_Edges = list[tuple[int, int]]
-_Labels = dict[int, dict[tuple[int, int], int]]
-_Bags = list[tuple[int, ...]]
-
-
-def _gadget_parts(spec: GadgetSpec, start_id: int | None) -> tuple[_Edges, _Labels, _Bags, int]:
+def _gadget_parts(spec: GadgetSpec, start_id: int | None):
     """The edge keys, site labels and bags of `build_fingerprint_gadget`'s
     graph, and the first id above the fresh ones it took. Every vertex of
     the gadget is in its bags."""
@@ -365,7 +358,7 @@ def _gadget_parts(spec: GadgetSpec, start_id: int | None) -> tuple[_Edges, _Labe
     # Fresh ids exceed the boundary and grow in the order they are taken, so
     # every key below is written sorted: (older id, newer id).
     edges = [(a, tail_mid), (tail_mid, chain_start), (collector, entry_hub)]
-    labels: _Labels = {}
+    labels: dict[int, dict[tuple[int, int], int]] = {}
 
     anchor_pair = edge_key(a, b)
     chains: list[list[int]] = []
@@ -402,7 +395,7 @@ def _gadget_parts(spec: GadgetSpec, start_id: int | None) -> tuple[_Edges, _Labe
         labels[end][b, end] = 4
 
     core = spec.boundary + (chain_start, collector, entry_hub)
-    bags: _Bags = [tuple(sorted(core + (tail_mid,)))]
+    bags: list[tuple[int, ...]] = [tuple(sorted(core + (tail_mid,)))]
     for ci, sites in enumerate(chains):
         for j, site in enumerate(sites):
             extra = {site}
@@ -449,16 +442,15 @@ def build_fingerprint_gadget(spec: GadgetSpec, start_id: int | None = None) -> A
 class ClausePiece:
     """One or more glued clause columns, open at the left and right boundary.
 
-    The piece is its edge keys, site labels and bags; its vertices are the
-    vertices of its bags, and `next_id` is the first id above them.
+    The piece is its sorted edge keys, the labels of its label sites and
+    its bags; its vertices are the vertices of its bags.
     """
 
-    edges: _Edges
-    labels: _Labels
-    bags: _Bags
+    edges: list[tuple[int, int]]
+    labels: dict[int, dict[tuple[int, int], int]]
+    bags: list[tuple[int, ...]]
     left_blocks: tuple[tuple[int, ...], ...]
     right_blocks: tuple[tuple[int, ...], ...]
-    next_id: int
 
 
 # Interface degree patterns (top, bottom) a block may expose, depending on
@@ -538,9 +530,9 @@ def build_base_case(
         raise ValidationError("need matching nonempty block lists")
     chain = list(range(start_id, start_id + q + 1))  # chain[i-1]=bottom_i, chain[i]=top_i
     next_id = chain[-1] + 1
-    edges: _Edges = []
-    labels: _Labels = {}
-    bags: _Bags = []
+    edges: list[tuple[int, int]] = []
+    labels: dict[int, dict[tuple[int, int], int]] = {}
+    bags: list[tuple[int, ...]] = []
     all_left = [v for blk in left_blocks for v in blk]
     all_right = [v for blk in right_blocks for v in blk]
     bags.append(tuple(sorted(all_left)))
@@ -590,7 +582,6 @@ def build_base_case(
         bags=bags,
         left_blocks=tuple(tuple(b) for b in left_blocks),
         right_blocks=tuple(tuple(b) for b in right_blocks),
-        next_id=next_id,
     )
 
 
@@ -640,7 +631,6 @@ def compose_clause(*pieces: ClausePiece) -> ClausePiece:
         bags=bags,
         left_blocks=pieces[0].left_blocks,
         right_blocks=pieces[-1].right_blocks,
-        next_id=max(piece.next_id for piece in pieces),
     )
 
 
@@ -770,27 +760,31 @@ def assemble(
             piece = build_base_case(
                 params, boundaries[j], boundaries[j + 1], var_blocks, clause, next_id
             )
-            next_id = piece.next_id
+            next_id = max(map(max, piece.bags)) + 1
             pieces.append(piece)
     with _stage("compose_clause"):
         column = compose_clause(*pieces)
+    # compose_clause returned fresh lists, so the attachments' parts are
+    # added to them in place
+    edges, labels = column.edges, column.labels
 
     # Right attachments: every right-basis fingerprint realized once.
     with _stage("right_attachment"):
-        right_gadgets = []
+        right_bags = []
         for i in range(q):
             block = boundaries[m][i]
             mapping = {j + 1: block[j] for j in range(beta)}
             counts = {fp.relabel(mapping): 1 for fp in params.right_basis}
             spec = GadgetSpec.make(block, (block[0], block[1]), counts)
-            right_gadgets.append(_gadget_parts(spec, next_id))
-            next_id = right_gadgets[-1][3]
+            g_edges, g_labels, g_bags, next_id = _gadget_parts(spec, next_id)
+            edges += g_edges
+            labels.update(g_labels)
+            right_bags.append(g_bags)
 
     # Left attachments thread a ring: the top of block i is the bottom of
     # block i+1 (cyclically); one block collapses to a subdivided edge
     # between two distinct interface vertices instead of a self-loop.
     with _stage("left_attachment"):
-        ring_edges: _Edges = []
         if q >= 2:
             ring = tops = list(range(next_id, next_id + q))
             bottoms = [ring[(i + 1) % q] for i in range(q)]
@@ -798,9 +792,9 @@ def assemble(
             ring = [top_v, bottom_v, mid_v] = list(range(next_id, next_id + 3))
             tops = [top_v]
             bottoms = [bottom_v]
-            ring_edges = [(top_v, mid_v), (bottom_v, mid_v)]
+            edges += [(top_v, mid_v), (bottom_v, mid_v)]
         next_id += len(ring)
-        left_gadgets = []
+        left_bags = []
         for i in range(q):
             block = boundaries[0][i]
             counts: dict[Fingerprint, int] = {}
@@ -811,35 +805,28 @@ def assemble(
                 counts[_left_attachment_fingerprint(f_a, block, tops[i], bottoms[i])] = weight
             boundary = tuple(sorted(block + (tops[i], bottoms[i])))
             spec = GadgetSpec.make(boundary, (block[0], tops[i]), counts)
-            left_gadgets.append(_gadget_parts(spec, next_id))
-            next_id = left_gadgets[-1][3]
-
-    with _stage("assemble"):
-        # compose_clause returned fresh lists, so they grow in place; the
-        # vertices are those of the parts' bags and edges
-        edges, labels = column.edges, column.labels
-        vertices = set(itertools.chain.from_iterable(column.bags))
-        for g_edges, g_labels, g_bags, _ in left_gadgets + right_gadgets:
+            g_edges, g_labels, g_bags, next_id = _gadget_parts(spec, next_id)
             edges += g_edges
             labels.update(g_labels)
-            vertices.update(itertools.chain.from_iterable(g_bags))
-        edges += ring_edges
+            left_bags.append(g_bags)
 
+    with _stage("assemble"):
         all_left = set(v for blk in boundaries[0] for v in blk)
         all_right = set(v for blk in boundaries[m] for v in blk)
-        bags: _Bags = []
+        bags: list[tuple[int, ...]] = []
         # the wrap-around ring vertex stays in every prefix bag
         pin = {ring[0]} if q >= 2 else set()
-        for _, _, g_bags, _ in left_gadgets:
+        for g_bags in left_bags:
             for gb in g_bags:
                 bags.append(tuple(sorted(all_left | pin | set(gb))))
         if q == 1:
             bags.append(tuple(sorted(all_left | set(ring))))
         bags.extend(column.bags)
-        for _, _, g_bags, _ in right_gadgets:
+        for g_bags in right_bags:
             for gb in g_bags:
                 bags.append(tuple(sorted(all_right | set(gb))))
-        full = AnnotatedGraph.from_edges(vertices, edges, labels)
+        # every vertex of the parts is in a bag
+        full = AnnotatedGraph.from_edges(itertools.chain.from_iterable(bags), edges, labels)
         full.decomposition = PathDecomposition(bags)
 
         # The one validation of the pipeline, of the bags write_hcgraph

@@ -485,7 +485,7 @@ class TestClauseAlgebra:
         params = select_basis(5, 1, p)
         L, M, R = tuple(range(1, 6)), tuple(range(6, 11)), tuple(range(11, 16))
         piece1 = build_base_case(params, [L], [M], [(1,)], c1, start_id=16)
-        piece2 = build_base_case(params, [M], [R], [(1,)], c2, start_id=piece1.next_id)
+        piece2 = build_base_case(params, [M], [R], [(1,)], c2, start_id=next_id(piece1))
         expanded = ref_expand_label_gadgets(piece_graph(compose_clause(piece1, piece2)))
         measured = partial_solution_spectrum(expanded, L + R, modulus=p)
 
@@ -540,7 +540,7 @@ class TestClauseAlgebra:
         params = select_basis(5, 1, p)
         L, M, R = tuple(range(1, 6)), tuple(range(6, 11)), tuple(range(11, 16))
         piece1 = build_base_case(params, [L], [M], [(1,)], (1,), start_id=16)
-        piece3 = build_base_case(params, [R], [L], [(1,)], (1,), start_id=piece1.next_id)
+        piece3 = build_base_case(params, [R], [L], [(1,)], (1,), start_id=next_id(piece1))
         with pytest.raises(ValidationError):
             compose_clause(piece1, piece3)
 
@@ -796,9 +796,14 @@ def clause_pieces(params, clauses, q=1):
         piece = build_base_case(
             params, boundaries[j], boundaries[j + 1], [(i + 1,) for i in range(q)], clause, start
         )
-        start = piece.next_id
+        start = next_id(piece)
         pieces.append(piece)
     return pieces
+
+
+def next_id(piece):
+    """The first id above the vertices of a clause piece."""
+    return max(map(max, piece.bags)) + 1
 
 
 def piece_graph(piece):
@@ -849,7 +854,6 @@ class TestPiecesValidateOutsideTheCompiler:
         assert_same_graph(piece_graph(once), piece_graph(twice))
         assert once.bags == twice.bags
         assert (once.left_blocks, once.right_blocks) == (p1.left_blocks, p3.right_blocks)
-        assert once.next_id == twice.next_id == p3.next_id
         alone = compose_clause(p1)
         assert_same_graph(piece_graph(alone), piece_graph(p1))
         assert alone.edges is not p1.edges
@@ -895,11 +899,11 @@ class TestSingleValidation:
         built = []
 
         def drop_last_bag(spec, start_id):
-            edges, labels, bags, next_id = parts(spec, start_id)
+            edges, labels, bags, after = parts(spec, start_id)
             built.append(spec)
             if len(built) == 3:
                 bags.pop()
-            return edges, labels, bags, next_id
+            return edges, labels, bags, after
 
         monkeypatch.setattr(reduction, "_gadget_parts", drop_last_bag)
         with pytest.raises(DecompositionError) as exc:
