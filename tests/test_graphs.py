@@ -2,10 +2,9 @@
 
 The bulk builders (`AnnotatedGraph.from_edges`, the one-join
 `write_hcgraph`) are checked against the per-edge versions they replaced,
-which stay here as references. A graph
-with label sites is written as its expansion, so the writer and
-`validate_expansion` are checked against the per-edge expansion
-`ref_expand_label_gadgets`."""
+which stay here as references. A graph with label sites is written as its
+expansion, so the writer and `validate_expansion` are checked against the
+per-edge expansion `ref_expand_label_gadgets`."""
 
 import itertools
 
