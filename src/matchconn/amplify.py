@@ -44,7 +44,6 @@ from .matchings import (
 __all__ = [
     "ProductGraph",
     "build_product_graph",
-    "TensorFamily",
     "tensor_matchings",
     "verify_tensor_identity",
     "TensorCheck",
@@ -110,34 +109,20 @@ def build_product_graph(base_size: int, copies: int) -> ProductGraph:
     return ProductGraph(copies, base_size, graph, patch_edges)
 
 
-@dataclass
-class TensorFamily:
-    """Matchings of the product graph formed from t-tuples over a base family.
-
-    Members align with the lexicographic order of index tuples (last index
-    fastest), so member number sum(a_i * |I|^(t-i)) corresponds to the tuple
-    (a_1, ..., a_t).
-    """
-
-    base: list[Matching]
-    copies: int
-    base_size: int
-    detoured: bool
-    members: list[Matching]
-
-
 def _shift(m: Matching, offset: int) -> list[tuple[int, int]]:
     return [(u + offset, v + offset) for u, v in m.pairs]
 
 
-def tensor_matchings(base: list[Matching], copies: int, detoured: bool) -> TensorFamily:
-    """Build the plain (disjoint union) or detoured tensor family.
+def tensor_matchings(base: list[Matching], copies: int, detoured: bool) -> list[Matching]:
+    """The plain (disjoint union) or detoured tensor family's members.
 
     The base matchings must all be perfect matchings of {1..B}. Detoured:
     in copy i the pair (1, r) of the chosen base matching loses its edge at
     vertex 1 and instead connects r to vertex 1 of copy i+1 (wrapping), so
     every member stays a perfect matching of the product graph using one
-    patch edge per copy.
+    patch edge per copy. Members follow the lexicographic order of index
+    tuples (last index fastest): member sum(a_i * |base|^(t-i)) is the tuple
+    (a_1, ..., a_t).
     """
     if not base:
         raise ValidationError("empty base family")
@@ -167,7 +152,7 @@ def tensor_matchings(base: list[Matching], copies: int, detoured: bool) -> Tenso
             if not pg.graph.has_edge(u, v):
                 raise AssertionError(f"member uses non-edge {u}-{v} of the product graph")
         members.append(member)
-    return TensorFamily(list(base), copies, B, detoured, members)
+    return members
 
 
 @dataclass
@@ -206,8 +191,8 @@ def verify_tensor_identity(
     plain = tensor_matchings(base, copies, detoured=False)
     detoured = tensor_matchings(base, copies, detoured=True)
     F = ExactMatrix(RATIONALS, union_table(base, base), base, base)
-    big_arr = union_table(plain.members, detoured.members)
-    big = ExactMatrix(RATIONALS, big_arr, plain.members, detoured.members)
+    big_arr = union_table(plain, detoured)
+    big = ExactMatrix(RATIONALS, big_arr, plain, detoured)
     power = F
     for _ in range(copies - 1):
         power = kronecker(power, F)
@@ -215,11 +200,11 @@ def verify_tensor_identity(
     if copies >= 2:
         # unions of two plain members split into per-copy components, so the
         # plain-vs-plain block must vanish identically
-        holds = holds and not union_table(plain.members, plain.members).any()
+        holds = holds and not union_table(plain, plain).any()
     return TensorCheck(
         base_size=base_size,
         copies=copies,
-        family_size=len(plain.members),
+        family_size=len(plain),
         identity_holds=bool(holds),
         base_matrix=F,
         big_block=big,

@@ -205,7 +205,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_count(args) -> int:
     graph = read_hcgraph(args.graph)
     if graph.decomposition is not None:
-        result = count_hc_pathdp(graph, graph.decomposition, modulus=args.mod)
+        result = count_hc_pathdp(graph, modulus=args.mod)
     else:
         result = count_hc_bruteforce(graph, modulus=args.mod)
     payload = {

@@ -38,7 +38,6 @@ __all__ = [
     "write_hcgraph",
     "read_hcgraph",
     "write_sidecar",
-    "read_sidecar",
     "LABEL_GADGET_EDGES",
 ]
 
@@ -302,8 +301,9 @@ class AnnotatedGraph:
 # serialization
 
 
-def write_hcgraph(path, graph: AnnotatedGraph, decomposition: PathDecomposition | None = None) -> None:
-    """Write graph (and bags) with vertices renumbered to 1..n in sorted order.
+def write_hcgraph(path, graph: AnnotatedGraph) -> None:
+    """Write the graph and its decomposition's bags, if it has one, with
+    vertices renumbered to 1..n in sorted order.
 
     A label site is written as its gadget, the sorted sites in blocks of
     nine ids above the plain vertices, role r at offset r - 1; an edge
@@ -311,7 +311,7 @@ def write_hcgraph(path, graph: AnnotatedGraph, decomposition: PathDecomposition 
     later bags roles 3 and 4. Bags with sites come out sorted, each id once.
     """
     sites = graph.annotations
-    decomp = decomposition if decomposition is not None else graph.decomposition
+    decomp = graph.decomposition
     order = sorted(graph.vertices.difference(sites))
     top = len(order)
     n = top + 9 * len(sites)
@@ -415,8 +415,3 @@ def write_sidecar(path, meta: dict) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_sidecar(path) -> dict:
-    with open(path, "r", encoding="ascii") as fh:
-        return json.load(fh)

@@ -1,28 +1,25 @@
 """Hamiltonian cycle counting: brute-force oracles and the bag-sweep DP.
 
-Three counters with deliberately different mechanics so they can check each
+Two counters with deliberately different mechanics so they can check each
 other:
 
   * count_hc_bruteforce: sparse frontier walk over (visited-mask, endpoint)
     states, each cycle found twice and halved at the end. Capacity 20
     vertices.
-  * count_partial_solutions without a decomposition: backtracking over edge
-    subsets with degree pruning and an explicit path/cycle shape check at
-    the leaves. Capacity 24 edges.
-  * count_hc_pathdp, partial_solution_spectrum and count_partial_solutions
-    with a decomposition: one bag-sweep DP over packed-int states that
-    returns fingerprint counts on the pinned boundary; all three counters
-    read that one table. Before the sweep, every recognised 9-vertex label
-    gadget off the boundary is contracted to one label site, and the sweep
-    lets a site's cycle edges be partner labels only, 1 with 2 or 3 with 4,
-    which counts exactly what the gadget does. So the DP counters accept
-    annotated graphs as well as the plain graphs they expand to. Each bag's
-    edges go in greedy order, the one whose ends have the fewest edges left
-    first, so vertices close and leave the state early. Capacity
-    MAX_DP_STATES live states.
+  * count_hc_pathdp and partial_solution_spectrum: one bag-sweep DP over
+    packed-int states along the graph's own path decomposition (or a
+    layered one when it has none) that returns fingerprint counts on the
+    pinned boundary; both counters read that one table. Before the sweep,
+    every recognised 9-vertex label gadget off the boundary is contracted
+    to one label site, and the sweep lets a site's cycle edges be partner
+    labels only, 1 with 2 or 3 with 4, which counts exactly what the
+    gadget does. So the DP counters accept annotated graphs as well as the
+    plain graphs they expand to. Each bag's edges go in greedy order, the
+    one whose ends have the fewest edges left first, so vertices close and
+    leave the state early. Capacity MAX_DP_STATES live states.
 
-The two oracles and enumerate_hamiltonian_cycles read plain graphs only
-and refuse label sites, as a pinned boundary does.
+The oracle and enumerate_hamiltonian_cycles read plain graphs only and
+refuse label sites, as a pinned boundary does.
 
 Conventions: the empty graph has exactly one Hamiltonian cycle; graphs on
 one or two vertices have none.
@@ -43,17 +40,14 @@ __all__ = [
     "CountResult",
     "count_hc_bruteforce",
     "count_hc_pathdp",
-    "count_partial_solutions",
     "partial_solution_spectrum",
     "enumerate_hamiltonian_cycles",
     "layered_decomposition",
     "MAX_BRUTEFORCE_VERTICES",
-    "MAX_SUBSET_EDGES",
     "MAX_DP_STATES",
 ]
 
 MAX_BRUTEFORCE_VERTICES = 20
-MAX_SUBSET_EDGES = 24
 # Ceiling on the live state table of the bag sweep. A state is one int key
 # of 1 + 4S + S*ceil(log2 S) bits for bags of S vertices plus its dict slot,
 # about 120 bytes at S = 38, and compiled graphs peak at a few hundred to a
@@ -183,106 +177,6 @@ def enumerate_hamiltonian_cycles(graph: AnnotatedGraph):
 
 
 # ---------------------------------------------------------------------------
-# subset backtracking oracle for partial solutions
-
-
-def _shape_ok(chosen: list[tuple[int, int]], fp: Fingerprint) -> bool:
-    """Do the chosen edges form the paths/cycle pattern the fingerprint demands?
-
-    Callers guarantee the degree profile already matches (every covered
-    vertex has degree 1 or 2, degree-1 exactly at the matching's vertices),
-    so components are paths or cycles and only the component structure is
-    left to check.
-    """
-    adj: dict[int, list[int]] = {}
-    for u, v in chosen:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen: set[int] = set()
-    found_pairs: set[tuple[int, int]] = set()
-    for s in sorted(v for v in adj if len(adj[v]) == 1):
-        if s in seen:
-            continue
-        prev, cur = None, s
-        seen.add(s)
-        while True:
-            nxts = [w for w in adj[cur] if w != prev]
-            if not nxts:
-                break
-            prev, cur = cur, nxts[0]
-            seen.add(cur)
-        found_pairs.add((s, cur) if s < cur else (cur, s))
-    cycles = 0
-    for s in sorted(adj):
-        if s in seen:
-            continue
-        cycles += 1
-        prev, cur = None, s
-        while True:
-            seen.add(cur)
-            nxts = [w for w in adj[cur] if w != prev]
-            prev, cur = cur, nxts[0]
-            if cur == s:
-                break
-    want_pairs = set(fp.matching.pairs)
-    if want_pairs:
-        return cycles == 0 and found_pairs == want_pairs
-    return cycles == (1 if chosen else 0) and not found_pairs
-
-
-def _count_partial_bruteforce(
-    graph: AnnotatedGraph, boundary: Sequence[int], fp: Fingerprint
-) -> int:
-    _refuse_labels(graph, "the subset oracle")
-    edges = sorted(graph.edges)
-    if len(edges) > MAX_SUBSET_EDGES:
-        raise CapacityError(
-            f"{len(edges)} edges exceed the subset oracle ceiling {MAX_SUBSET_EDGES}"
-        )
-    bset = set(boundary)
-    internal = set(graph.vertices) - bset
-    target = {v: 2 for v in internal}
-    for v in boundary:
-        target[v] = fp.degree_of(v)
-    # remaining degree capacity per vertex as edges are scanned in order
-    remaining: dict[int, int] = {v: 0 for v in graph.vertices}
-    for u, v in edges:
-        remaining[u] += 1
-        remaining[v] += 1
-    deg = {v: 0 for v in graph.vertices}
-    hits = 0
-
-    def rec(i: int, chosen: list[tuple[int, int]]) -> None:
-        nonlocal hits
-        if i == len(edges):
-            if all(deg[v] == target[v] for v in graph.vertices):
-                if _shape_ok(chosen, fp):
-                    hits += 1
-            return
-        u, v = edges[i]
-        # prune: even taking every remaining edge cannot reach the target
-        if any(deg[w] + remaining[w] < target[w] for w in (u, v)):
-            return
-        remaining[u] -= 1
-        remaining[v] -= 1
-        # branch: take the edge if both endpoints have capacity
-        if deg[u] < target[u] and deg[v] < target[v]:
-            deg[u] += 1
-            deg[v] += 1
-            chosen.append((u, v))
-            rec(i + 1, chosen)
-            chosen.pop()
-            deg[u] -= 1
-            deg[v] -= 1
-        rec(i + 1, chosen)
-        remaining[u] += 1
-        remaining[v] += 1
-
-    rec(0, [])
-    return hits
-
-
-# ---------------------------------------------------------------------------
 # bag sweep DP
 
 
@@ -336,6 +230,33 @@ _INTERIOR_DEGREES = tuple(
 )
 
 
+def _is_gadget(adj: dict[int, set[int]], roles: tuple[int, ...]) -> bool:
+    """Do the nine ids, holding all ten edges of LABEL_GADGET_EDGES between
+    their roles, induce exactly those? No other edge may join two of them,
+    and roles 5..9 must have no edge to the outside."""
+    members = set(roles)
+    return (
+        len(members) == 9
+        and sum(len(adj[m] & members) for m in roles) == 2 * len(LABEL_GADGET_EDGES)
+        and all(len(adj[m]) == d for m, d in zip(roles[4:], _INTERIOR_DEGREES))
+    )
+
+
+def _gadget_in_layout(adj: dict[int, set[int]], x: int) -> tuple[int, ...] | None:
+    """The ids x - 6 .. x + 2 as roles 1..9, or None unless they are a label
+    gadget there: the layout write_hcgraph writes, role r at offset r - 1."""
+    if x - 1 not in adj[x] or x + 1 not in adj[x]:
+        return None  # roles 6 and 8
+    roles = tuple(range(x - 6, x + 3))
+    if (
+        all(m in adj for m in roles)
+        and all(roles[s - 1] in adj[roles[r - 1]] for r, s in LABEL_GADGET_EDGES)
+        and _is_gadget(adj, roles)
+    ):
+        return roles
+    return None
+
+
 def _gadget_at(adj: dict[int, set[int]], x: int) -> tuple[int, ...] | None:
     """The ids of roles 1..9 of a label gadget whose role 7 is the degree-2
     vertex x, or None.
@@ -348,9 +269,8 @@ def _gadget_at(adj: dict[int, set[int]], x: int) -> tuple[int, ...] | None:
     and 2. The symmetries map each partner pair {1, 2}, {3, 4} onto a
     partner pair, so the roles found label the site correctly.
 
-    The search has found all ten edges of LABEL_GADGET_EDGES, so the nine
-    ids induce exactly those if no other edge joins two of them; roles 5..9
-    must also have no edge to the outside.
+    The search has found all ten edges of LABEL_GADGET_EDGES, so _is_gadget
+    checks the rest.
     """
     a, b = adj[x]
     r6, r8 = (a, b) if a < b else (b, a)
@@ -363,12 +283,7 @@ def _gadget_at(adj: dict[int, set[int]], x: int) -> tuple[int, ...] | None:
         if len(five) != 1 or len(nine) != 1:
             continue
         roles = (r1, r2, r3, r4, *five, r6, x, r8, *nine)
-        members = set(roles)
-        if (
-            len(members) == 9
-            and sum(len(adj[m] & members) for m in roles) == 2 * len(LABEL_GADGET_EDGES)
-            and all(len(adj[m]) == d for m, d in zip(roles[4:], _INTERIOR_DEGREES))
-        ):
+        if _is_gadget(adj, roles):
             return roles
     return None
 
@@ -380,34 +295,39 @@ def _contract_label_gadgets(
 
     Returns the contracted graph and each contracted vertex's site id, the
     smallest of its gadget's nine ids (the graph itself and {} when nothing
-    is contracted). Each degree-2 vertex, in sorted order, is tried as role 7
-    (_gadget_at). A match is taken unless one of its nine ids is in `keep`,
-    is a label site or is already contracted, or two of its ports' outside
-    edges would meet one vertex once contracted, which would make a
-    parallel edge. Each outside edge of a port takes the port's role as its
-    label at the site. The gadget's only covers are one path
-    leaving through ports 1 and 2 and one through 3 and 4, so a site whose
-    two cycle edges carry partner labels, 1 with 2 or 3 with 4, counts
-    exactly what the gadget counts.
+    is contracted). Each degree-2 vertex, in sorted order, is tried as role
+    7: first of a gadget in the layout write_hcgraph writes
+    (_gadget_in_layout), then, among what is left, of any gadget
+    (_gadget_at). A stray copy of the gadget, made of plain vertices and
+    parts of written gadgets, would otherwise block the gadgets it touches.
+    A match is taken unless one of its nine ids is in `keep`, is a label
+    site or is already contracted, or two of its ports' outside edges would
+    meet one vertex once contracted, which would make a parallel edge. Each
+    outside edge of a port takes the port's role as its label at the site.
+    The gadget's only covers are one path leaving through ports 1 and 2 and
+    one through 3 and 4, so a site whose two cycle edges carry partner
+    labels, 1 with 2 or 3 with 4, counts exactly what the gadget counts.
     """
     adj = graph._adj
     sites = graph.annotations
     site_of: dict[int, int] = {}
     port_label: dict[int, int] = {}
-    for x in sorted(graph.vertices):
-        if len(adj[x]) != 2 or x in site_of:
-            continue
-        roles = _gadget_at(adj, x)
-        if roles is None or any(m in keep or m in sites or m in site_of for m in roles):
-            continue
-        outside = [site_of.get(w, w) for m in roles[:4] for w in adj[m] if w not in roles]
-        if len(set(outside)) != len(outside):
-            continue
-        site = min(roles)
-        for m in roles:
-            site_of[m] = site
-        for label, m in enumerate(roles[:4], 1):
-            port_label[m] = label
+    twos = [x for x in sorted(graph.vertices) if len(adj[x]) == 2]
+    for find in (_gadget_in_layout, _gadget_at):
+        for x in twos:
+            if x in site_of:
+                continue
+            roles = find(adj, x)
+            if roles is None or any(m in keep or m in sites or m in site_of for m in roles):
+                continue
+            outside = [site_of.get(w, w) for m in roles[:4] for w in adj[m] if w not in roles]
+            if len(set(outside)) != len(outside):
+                continue
+            site = min(roles)
+            for m in roles:
+                site_of[m] = site
+            for label, m in enumerate(roles[:4], 1):
+                port_label[m] = label
     if not site_of:
         return graph, site_of
     edges: list[tuple[int, int]] = []
@@ -429,13 +349,11 @@ def _contract_label_gadgets(
 
 
 def _sweep(
-    graph: AnnotatedGraph,
-    decomposition: PathDecomposition,
-    boundary: tuple[int, ...],
-    modulus: int | None,
+    graph: AnnotatedGraph, boundary: tuple[int, ...], modulus: int | None
 ) -> tuple[dict[Fingerprint, int], int]:
-    """The bag DP with the sorted boundary appended to every bag; returns
-    (fingerprint counts on the boundary, states_peak). All three DP counters
+    """The bag DP along graph.decomposition (layered_decomposition when it
+    has none) with the sorted boundary appended to every bag; returns
+    (fingerprint counts on the boundary, states_peak). Both DP counters
     read this one table. Raises CapacityError above MAX_DP_STATES states.
 
     Once the decomposition is validated, every recognised label gadget off
@@ -470,6 +388,7 @@ def _sweep(
     edges, so it survives only when every vertex is on the boundary, and a
     closed state's cycle covers every vertex off the boundary.
     """
+    decomposition = graph.decomposition or layered_decomposition(graph)
     bags = [tuple(bag) + tuple(v for v in boundary if v not in bag) for bag in decomposition.bags]
     bags = bags or [boundary]
     keep = set(boundary)
@@ -633,64 +552,30 @@ def _pinned_boundary(graph: AnnotatedGraph, boundary: Sequence[int], modulus: in
     return b
 
 
-def count_hc_pathdp(
-    graph: AnnotatedGraph,
-    decomposition: PathDecomposition | None = None,
-    modulus: int | None = None,
-) -> CountResult:
-    """Hamiltonian cycle count (or residue) along a path decomposition."""
+def count_hc_pathdp(graph: AnnotatedGraph, modulus: int | None = None) -> CountResult:
+    """Hamiltonian cycle count (or residue) along graph.decomposition, or
+    along layered_decomposition(graph) when it has none."""
     t0 = time.perf_counter()
     _check_modulus(modulus)
-    decomposition = decomposition or graph.decomposition or layered_decomposition(graph)
-    table, peak = _sweep(graph, decomposition, (), modulus)
+    table, peak = _sweep(graph, (), modulus)
     total = table.get(Fingerprint((), (), Matching(())), 0)
     return CountResult(total, modulus, peak, (time.perf_counter() - t0) * 1e3)
 
 
-def count_partial_solutions(
-    graph: AnnotatedGraph,
-    boundary: Sequence[int],
-    fp: Fingerprint,
-    modulus: int | None = None,
-    decomposition: PathDecomposition | None = None,
-) -> CountResult:
-    """Count edge subsets realizing the fingerprint over the boundary.
-
-    Vertices off the boundary end at degree 2 and boundary vertices at their
-    prescribed degree. With a nonempty matching the subset is disjoint paths
-    joining its pairs; with an empty one it is one cycle through every
-    covered vertex, or empty when nothing needs covering. With a
-    decomposition this is the bag sweep's entry at fp; without one, the
-    edge-subset backtracking oracle runs.
-    """
-    t0 = time.perf_counter()
-    b = _pinned_boundary(graph, boundary, modulus)
-    if b != fp.boundary:
-        raise ValidationError("fingerprint boundary does not match the given boundary")
-    decomposition = decomposition or graph.decomposition
-    if decomposition is None:
-        val, peak = _count_partial_bruteforce(graph, b, fp), 0
-        if modulus is not None:
-            val %= modulus
-    else:
-        table, peak = _sweep(graph, decomposition, b, modulus)
-        val = table.get(fp, 0)
-    return CountResult(val, modulus, peak, (time.perf_counter() - t0) * 1e3)
-
-
 def partial_solution_spectrum(
-    graph: AnnotatedGraph,
-    boundary: Sequence[int],
-    modulus: int | None = None,
-    decomposition: PathDecomposition | None = None,
+    graph: AnnotatedGraph, boundary: Sequence[int], modulus: int | None = None
 ) -> dict[Fingerprint, int]:
-    """Partial-solution counts for every realizable fingerprint in one sweep:
-    the nonzero entries of the bag sweep's table, so checking a gadget
-    against its whole support costs one pass, not one per fingerprint.
+    """Partial-solution counts for every realizable fingerprint in one sweep.
+
+    A partial solution is an edge subset in which vertices off the boundary
+    have degree 2 and boundary vertices the fingerprint's degrees; with a
+    nonempty matching it is disjoint paths joining its pairs, with an empty
+    one a single cycle through every covered vertex, or nothing when nothing
+    needs covering. The result is the nonzero entries of the bag sweep's
+    table, so checking a gadget against its whole support costs one pass.
     """
     b = _pinned_boundary(graph, boundary, modulus)
-    decomposition = decomposition or graph.decomposition or layered_decomposition(graph)
-    table, _ = _sweep(graph, decomposition, b, modulus)
+    table, _ = _sweep(graph, b, modulus)
     return {fp: c for fp, c in table.items() if c}
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,8 +41,6 @@ __all__ = [
     "union_table",
     "build_M",
     "enumerate_fingerprints",
-    "fingerprint_count",
-    "fingerprints_combine",
     "build_H",
     "boundaried_graph_for_fingerprint",
     "glue_boundaried",
@@ -85,20 +83,6 @@ class Matching:
                 seen.add(x)
         return cls(tuple(sorted(canon)))
 
-    @classmethod
-    def parse(cls, text: str) -> "Matching":
-        """Parse the text form '1-2|3-4|5-6'; empty string is the empty matching."""
-        text = text.strip()
-        if not text:
-            return cls(())
-        pairs = []
-        for chunk in text.split("|"):
-            bits = chunk.split("-")
-            if len(bits) != 2:
-                raise ValidationError(f"bad matching chunk {chunk!r}")
-            pairs.append((int(bits[0]), int(bits[1])))
-        return cls.from_pairs(pairs)
-
     def text(self) -> str:
         return "|".join(f"{u}-{v}" for u, v in self.pairs)
 
@@ -124,9 +108,6 @@ class CycleType:
     """Multiset of cycle lengths (in matched-pair units), as a sorted-desc tuple."""
 
     parts: tuple[int, ...]
-
-    def total(self) -> int:
-        return sum(self.parts)
 
     def __str__(self) -> str:
         return "+".join(str(p) for p in self.parts) if self.parts else "0"
@@ -353,15 +334,6 @@ class Fingerprint:
         """Text form 'd=<digits>;M=<matching>' with digits in boundary order."""
         return "d=" + "".join(str(d) for d in self.degrees) + ";M=" + self.matching.text()
 
-    @classmethod
-    def parse(cls, text: str, boundary: Sequence[int]) -> "Fingerprint":
-        text = text.strip()
-        if not text.startswith("d=") or ";M=" not in text:
-            raise ValidationError(f"bad fingerprint text {text!r}")
-        dpart, mpart = text[2:].split(";M=", 1)
-        degrees = tuple(int(c) for c in dpart)
-        return cls(tuple(sorted(boundary)), degrees, Matching.parse(mpart))
-
     def relabel(self, mapping: dict[int, int]) -> "Fingerprint":
         """Push the fingerprint along an injective vertex-id mapping."""
         new_b = tuple(sorted(mapping[v] for v in self.boundary))
@@ -394,28 +366,6 @@ def enumerate_fingerprints(boundary: Sequence[int]) -> list[Fingerprint]:
         for m in enumerate_matchings_of(ones):
             out.append(Fingerprint(b, degs, m))
     return out
-
-
-def fingerprint_count(k: int) -> int:
-    """Closed-form count: sum over even i of C(k,i) * (i-1)!! * 2^(k-i)."""
-    from math import comb
-
-    return sum(comb(k, i) * matching_count(i) * 2 ** (k - i) for i in range(0, k + 1, 2))
-
-
-def fingerprints_combine(a: Fingerprint, b: Fingerprint) -> bool:
-    """True iff two partial solutions with these fingerprints glue to one cycle.
-
-    Degrees must sum to 2 at every boundary vertex; the matchings must then
-    union to a single cycle, or both be empty.
-    """
-    if a.boundary != b.boundary:
-        raise ValidationError("combining fingerprints on different boundaries")
-    if any(da + db != 2 for da, db in zip(a.degrees, b.degrees)):
-        return False
-    if not a.matching.pairs and not b.matching.pairs:
-        return True
-    return is_single_cycle(a.matching, b.matching)
 
 
 def build_H(k: int) -> ExactMatrix:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exactalg import (
     ExactMatrix,
@@ -110,13 +110,10 @@ class Cnf:
                         f"literal {lit} exceeds declared variable count {self.num_vars}"
                     )
 
-    @classmethod
-    def from_clauses(cls, num_vars: int, clauses: Iterable[Iterable[int]]) -> "Cnf":
-        return cls(num_vars, tuple(tuple(c) for c in clauses))
-
 
 def parse_dimacs(text: str) -> Cnf:
-    """Parse DIMACS cnf text; clauses are 0-terminated, '%' ends the file."""
+    """Parse DIMACS cnf text: one problem line, then 0-terminated clauses;
+    '%' ends the file."""
     num_vars = None
     declared = None
     clauses: list[tuple[int, ...]] = []
@@ -131,6 +128,8 @@ def parse_dimacs(text: str) -> Cnf:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValidationError(f"bad problem line {line!r}")
+            if num_vars is not None:
+                raise ValidationError(f"line {lineno}: second problem line")
             num_vars, declared = _line_ints(parts[2:], lineno)
             continue
         if num_vars is None:
@@ -332,12 +331,6 @@ class GadgetSpec:
     ) -> "GadgetSpec":
         items = tuple(sorted((fp, m) for fp, m in counts.items() if m))
         return cls(tuple(sorted(boundary)), (anchors[0], anchors[1]), items, budget)
-
-    def multiplicity(self, fp: Fingerprint) -> int:
-        for f, m in self.counts:
-            if f == fp:
-                return m
-        return 0
 
     def total(self) -> int:
         return sum(m for _, m in self.counts)

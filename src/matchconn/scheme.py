@@ -18,7 +18,6 @@ the noncover sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, prod
 
 import numpy as np
@@ -26,29 +25,18 @@ import numpy as np
 from .exactalg import (
     RATIONALS,
     CapacityError,
-    ExactMatrix,
     PrimeField,
     ValidationError,
     is_prime,
     nullity_shift,
 )
 from .matchings import build_M, enumerate_matchings, union_table
-from .tableaux import (
-    Partition,
-    covers,
-    double_factorial,
-    f_lambda,
-    partitions,
-)
+from .tableaux import Partition, double_factorial, f_lambda, partitions
 
 __all__ = [
     "sphere_size",
-    "build_class_matrix",
-    "build_all_classes",
-    "SchemeReport",
     "verify_scheme_axioms",
     "eigenvalue_eta",
-    "omega_lambda",
     "SpectralLine",
     "certify_spectrum",
     "spectrum_primes",
@@ -89,45 +77,9 @@ def _class_arrays(n: int) -> dict[Partition, np.ndarray]:
     }
 
 
-def build_class_matrix(n: int, lam: Partition) -> ExactMatrix:
-    """The 0/1 class matrix of one cycle type, over Q, matching order indexing."""
-    arrs = _class_arrays(n)
-    if lam not in arrs:
-        raise ValidationError(f"{lam} is not a partition of {n}")
-    ms = enumerate_matchings(2 * n)
-    return ExactMatrix(RATIONALS, arrs[lam], ms, ms)
-
-
-def build_all_classes(n: int) -> dict[Partition, ExactMatrix]:
-    ms = enumerate_matchings(2 * n)
-    return {
-        lam: ExactMatrix(RATIONALS, arr, ms, ms) for lam, arr in _class_arrays(n).items()
-    }
-
-
-@dataclass
-class SchemeReport:
-    n: int
-    identity_ok: bool
-    sum_ok: bool
-    symmetric_ok: bool
-    closure_ok: bool
-    commutative_ok: bool
-    failures: list[str]
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.identity_ok
-            and self.sum_ok
-            and self.symmetric_ok
-            and self.closure_ok
-            and self.commutative_ok
-        )
-
-
-def verify_scheme_axioms(n: int) -> SchemeReport:
-    """Check all five scheme axioms exactly; names failing pairs on failure.
+def verify_scheme_axioms(n: int) -> list[str]:
+    """Check all five scheme axioms exactly; return one line per failure,
+    naming the failing class or pair, and [] when all hold.
 
     Products are taken with float64 matrix multiplication, which is exact
     here: entries of any product are bounded by the matrix size (at most
@@ -139,32 +91,26 @@ def verify_scheme_axioms(n: int) -> SchemeReport:
     failures: list[str] = []
 
     ones = Partition((1,) * n)
-    identity_ok = bool(np.array_equal(arrs[ones], np.eye(size, dtype=np.int8)))
-    if not identity_ok:
+    if not np.array_equal(arrs[ones], np.eye(size, dtype=np.int8)):
         failures.append("identity: class of the all-ones partition is not I")
 
     total = np.zeros((size, size), dtype=np.int64)
     for arr in arrs.values():
         total += arr
-    sum_ok = bool((total == 1).all())
-    if not sum_ok:
+    if not (total == 1).all():
         failures.append("sum: class matrices do not partition the all-ones matrix")
 
-    symmetric_ok = True
     for lam, arr in arrs.items():
         if not np.array_equal(arr, arr.T):
-            symmetric_ok = False
             failures.append(f"symmetry: class {lam} is not symmetric")
 
     floats = {lam: arrs[lam].astype(np.float64) for lam in lams}
     supports = {lam: arrs[lam].astype(bool) for lam in lams}
-    closure_ok = True
-    commutative_ok = True
+    closed = True  # no closure failure so far
     for i, la in enumerate(lams):
         for lb in lams[i:]:
             prod_ab = floats[la] @ floats[lb]
             if not np.array_equal(prod_ab, floats[lb] @ floats[la]):
-                commutative_ok = False
                 failures.append(f"commutativity: {la} and {lb}")
             recon = np.zeros_like(prod_ab)
             for lc in lams:
@@ -174,29 +120,21 @@ def verify_scheme_axioms(n: int) -> SchemeReport:
                     continue
                 v0 = vals[0]
                 if not (vals == v0).all():
-                    closure_ok = False
+                    closed = False
                     failures.append(
                         f"closure: product {la} * {lb} is not constant on class {lc}"
                     )
                     continue
                 if v0 != int(v0) or v0 < 0:
-                    closure_ok = False
+                    closed = False
                     failures.append(
                         f"closure: product {la} * {lb} has coefficient {v0} on {lc}"
                     )
                 recon += v0 * arrs[lc]
-            if closure_ok and not np.array_equal(recon, prod_ab):
-                closure_ok = False
+            if closed and not np.array_equal(recon, prod_ab):
+                closed = False
                 failures.append(f"closure: {la} * {lb} not in the class span")
-    return SchemeReport(
-        n=n,
-        identity_ok=identity_ok,
-        sum_ok=sum_ok,
-        symmetric_ok=symmetric_ok,
-        closure_ok=closure_ok,
-        commutative_ok=commutative_ok,
-        failures=failures,
-    )
+    return failures
 
 
 def eigenvalue_eta(n: int, lam: Partition) -> int:
@@ -216,11 +154,6 @@ def eigenvalue_eta(n: int, lam: Partition) -> int:
                 continue
             out *= 2 * (c - 1) - (r - 1)
     return out
-
-
-def omega_lambda(n: int, lam: Partition) -> Fraction:
-    """Eigenvalue normalized by the single-cycle sphere size."""
-    return Fraction(eigenvalue_eta(n, lam), sphere_size(n, Partition((n,))))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ __all__ = [
     "covers",
     "hook_lengths",
     "f_lambda",
-    "enumerate_syt",
     "double_factorial",
     "rational_rank_formula",
     "noncover_partitions",
@@ -48,13 +47,6 @@ class Partition:
             raise ValidationError(f"partition parts must be positive: {self.parts}")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValidationError(f"parts must weakly decrease: {self.parts}")
-
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        text = text.strip()
-        if not text or text == "0":
-            return cls(())
-        return cls(tuple(int(x) for x in text.split("+")))
 
     def text(self) -> str:
         return "+".join(str(p) for p in self.parts)
@@ -133,32 +125,6 @@ def f_lambda(lam: Partition) -> int:
     if num % den:
         raise AssertionError(f"hook product does not divide {lam.n}! for {lam}")
     return num // den
-
-
-def enumerate_syt(lam: Partition) -> int:
-    """Count standard tableaux by plain backtracking (independent of hooks).
-
-    Recursively strips removable corners, counting maximal chains in the
-    Young lattice from lambda down to the empty shape. No memoization, so
-    this really enumerates one chain per tableau; keep n at 10 or below.
-    """
-    if lam.n > 10:
-        raise ValidationError(f"backtracking oracle capped at n=10, got {lam.n}")
-
-    def rec(shape: tuple[int, ...]) -> int:
-        if not shape:
-            return 1
-        total = 0
-        for i in range(len(shape)):
-            if i == len(shape) - 1 or shape[i] > shape[i + 1]:
-                if shape[i] == 1:
-                    reduced = shape[:i]
-                else:
-                    reduced = shape[:i] + (shape[i] - 1,) + shape[i + 1 :]
-                total += rec(reduced)
-        return total
-
-    return rec(lam.parts)
 
 
 def double_factorial(m: int) -> int:

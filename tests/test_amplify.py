@@ -88,12 +88,12 @@ def test_tensor_family_ceiling_keeps_the_certified_shapes():
 class TestTensorFamilies:
     def test_plain_members_are_shifted_disjoint_unions(self):
         base = enumerate_matchings(4)
-        fam = tensor_matchings(base, 2, detoured=False)
-        assert len(fam.members) == 9
+        members = tensor_matchings(base, 2, detoured=False)
+        assert len(members) == 9
         # member ordering: last copy index moves fastest
         for a in range(3):
             for b in range(3):
-                member = fam.members[3 * a + b]
+                member = members[3 * a + b]
                 left = tuple(p for p in member.pairs if p[1] <= 4)
                 right = tuple((u - 4, v - 4) for u, v in member.pairs if u > 4)
                 assert left == base[a].pairs
@@ -102,10 +102,10 @@ class TestTensorFamilies:
     def test_detoured_members_use_one_patch_edge_per_copy(self):
         base = enumerate_matchings(4)
         pg = build_product_graph(4, 3)
-        fam = tensor_matchings(base, 3, detoured=True)
-        assert len(fam.members) == 27
+        members = tensor_matchings(base, 3, detoured=True)
+        assert len(members) == 27
         patches = set(pg.patch_edges)
-        for member in fam.members:
+        for member in members:
             used = [p for p in member.pairs if p in patches]
             assert len(used) == 3
             assert sorted(member.vertices()) == list(range(1, 13))
@@ -133,8 +133,8 @@ class TestKroneckerIdentity:
     def test_block_is_the_pairwise_predicate(self, base_size, copies):
         chk = verify_tensor_identity(base_size, copies)
         base = enumerate_matchings(base_size)
-        plain = tensor_matchings(base, copies, detoured=False).members
-        detoured = tensor_matchings(base, copies, detoured=True).members
+        plain = tensor_matchings(base, copies, detoured=False)
+        detoured = tensor_matchings(base, copies, detoured=True)
         assert chk.big_block.row_labels == plain
         assert chk.big_block.col_labels == detoured
         want = [[int(is_single_cycle(a, b)) for b in detoured] for a in plain]
@@ -143,9 +143,9 @@ class TestKroneckerIdentity:
         assert chk.base_matrix.numpy().tolist() == want_f
 
     def test_plain_pairs_never_close_one_cycle(self):
-        fam = tensor_matchings(enumerate_matchings(4), 2, detoured=False)
-        for a in fam.members:
-            for b in fam.members:
+        members = tensor_matchings(enumerate_matchings(4), 2, detoured=False)
+        for a in members:
+            for b in members:
                 assert not is_single_cycle(a, b)
 
     def test_block_rank_is_the_base_rank_power(self):

@@ -98,7 +98,8 @@ def test_dp_state_ceiling_is_over_capacity(tmp_path, capsys, monkeypatch):
         for v in range(u + 1, 6):
             g.add_edge(u, v)
     graph = tmp_path / "k5.hcg"
-    write_hcgraph(graph, g, PathDecomposition([(1, 2, 3, 4, 5)]))
+    g.decomposition = PathDecomposition([(1, 2, 3, 4, 5)])
+    write_hcgraph(graph, g)
     monkeypatch.setattr(hcount, "MAX_DP_STATES", 3)
     code, _, err = run(capsys, "count", "--graph", str(graph))
     assert code == 2
@@ -110,7 +111,8 @@ def four_cycle_file(tmp_path, bags):
     for u, v in ((1, 2), (2, 3), (3, 4), (4, 1)):
         g.add_edge(u, v)
     path = tmp_path / "c4.hcg"
-    write_hcgraph(path, g, PathDecomposition(bags) if bags else None)
+    g.decomposition = PathDecomposition(bags) if bags else None
+    write_hcgraph(path, g)
     return path
 
 
@@ -317,6 +319,17 @@ def test_count_refuses_a_second_vertex_count_line(tmp_path, capsys, text, line):
     code, out, err = run(capsys, "count", "--graph", str(graph), "--mod", "5")
     assert code == 2 and out == ""
     assert f"line {line}: second 'n' line" in err
+
+
+def test_reduce_refuses_a_second_problem_line(tmp_path, capsys):
+    # used to take the second line as the header: 3 variables, 2 clauses
+    cnf = tmp_path / "two.cnf"
+    cnf.write_text("p cnf 2 1\n1 2 0\np cnf 3 2\n-3 0\n", encoding="ascii")
+    out = tmp_path / "two.hcg"
+    code, text, err = run(capsys, "reduce", "--cnf", str(cnf), "--p", "3", "--out", str(out))
+    assert code == 2 and text == ""
+    assert "line 3: second problem line" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text,message", BAD_HCGRAPH_FILES)

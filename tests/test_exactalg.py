@@ -808,9 +808,9 @@ def test_golden_graph_counts_with_fewer_states(tmp_path, capsys):
     # dead-skip pruning on a compiled graph: the residue stays the one the
     # reduction predicts, from strictly fewer states than the tuple-key sweep
     result, path, graph = compiled_graph(tmp_path)
-    counted = count_hc_pathdp(graph, graph.decomposition, 5)
+    counted = count_hc_pathdp(graph, 5)
     assert counted.value == result.sidecar()["predicted_mod_p"]
-    got, peak = hcount._sweep(graph, graph.decomposition, (), 5)
+    got, peak = hcount._sweep(graph, (), 5)
     want, ref_peak = ref_fingerprint_table(graph, graph.decomposition.bags, (), 5)
     assert got == want and peak == counted.states_peak < ref_peak
     assert main(["count", "--graph", str(path), "--mod", "5"]) == 0
@@ -819,8 +819,8 @@ def test_golden_graph_counts_with_fewer_states(tmp_path, capsys):
 
 def test_greedy_edge_order_lowers_the_peak_of_a_compiled_graph(tmp_path, monkeypatch):
     _, _, graph = compiled_graph(tmp_path)
-    greedy = count_hc_pathdp(graph, graph.decomposition, 5)
+    greedy = count_hc_pathdp(graph, 5)
     monkeypatch.setattr(hcount, "_edge_order", lambda edges, remaining: edges)
-    in_sorted_order = count_hc_pathdp(graph, graph.decomposition, 5)
+    in_sorted_order = count_hc_pathdp(graph, 5)
     assert greedy.value == in_sorted_order.value
     assert greedy.states_peak < in_sorted_order.states_peak

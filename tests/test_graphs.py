@@ -7,6 +7,7 @@ expansion, so the writer and `validate_expansion` are checked against the
 per-edge expansion `ref_expand_label_gadgets`."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,6 @@ from matchconn.graphs import (
     PathDecomposition,
     edge_key,
     read_hcgraph,
-    read_sidecar,
     write_hcgraph,
     write_sidecar,
 )
@@ -148,9 +148,9 @@ BAD_HCGRAPH_FILES = [
 class TestFileFormats:
     def test_round_trip_with_bags(self, tmp_path):
         g = path_graph(4)
-        d = PathDecomposition([(1, 2), (2, 3), (3, 4)])
+        d = g.decomposition = PathDecomposition([(1, 2), (2, 3), (3, 4)])
         p = tmp_path / "g.hcg"
-        write_hcgraph(p, g, d)
+        write_hcgraph(p, g)
         back = read_hcgraph(p)
         assert back.vertices == g.vertices
         assert back.edges == g.edges
@@ -210,7 +210,7 @@ class TestFileFormats:
         meta = {"p": 3, "beta": 5, "gamma": 1, "q": 2, "width": 32, "predicted_mod_p": 1}
         p = tmp_path / "g.hcg.json"
         write_sidecar(p, meta)
-        assert read_sidecar(p) == meta
+        assert json.loads(p.read_text(encoding="ascii")) == meta
 
     @given(st.integers(min_value=2, max_value=9), st.data())
     @settings(max_examples=40, deadline=None)
@@ -236,11 +236,11 @@ class TestFileFormats:
 # references: the per-edge builders and writer the bulk ones replaced
 
 
-def ref_write_hcgraph(path, graph, decomposition=None):
+def ref_write_hcgraph(path, graph):
     """write_hcgraph as one write per line, keys rebuilt by edge_key."""
     order = sorted(graph.vertices)
     renum = {v: i + 1 for i, v in enumerate(order)}
-    decomp = decomposition if decomposition is not None else graph.decomposition
+    decomp = graph.decomposition
     with open(path, "w", encoding="ascii") as fh:
         fh.write("hcgraph v1\n")
         fh.write(f"n {len(order)}\n")
@@ -369,11 +369,11 @@ class TestBulkBuildersAgainstReference:
         vertices = sorted(g.vertices)
         bag = st.lists(st.sampled_from(vertices), max_size=5) if vertices else st.just([])
         bags = data.draw(st.one_of(st.none(), st.lists(bag, max_size=4)))
-        decomp = None if bags is None else decomposition_from(bags)
+        g.decomposition = None if bags is None else decomposition_from(bags)
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp) / "got.hcg", Path(tmp) / "want.hcg"
-            write_hcgraph(got, g, decomp)
-            ref_write_hcgraph(want, g, decomp)
+            write_hcgraph(got, g)
+            ref_write_hcgraph(want, g)
             assert got.read_bytes() == want.read_bytes()
 
 
@@ -398,14 +398,16 @@ class TestWrittenExpansion:
     def test_plain_graph_keeps_its_bags_as_given(self, tmp_path):
         g = path_graph(3)
         p = tmp_path / "g.hcg"
-        write_hcgraph(p, g, PathDecomposition([(2, 1, 1), (3, 2)]))
+        g.decomposition = PathDecomposition([(2, 1, 1), (3, 2)])
+        write_hcgraph(p, g)
         assert p.read_text() == "hcgraph v1\nn 3\ne 1 2\ne 2 3\nbag 2 1 1\nbag 3 2\n"
 
     def test_single_site_rewiring(self, tmp_path):
         # plain 2 and 3 become 1 and 2; site 1 takes 3..11, role r at 2 + r
         g = AnnotatedGraph.from_edges((), [(1, 2), (1, 3)], {1: {(1, 2): 1, (1, 3): 3}})
         p = tmp_path / "g.hcg"
-        write_hcgraph(p, g, PathDecomposition([(3, 1), (1, 2)]))
+        g.decomposition = PathDecomposition([(3, 1), (1, 2)])
+        write_hcgraph(p, g)
         back = read_hcgraph(p)
         assert len(back.vertices) == 11 and len(back.edges) == 12
         assert back.has_edge(1, 3) and back.has_edge(2, 5)

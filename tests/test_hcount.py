@@ -1,8 +1,8 @@
 """Cycle counters: published small cases, oracle equivalence, DP discipline.
 
-The three counting routes (frontier brute force, subset backtracking, bag
-DP) are deliberately independent; most tests here pit them against each
-other on random inputs.
+The three counting routes (frontier brute force, the subset-backtracking
+reference ref_count_partial kept here, the bag DP) are deliberately
+independent; most tests here pit them against each other on random inputs.
 """
 
 import heapq
@@ -21,18 +21,12 @@ from matchconn.hcount import (
     _bag_schedule,
     count_hc_bruteforce,
     count_hc_pathdp,
-    count_partial_solutions,
     enumerate_hamiltonian_cycles,
     layered_decomposition,
     partial_solution_spectrum,
 )
-from matchconn.matchings import (
-    Fingerprint,
-    Matching,
-    enumerate_fingerprints,
-    fingerprints_combine,
-    glue_boundaried,
-)
+from matchconn.matchings import Fingerprint, Matching, enumerate_fingerprints, glue_boundaried
+from test_matchings import fingerprints_combine
 
 
 def complete_graph(n):
@@ -54,6 +48,12 @@ def cycle_graph(n):
     return g
 
 
+def set_bags(graph, bags):
+    """The graph, its decomposition set to the bags: the counters read it."""
+    graph.decomposition = PathDecomposition(bags)
+    return graph
+
+
 def random_graph(rng, n, p=0.5):
     g = AnnotatedGraph()
     for v in range(1, n + 1):
@@ -62,6 +62,108 @@ def random_graph(rng, n, p=0.5):
         if rng.random() < p:
             g.add_edge(u, v)
     return g
+
+
+# -- the subset-backtracking reference -----------------------------------------
+
+MAX_SUBSET_EDGES = 24
+
+
+def _shape_ok(chosen, fp):
+    """Do the chosen edges form the paths/cycle pattern the fingerprint demands?
+
+    Callers guarantee the degree profile already matches (every covered
+    vertex has degree 1 or 2, degree-1 exactly at the matching's vertices),
+    so components are paths or cycles and only the component structure is
+    left to check.
+    """
+    adj = {}
+    for u, v in chosen:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen = set()
+    found_pairs = set()
+    for s in sorted(v for v in adj if len(adj[v]) == 1):
+        if s in seen:
+            continue
+        prev, cur = None, s
+        seen.add(s)
+        while True:
+            nxts = [w for w in adj[cur] if w != prev]
+            if not nxts:
+                break
+            prev, cur = cur, nxts[0]
+            seen.add(cur)
+        found_pairs.add((s, cur) if s < cur else (cur, s))
+    cycles = 0
+    for s in sorted(adj):
+        if s in seen:
+            continue
+        cycles += 1
+        prev, cur = None, s
+        while True:
+            seen.add(cur)
+            nxts = [w for w in adj[cur] if w != prev]
+            prev, cur = cur, nxts[0]
+            if cur == s:
+                break
+    want_pairs = set(fp.matching.pairs)
+    if want_pairs:
+        return cycles == 0 and found_pairs == want_pairs
+    return cycles == (1 if chosen else 0) and not found_pairs
+
+
+def ref_count_partial(graph, boundary, fp):
+    """Edge subsets realizing the fingerprint over the boundary, by
+    backtracking over all edge subsets with degree pruning and a path/cycle
+    shape check at the leaves (_shape_ok). The bag sweep's differential
+    reference for partial_solution_spectrum(graph, boundary).get(fp, 0);
+    plain graphs of at most MAX_SUBSET_EDGES edges only.
+    """
+    assert not graph.annotations, "the subset oracle reads plain graphs only"
+    edges = sorted(graph.edges)
+    assert len(edges) <= MAX_SUBSET_EDGES
+    bset = set(boundary)
+    internal = set(graph.vertices) - bset
+    target = {v: 2 for v in internal}
+    for v in boundary:
+        target[v] = fp.degree_of(v)
+    # remaining degree capacity per vertex as edges are scanned in order
+    remaining = {v: 0 for v in graph.vertices}
+    for u, v in edges:
+        remaining[u] += 1
+        remaining[v] += 1
+    deg = {v: 0 for v in graph.vertices}
+    hits = 0
+
+    def rec(i, chosen):
+        nonlocal hits
+        if i == len(edges):
+            if all(deg[v] == target[v] for v in graph.vertices):
+                if _shape_ok(chosen, fp):
+                    hits += 1
+            return
+        u, v = edges[i]
+        # prune: even taking every remaining edge cannot reach the target
+        if any(deg[w] + remaining[w] < target[w] for w in (u, v)):
+            return
+        remaining[u] -= 1
+        remaining[v] -= 1
+        # branch: take the edge if both endpoints have capacity
+        if deg[u] < target[u] and deg[v] < target[v]:
+            deg[u] += 1
+            deg[v] += 1
+            chosen.append((u, v))
+            rec(i + 1, chosen)
+            chosen.pop()
+            deg[u] -= 1
+            deg[v] -= 1
+        rec(i + 1, chosen)
+        remaining[u] += 1
+        remaining[v] += 1
+
+    rec(0, [])
+    return hits
 
 
 # -- published small cases ---------------------------------------------------
@@ -104,20 +206,20 @@ def test_capacity_ceiling():
 def test_six_cycle_with_natural_decomposition():
     g = cycle_graph(6)
     bags = [(1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6)]
-    assert count_hc_pathdp(g, PathDecomposition(bags)).value == 1
+    assert count_hc_pathdp(set_bags(g, bags)).value == 1
 
 
 def test_invalid_decomposition_names_the_violation():
     g = cycle_graph(4)
     with pytest.raises(DecompositionError) as err:
-        count_hc_pathdp(g, PathDecomposition([(1, 2), (3, 4)]))
+        count_hc_pathdp(set_bags(g, [(1, 2), (3, 4)]))
     assert "fits in no bag" in str(err.value)
 
 
 def test_empty_graph_still_checks_its_bags():
-    assert count_hc_pathdp(AnnotatedGraph(), PathDecomposition([()])).value == 1
+    assert count_hc_pathdp(set_bags(AnnotatedGraph(), [()])).value == 1
     with pytest.raises(DecompositionError, match="unknown vertex 7"):
-        count_hc_pathdp(AnnotatedGraph(), PathDecomposition([(7,)]))
+        count_hc_pathdp(set_bags(AnnotatedGraph(), [(7,)]))
 
 
 def test_each_count_scans_the_bags_once(monkeypatch):
@@ -130,13 +232,10 @@ def test_each_count_scans_the_bags_once(monkeypatch):
         return scan(self)
 
     monkeypatch.setattr(PathDecomposition, "occurrence_intervals", counted)
-    g = cycle_graph(6)
-    decomp = PathDecomposition([(1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6)])
-    fp = Fingerprint((1,), (2,), Matching(()))
+    g = set_bags(cycle_graph(6), [(1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6)])
     for run in (
-        lambda: count_hc_pathdp(g, decomp),
-        lambda: count_partial_solutions(g, (1,), fp, decomposition=decomp),
-        lambda: partial_solution_spectrum(g, (1,), decomposition=decomp),
+        lambda: count_hc_pathdp(g),
+        lambda: partial_solution_spectrum(g, (1,)),
     ):
         calls.clear()
         run()
@@ -151,7 +250,7 @@ def test_dp_matches_bruteforce_on_random_graphs():
     for trial in range(100):
         g = random_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.9))
         want = count_hc_bruteforce(g).value
-        got = count_hc_pathdp(g, layered_decomposition(g)).value
+        got = count_hc_pathdp(g).value  # along layered_decomposition(g)
         assert got == want, f"trial {trial}"
 
 
@@ -160,9 +259,8 @@ def test_modular_consistency(p):
     rng = random.Random(99 + p)
     for _ in range(25):
         g = random_graph(rng, rng.randint(4, 10))
-        d = layered_decomposition(g)
-        exact = count_hc_pathdp(g, d).value
-        residue = count_hc_pathdp(g, d, modulus=p).value
+        exact = count_hc_pathdp(g).value
+        residue = count_hc_pathdp(g, modulus=p).value
         assert residue == exact % p
 
 
@@ -189,7 +287,8 @@ def test_single_edge_single_path():
     g = AnnotatedGraph()
     g.add_edge(1, 2)
     fp = Fingerprint((1, 2), (1, 1), Matching(((1, 2),)))
-    assert count_partial_solutions(g, (1, 2), fp).value == 1
+    assert ref_count_partial(g, (1, 2), fp) == 1
+    assert partial_solution_spectrum(g, (1, 2)).get(fp, 0) == 1
 
 
 def test_isolated_vertex_cannot_reach_degree_two():
@@ -199,7 +298,8 @@ def test_isolated_vertex_cannot_reach_degree_two():
     g.add_edge(1, 2)
     g.add_vertex(3)
     fp = Fingerprint((3,), (2,), Matching(()))
-    assert count_partial_solutions(g, (3,), fp).value == 0
+    assert ref_count_partial(g, (3,), fp) == 0
+    assert partial_solution_spectrum(g, (3,)) == {}
 
 
 def test_partial_solutions_exclude_closed_cycles_with_paths():
@@ -210,7 +310,8 @@ def test_partial_solutions_exclude_closed_cycles_with_paths():
     g.add_edge(4, 5)
     g.add_edge(5, 3)
     fp = Fingerprint((1, 2), (1, 1), Matching(((1, 2),)))
-    assert count_partial_solutions(g, (1, 2), fp).value == 0
+    assert ref_count_partial(g, (1, 2), fp) == 0
+    assert fp not in partial_solution_spectrum(g, (1, 2))
 
 
 def test_spectrum_matches_per_fingerprint_counts():
@@ -222,7 +323,7 @@ def test_spectrum_matches_per_fingerprint_counts():
         spectrum = partial_solution_spectrum(g, boundary)
         assert all(c > 0 for c in spectrum.values())
         for fp in enumerate_fingerprints(boundary):
-            want = count_partial_solutions(g, boundary, fp).value
+            want = ref_count_partial(g, boundary, fp)
             assert spectrum.get(fp, 0) == want
 
 
@@ -241,13 +342,12 @@ def test_spectrum_respects_modulus():
 @pytest.mark.parametrize("with_bags", [False, True])
 @pytest.mark.parametrize("modulus", [0, 1, -1])
 def test_partial_counters_reject_a_modulus_below_two(modulus, with_bags):
+    # without bags the sweep falls back to layered_decomposition(g)
     g = cycle_graph(4)
-    decomp = layered_decomposition(g) if with_bags else None
-    fp = Fingerprint((1, 2), (1, 1), Matching(((1, 2),)))
+    if with_bags:
+        g.decomposition = layered_decomposition(g)
     with pytest.raises(ValidationError, match="at least 2"):
-        count_partial_solutions(g, (1, 2), fp, modulus=modulus, decomposition=decomp)
-    with pytest.raises(ValidationError, match="at least 2"):
-        partial_solution_spectrum(g, (1, 2), modulus=modulus, decomposition=decomp)
+        partial_solution_spectrum(g, (1, 2), modulus=modulus)
 
 
 @pytest.mark.parametrize("with_bags", [False, True])
@@ -257,12 +357,10 @@ def test_partial_counters_reject_a_repeated_boundary_vertex(with_bags):
     with pytest.raises(ValidationError, match="duplicate boundary vertices"):
         Fingerprint((1, 1), (2, 2), Matching(()))
     g = cycle_graph(6)
-    decomp = layered_decomposition(g) if with_bags else None
-    fp = Fingerprint((1,), (2,), Matching(()))
+    if with_bags:
+        g.decomposition = layered_decomposition(g)
     with pytest.raises(ValidationError, match="duplicate boundary vertices"):
-        count_partial_solutions(g, (1, 1), fp, decomposition=decomp)
-    with pytest.raises(ValidationError, match="duplicate boundary vertices"):
-        partial_solution_spectrum(g, (1, 1), decomposition=decomp)
+        partial_solution_spectrum(g, (1, 1))
 
 
 def _random_side(rng, boundary, internals, density, with_boundary_edges):
@@ -341,9 +439,8 @@ def test_split_identity_with_an_edgeless_side():
 
 def test_boundary_must_be_known():
     g = cycle_graph(4)
-    fp = Fingerprint((9,), (0,), Matching(()))
-    with pytest.raises(Exception):
-        count_partial_solutions(g, (9,), fp)
+    with pytest.raises(ValidationError, match=r"boundary vertices \[9\] not in graph"):
+        partial_solution_spectrum(g, (9,))
 
 
 # -- bag schedule -------------------------------------------------------------
@@ -440,7 +537,7 @@ def test_a_wide_star_stops_at_its_empty_table():
     for v in range(1, n + 1):
         g.add_edge(0, v)
     t0 = time.perf_counter()
-    result = count_hc_pathdp(g, PathDecomposition([tuple(range(n + 1))]))
+    result = count_hc_pathdp(set_bags(g, [tuple(range(n + 1))]))
     elapsed = time.perf_counter() - t0
     assert result.value == 0
     assert elapsed < 2.0, f"{elapsed:.2f} s for a star with {n} leaves"
@@ -716,7 +813,7 @@ def test_sweep_matches_tuple_key_reference(instance):
     g, bags, keep, modulus = instance
     boundary = tuple(sorted(keep))
     want, _ = ref_fingerprint_table(g, bags, boundary, modulus)
-    got, peak = hcount._sweep(g, PathDecomposition(bags), boundary, modulus)
+    got, peak = hcount._sweep(set_bags(g, bags), boundary, modulus)
     # zero residues stay in both tables, so plain dict equality covers them
     assert got == want
     _, ref_peak = ref_fingerprint_table(g, bags, boundary, modulus, hcount._edge_order)
@@ -727,10 +824,10 @@ def test_sweep_matches_tuple_key_reference(instance):
 @settings(max_examples=100, deadline=None)
 def test_cycle_count_is_the_empty_fingerprint_entry(instance):
     g, bags, _, modulus = instance
-    decomp = PathDecomposition(bags)
+    set_bags(g, bags)
     empty = Fingerprint((), (), Matching(()))
-    dp = count_hc_pathdp(g, decomp, modulus).value
-    assert dp == partial_solution_spectrum(g, (), modulus, decomp).get(empty, 0)
+    dp = count_hc_pathdp(g, modulus).value
+    assert dp == partial_solution_spectrum(g, (), modulus).get(empty, 0)
     assert dp == count_hc_bruteforce(g, modulus).value
 
 
@@ -739,9 +836,9 @@ def test_cycle_count_is_the_empty_fingerprint_entry(instance):
 def test_pinned_spectrum_matches_subset_oracle(instance):
     g, bags, keep, _ = instance
     boundary = tuple(sorted(keep))
-    spectrum = partial_solution_spectrum(g, boundary, decomposition=PathDecomposition(bags))
+    spectrum = partial_solution_spectrum(set_bags(g, bags), boundary)
     for fp in enumerate_fingerprints(boundary):
-        want = count_partial_solutions(g, boundary, fp).value
+        want = ref_count_partial(g, boundary, fp)
         assert spectrum.get(fp, 0) == want
 
 
@@ -750,33 +847,32 @@ def test_sweep_with_an_isolated_vertex(pinned):
     g = cycle_graph(3)
     g.add_vertex(4)
     boundary = (4,) if pinned else ()
-    decomp = PathDecomposition([(1, 2, 3), (3, 4)])
-    got, peak = hcount._sweep(g, decomp, boundary, None)
-    bags = with_boundary(decomp.bags, boundary)
+    set_bags(g, [(1, 2, 3), (3, 4)])
+    got, peak = hcount._sweep(g, boundary, None)
+    bags = with_boundary(g.decomposition.bags, boundary)
     want, _ = ref_fingerprint_table(g, bags, boundary, None)
     _, ref_peak = ref_fingerprint_table(g, bags, boundary, None, hcount._edge_order)
     assert got == want and peak <= ref_peak
     if pinned:
         # the triangle closes and the pinned vertex stays at degree 0
         assert got == {Fingerprint((4,), (0,), Matching(())): 1}
-        assert partial_solution_spectrum(g, (4,), decomposition=decomp) == got
+        assert partial_solution_spectrum(g, (4,)) == got
     else:
         assert got == {}
-        assert count_hc_pathdp(g, decomp).value == 0
+        assert count_hc_pathdp(g).value == 0
 
 
 def test_boundary_ends_of_degree_two_keep_their_skips():
     # On a 6-cycle the only path from 1 to 2 through every other vertex skips
     # the edge 1-2. Both ends have degree 2 in the graph, and (1, 2) is the
     # first edge at each, so pruning a boundary vertex there would lose it.
-    g = cycle_graph(6)
+    g = set_bags(cycle_graph(6), [(1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6)])
     boundary = (1, 2)
-    decomp = PathDecomposition([(1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6)])
     fp = Fingerprint(boundary, (1, 1), Matching(((1, 2),)))
-    assert count_partial_solutions(g, boundary, fp).value == 1
-    assert count_partial_solutions(g, boundary, fp, decomposition=decomp).value == 1
-    got, peak = hcount._sweep(g, decomp, boundary, None)
-    bags = with_boundary(decomp.bags, boundary)
+    assert ref_count_partial(g, boundary, fp) == 1
+    assert partial_solution_spectrum(g, boundary).get(fp, 0) == 1
+    got, peak = hcount._sweep(g, boundary, None)
+    bags = with_boundary(g.decomposition.bags, boundary)
     want, _ = ref_fingerprint_table(g, bags, boundary, None)
     _, ref_peak = ref_fingerprint_table(g, bags, boundary, None, hcount._edge_order)
     assert got == want and got[fp] == 1 and peak <= ref_peak
@@ -788,7 +884,7 @@ def test_forced_edges_shrink_the_table():
     # until both ends are forgotten right after it.
     g = cycle_graph(40)
     bags = [(1, v, v + 1) for v in range(2, 40)]
-    result = count_hc_pathdp(g, PathDecomposition(bags))
+    result = count_hc_pathdp(set_bags(g, bags))
     assert result.value == 1
     assert result.states_peak == 2 < ref_sweep(g, bags, set(), None)[1]
 
@@ -798,10 +894,9 @@ def test_forced_edges_shrink_the_table():
 
 def test_state_ceiling_is_checked_at_the_peak(monkeypatch):
     g = complete_graph(6)
-    d = layered_decomposition(g)
-    peak = count_hc_pathdp(g, d).states_peak
+    peak = count_hc_pathdp(g).states_peak
     monkeypatch.setattr(hcount, "MAX_DP_STATES", peak)
-    assert count_hc_pathdp(g, d).value == 60
+    assert count_hc_pathdp(g).value == 60
     monkeypatch.setattr(hcount, "MAX_DP_STATES", peak - 1)
     with pytest.raises(CapacityError, match="ceiling"):
-        count_hc_pathdp(g, d)
+        count_hc_pathdp(g)

@@ -17,14 +17,32 @@ from matchconn.matchings import (
     build_M,
     enumerate_fingerprints,
     enumerate_matchings,
-    fingerprint_count,
-    fingerprints_combine,
     glue_boundaried,
     is_single_cycle,
     matching_count,
     union_cycle_type,
     union_table,
 )
+
+
+def fingerprint_count(k):
+    """Closed-form count: sum over even i of C(k,i) * (i-1)!! * 2^(k-i)."""
+    return sum(comb(k, i) * matching_count(i) * 2 ** (k - i) for i in range(0, k + 1, 2))
+
+
+def fingerprints_combine(a, b):
+    """True iff two partial solutions with these fingerprints glue to one cycle.
+
+    Degrees must sum to 2 at every boundary vertex; the matchings must then
+    union to a single cycle, or both be empty.
+    """
+    if a.boundary != b.boundary:
+        raise ValidationError("combining fingerprints on different boundaries")
+    if any(da + db != 2 for da, db in zip(a.degrees, b.degrees)):
+        return False
+    if not a.matching.pairs and not b.matching.pairs:
+        return True
+    return is_single_cycle(a.matching, b.matching)
 
 
 def double_fact(k):

@@ -23,7 +23,6 @@ from matchconn.tableaux import (
     covers,
     domino_hook_report,
     double_factorial,
-    enumerate_syt,
     f_lambda,
     hook_lengths,
     noncover_partitions,
@@ -32,6 +31,32 @@ from matchconn.tableaux import (
 )
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+def enumerate_syt(lam):
+    """Count standard tableaux by plain backtracking (independent of hooks).
+
+    Recursively strips removable corners, counting maximal chains in the
+    Young lattice from lambda down to the empty shape. No memoization, so
+    this really enumerates one chain per tableau; keep n at 10 or below.
+    """
+    if lam.n > 10:
+        raise ValidationError(f"backtracking oracle capped at n=10, got {lam.n}")
+
+    def rec(shape):
+        if not shape:
+            return 1
+        total = 0
+        for i in range(len(shape)):
+            if i == len(shape) - 1 or shape[i] > shape[i + 1]:
+                if shape[i] == 1:
+                    reduced = shape[:i]
+                else:
+                    reduced = shape[:i] + (shape[i] - 1,) + shape[i + 1 :]
+                total += rec(reduced)
+        return total
+
+    return rec(lam.parts)
 
 
 def random_partition(rng: random.Random, max_n: int = 9) -> Partition:
@@ -74,11 +99,9 @@ class TestPartitionBasics:
         with pytest.raises(ValidationError):
             partitions(-1)
 
-    def test_parse_text_round_trip(self):
-        for text in ("5", "3+2+2", "1+1+1+1", "0", ""):
-            lam = Partition.parse(text)
-            assert Partition.parse(lam.text() or "0") == lam
-        assert Partition.parse("0") == Partition(())
+    def test_text_form(self):
+        assert Partition((3, 2, 2)).text() == "3+2+2"
+        assert Partition(()).text() == ""
         assert str(Partition(())) == "()"
 
     def test_double_doubles_every_part(self):
