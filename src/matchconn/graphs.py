@@ -18,6 +18,19 @@ File format ("hcgraph v1"), plain ASCII text:
 
 A file may declare at most MAX_HCGRAPH_VERTICES vertices.
 
+`read_hcgraph` parses a file in the layout `write_hcgraph` writes (the
+header, the `n` line, the edge lines, then the bag lines, unsigned
+integers between spaces, each line ended) as arrays: each block's fields
+are checked and converted in bulk, and the graph and bags are built from
+the arrays. A file in any other layout, or with anything wrong, goes
+through the line parser instead, which names a bad line by its number;
+both give the same graph, bags and messages.
+
+`PathDecomposition.validate` checks a decomposition as arrays too and
+returns each vertex's run of bags (`BagRuns`); only a decomposition that
+fails that check, or lists a vertex twice in one bag, is checked again
+vertex by vertex to name its violations.
+
 An optional JSON sidecar next to the graph records reduction metadata.
 """
 
@@ -29,10 +42,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, TextIO
 
+import numpy as np
+
 from .exactalg import CapacityError, ValidationError
 
 __all__ = [
     "AnnotatedGraph",
+    "BagRuns",
     "PathDecomposition",
     "DecompositionError",
     "write_hcgraph",
@@ -42,9 +58,10 @@ __all__ = [
 ]
 
 
-# Ceiling on the vertex count a graph file may declare. Each vertex costs a
-# few hundred bytes of sets and dicts before any edge is read, and compiled
-# graphs stay in the tens of thousands of vertices.
+# Ceiling on the vertex count a graph file may declare. The graph read back
+# holds a vertex set and an adjacency set per vertex, a few hundred bytes a
+# vertex; the file's integer arrays are 8 bytes an id, and compiled graphs
+# stay in the tens of thousands of vertices.
 MAX_HCGRAPH_VERTICES = 1_000_000
 
 # Internal wiring of the 9-vertex replacement for a label site. External
@@ -78,6 +95,89 @@ class DecompositionError(ValidationError):
     def __init__(self, violations: list[str]) -> None:
         super().__init__("; ".join(violations))
         self.violations = violations
+
+
+@dataclass(frozen=True)
+class BagRuns:
+    """A validated decomposition and its graph as integer arrays.
+
+    `ids` holds the graph's vertex ids sorted, and every other array names
+    a vertex by its index there. Vertex i lives in bags first[i]..last[i];
+    `ends` holds each edge's two ends, one row per edge; `entries` lists
+    every bag entry, bag by bag, and `entry_bag` the bag of each.
+    """
+
+    ids: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    ends: np.ndarray
+    entries: np.ndarray
+    entry_bag: np.ndarray
+
+
+def _positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's index in the sorted distinct `ids`, 0 for a value that
+    is not one of them, and the mask of those that are. Values are compared
+    with the ends of `ids` before any is used as an index."""
+    n = len(ids)
+    if n and ids.dtype == np.int64 and int(ids[-1]) - int(ids[0]) == n - 1:
+        known = (values >= ids[0]) & (values <= ids[-1])
+        index = values - ids[0]
+    else:
+        index = np.searchsorted(ids, values)
+        known = index < n
+        known[known] = ids[index[known]] == values[known]
+    index[~known] = 0
+    return index, known
+
+
+def _bag_runs(bags: list[tuple[int, ...]], graph: "AnnotatedGraph") -> tuple[BagRuns | None, bool]:
+    """The array check of `bags` against the graph: (runs, passed).
+
+    It passes when every bag entry is a vertex, every vertex is in a bag,
+    each vertex is listed once in each bag from its first to its last
+    (a count per vertex equal to the length of its run) and every edge's
+    two runs meet, max(first) <= min(last). Two runs that meet share a
+    bag, so a pass means a valid decomposition. A fail need not mean an
+    invalid one: a bag may list a vertex twice. `runs` is None when some
+    entry is not a vertex; otherwise it holds each vertex's first and last
+    bag either way. Ids beyond int64 are compared as Python ints.
+    """
+    n, count = len(graph.vertices), len(bags)
+    try:
+        ids = np.fromiter(graph.vertices, np.int64, n)
+    except OverflowError:
+        ids = np.array(list(graph.vertices), dtype=object)
+    ids.sort()
+    sizes = np.fromiter(map(len, bags), np.int64, count)
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(bags), ids.dtype, int(sizes.sum()))
+    except OverflowError:
+        return None, False  # an id beyond int64, which no vertex has
+    entries, known = _positions(ids, flat)
+    del flat  # the arrays here are transient; hold few at once
+    if not known.all():
+        return None, False
+    ends, _ = _positions(
+        ids, np.fromiter(itertools.chain.from_iterable(graph.edges), ids.dtype, 2 * len(graph.edges))
+    )
+    ends = ends.reshape(-1, 2)
+    entry_bag = np.repeat(np.arange(count), sizes)
+    first = np.full(n, count)
+    np.minimum.at(first, entries, entry_bag)
+    last = np.full(n, -1)
+    np.maximum.at(last, entries, entry_bag)
+    runs = BagRuns(ids, first, last, ends, entries, entry_bag)
+    u, v = ends.T
+    codes = entry_bag * n + entries
+    codes.sort()
+    passed = bool(
+        (np.bincount(entries, minlength=n) == last - first + 1).all()
+        and (last >= 0).all()
+        and not (codes[1:] == codes[:-1]).any()
+        and (np.maximum(first[u], first[v]) <= np.minimum(last[u], last[v])).all()
+    )
+    return runs, passed
 
 
 @dataclass
@@ -153,16 +253,21 @@ class PathDecomposition:
             probs.append(f"edge {u}-{v} fits in no bag")
         return probs
 
-    def validate(
-        self, graph: "AnnotatedGraph"
-    ) -> tuple[dict[int, int], dict[int, int]]:
+    def validate(self, graph: "AnnotatedGraph") -> BagRuns:
         """Raise DecompositionError naming the first 20 violations; otherwise
-        return each vertex's first and last bag, from the same pass."""
-        first, last, gap = self.occurrence_intervals()
-        probs = self._violations(graph, first, last, gap)
-        if probs:
-            raise DecompositionError(probs[:20])
-        return first, last
+        return the bags' runs as arrays.
+
+        The array check (_bag_runs) decides a valid decomposition without
+        repeats; anything else is checked again by _violations, which names
+        the violations, or passes a bag that lists a vertex twice.
+        """
+        runs, passed = _bag_runs(self.bags, graph)
+        if not passed:
+            probs = self._violations(graph, *self.occurrence_intervals())
+            if probs:
+                raise DecompositionError(probs[:20])
+        assert runs is not None  # an entry that is not a vertex is a violation
+        return runs
 
     def validate_expansion(self, graph: "AnnotatedGraph") -> int:
         """Validate the bags write_hcgraph writes for the graph's expansion
@@ -172,10 +277,13 @@ class PathDecomposition:
         roles in first[s] alone. So once `validate` passes, only an edge
         labelled 1 or 2 at s can miss: its other end must be in first[s].
         """
-        first, last = self.validate(graph)
+        runs = self.validate(graph)
         sites = graph.annotations
         if not sites:
             return self.width  # written as they are, repeats too
+        ids = runs.ids.tolist()
+        first = dict(zip(ids, runs.first.tolist()))
+        last = dict(zip(ids, runs.last.tolist()))
         probs = []
         for s, labs in sites.items():
             at = first[s]
@@ -189,15 +297,15 @@ class PathDecomposition:
             raise DecompositionError(probs[:20])
         # each vertex fills the bags of its run once: one id, or a site's nine
         # in its first bag and two later, so bag sizes are prefix sums
-        size = [0] * (len(self.bags) + 1)
-        for v, i in first.items():
-            k = 2 if v in sites else 1
-            size[i] += k
-            size[last[v] + 1] -= k
-        for i in map(first.__getitem__, sites):
-            size[i] += 7
-            size[i + 1] -= 7
-        return max(itertools.accumulate(size), default=0) - 1
+        at_site, _ = _positions(runs.ids, np.array(sorted(sites), dtype=runs.ids.dtype))
+        k = np.ones(len(ids), np.int64)
+        k[at_site] = 2
+        size = np.zeros(len(self.bags) + 1, np.int64)
+        np.add.at(size, runs.first, k)
+        np.add.at(size, runs.last + 1, -k)
+        np.add.at(size, runs.first[at_site], 7)
+        np.add.at(size, runs.first[at_site] + 1, -7)
+        return int(np.cumsum(size).max()) - 1
 
 
 class AnnotatedGraph:
@@ -309,6 +417,8 @@ def write_hcgraph(path, graph: AnnotatedGraph) -> None:
     nine ids above the plain vertices, role r at offset r - 1; an edge
     labelled r ends at role r. A site's first bag lists its nine ids and
     later bags roles 3 and 4. Bags with sites come out sorted, each id once.
+    A bag vertex the graph lacks raises ValidationError before any file is
+    written.
     """
     sites = graph.annotations
     decomp = graph.decomposition
@@ -332,10 +442,14 @@ def write_hcgraph(path, graph: AnnotatedGraph) -> None:
         # a site's word is its nine ids until its first bag is written
         for i in range(top + 1, n, 9):
             word[i] = " ".join(word[i : i + 9])
-        for bag in decomp.bags:
-            ids = map(name.__getitem__, bag)
+        for at, bag in enumerate(decomp.bags):
+            try:
+                ids = list(map(name.__getitem__, bag))
+            except KeyError as exc:
+                raise ValidationError(f"bag {at} contains unknown vertex {exc.args[0]}") from None
             # with sites, as the expansion lists them: sorted, each id once
-            ids = sorted(set(ids)) if sites else list(ids)
+            if sites:
+                ids = sorted(set(ids))
             lines.append("bag " + " ".join(map(word.__getitem__, ids)))
             # sites sort last; their later bags hold roles 3 and 4
             for i in reversed(ids):
@@ -367,6 +481,95 @@ def open_ascii(path) -> Iterator[TextIO]:
 
 
 def read_hcgraph(path) -> AnnotatedGraph:
+    """The graph and bags of an `hcgraph v1` file.
+
+    A file in the writer's layout is parsed as arrays (_parse_arrays); any
+    other file, and any file with something wrong, is read line by line
+    (_read_lines), which names the first bad line. Both give the same graph
+    and bags, and raise the same errors.
+    """
+    with open(path, "rb") as fh:
+        parsed = _parse_arrays(fh.read())
+    if parsed is None:
+        return _read_lines(path)
+    # the file's bytes are gone by now, so the graph does not share the peak
+    n, ends, bags = parsed
+    u, v = ends.T
+    graph = AnnotatedGraph.from_edges(
+        range(1, n + 1), list(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+    )
+    if bags:
+        graph.decomposition = PathDecomposition(bags)
+    return graph
+
+
+# the bytes a block of lines may hold besides its tags
+_BLANK_AND_DIGITS = b" \n0123456789"
+# the letters of the tags `e` and `bag`, blanked before the integers are read
+_TAG_LETTERS = bytes.maketrans(b"abeg", b"    ")
+
+
+def _int_lines(block: bytes, tag: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The integers of a block of lines `<tag> <i> <j> ...`, each line
+    ended, as one int64 array, and how many each line holds.
+
+    None unless every line starts with the tag and a space and the rest is
+    unsigned decimal integers and spaces: the block's bytes are counted and
+    checked once, and its integers converted in one call. An integer too
+    large for int64 reads as the int64 maximum, so callers range-check
+    every value.
+    """
+    lines = block.count(b"\n")
+    if block[-1:] not in (b"", b"\n") or (b"\n" + block).count(b"\n" + tag + b" ") != lines:
+        return None
+    if block.translate(None, _BLANK_AND_DIGITS) != tag * lines:
+        return None
+    text = np.frombuffer(block, np.uint8)
+    digit = text - np.uint8(ord("0")) < 10
+    # a line's numbers are those that start before its end; no line starts
+    # with a digit
+    starts = np.flatnonzero(digit[1:] & ~digit[:-1])
+    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(text == ord("\n"))), prepend=0)
+    if not len(starts):
+        return np.zeros(0, np.int64), per_line
+    values = np.fromstring(block.translate(_TAG_LETTERS), dtype=np.int64, sep=" ")
+    return (values, per_line) if len(values) == len(starts) else None
+
+
+def _parse_arrays(data: bytes) -> tuple[int, np.ndarray, list[tuple[int, ...]]] | None:
+    """The vertex count, the edges as an (E, 2) array and the bags of a
+    file in the layout write_hcgraph writes: the header, the `n` line,
+    every edge line, then every bag line. None for a file in any other
+    layout, or one whose edges or bags name an id outside 1..n."""
+    head_end = data.find(b"\n")
+    if head_end < 0 or data[:head_end] != b"hcgraph v1" or not data.isascii():
+        return None
+    count_end = data.find(b"\n", head_end + 1)
+    count_end = len(data) if count_end < 0 else count_end
+    count = data[head_end + 1 : count_end]
+    if not count.startswith(b"n ") or not count[2:].isdigit():
+        return None
+    n = int(count[2:])
+    if n > MAX_HCGRAPH_VERTICES:
+        return None
+    # the bag lines start at the first line after the `n` line that is one
+    at = data.find(b"\nbag ", count_end) + 1 or len(data)
+    edges = _int_lines(data[count_end + 1 : at], b"e")
+    bags = _int_lines(data[at:], b"bag")
+    if edges is None or bags is None or (edges[1] != 2).any():
+        return None
+    ends, (flat, sizes) = edges[0].reshape(-1, 2), bags
+    if not all(((a >= 1) & (a <= n)).all() for a in (ends, flat)):
+        return None
+    ids = flat.tolist()
+    offsets = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    return n, ends, [tuple(ids[a:b]) for a, b in zip(offsets, offsets[1:])]
+
+
+def _read_lines(path) -> AnnotatedGraph:
+    """read_hcgraph one line at a time: any line order, blank lines and any
+    whitespace, each field converted by int(); the first bad line raises
+    ValidationError naming its number."""
     edges: list[tuple[int, int]] = []
     bags: list[tuple[int, ...]] = []
     declared = None

@@ -32,8 +32,17 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .exactalg import CapacityError, ValidationError
-from .graphs import LABEL_GADGET_EDGES, AnnotatedGraph, PathDecomposition
+from .graphs import (
+    LABEL_GADGET_EDGES,
+    AnnotatedGraph,
+    BagRuns,
+    PathDecomposition,
+    _positions,
+    edge_key,
+)
 from .matchings import Fingerprint, Matching
 
 __all__ = [
@@ -242,21 +251,6 @@ def _is_gadget(adj: dict[int, set[int]], roles: tuple[int, ...]) -> bool:
     )
 
 
-def _gadget_in_layout(adj: dict[int, set[int]], x: int) -> tuple[int, ...] | None:
-    """The ids x - 6 .. x + 2 as roles 1..9, or None unless they are a label
-    gadget there: the layout write_hcgraph writes, role r at offset r - 1."""
-    if x - 1 not in adj[x] or x + 1 not in adj[x]:
-        return None  # roles 6 and 8
-    roles = tuple(range(x - 6, x + 3))
-    if (
-        all(m in adj for m in roles)
-        and all(roles[s - 1] in adj[roles[r - 1]] for r, s in LABEL_GADGET_EDGES)
-        and _is_gadget(adj, roles)
-    ):
-        return roles
-    return None
-
-
 def _gadget_at(adj: dict[int, set[int]], x: int) -> tuple[int, ...] | None:
     """The ids of roles 1..9 of a label gadget whose role 7 is the degree-2
     vertex x, or None.
@@ -288,64 +282,165 @@ def _gadget_at(adj: dict[int, set[int]], x: int) -> tuple[int, ...] | None:
     return None
 
 
+# LABEL_GADGET_EDGES as (smaller, larger) offsets from role 7, role r at r - 7
+_ROLE7_OFFSETS = np.array([sorted((r - 7, s - 7)) for r, s in LABEL_GADGET_EDGES])
+
+
+def _layout_gadgets(ids: np.ndarray, lo: np.ndarray, hi: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """The indices x, sorted, of every vertex that is role 7 of a label
+    gadget in the layout write_hcgraph writes: ids[x] - 6 .. ids[x] + 2 are
+    vertices, at indices x - 6 .. x + 2, that hold the ten edges of
+    LABEL_GADGET_EDGES at their offsets, exactly ten edges join two of
+    them, and roles 5..9 have no other edge.
+
+    `lo` < `hi` are the edges' ends and `deg` the degrees, by index.
+    """
+    n = len(ids)
+    x = np.flatnonzero(deg == 2)
+    x = x[(x >= 6) & (x < n - 2)]
+    x = x[(ids[x + 2] - ids[x - 6] == 8).astype(bool)]  # nine consecutive ids
+    if not len(x) or not len(lo):
+        return x[:0]
+    # one row per role or edge, one column per candidate
+    x = x[(deg[x + np.arange(-2, 3)[:, None]] == np.array(_INTERIOR_DEGREES)[:, None]).all(axis=0)]
+    codes = np.sort(lo * n + hi)
+    want = (x + _ROLE7_OFFSETS[:, :1]) * n + x + _ROLE7_OFFSETS[:, 1:]
+    at = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
+    x = x[(codes[at] == want).all(axis=0)]
+    # edges inside the window a .. a + 8: those with hi - 8 <= a <= lo
+    short = hi - lo <= 8
+    inside = np.cumsum(
+        np.bincount(np.maximum(hi[short] - 8, 0), minlength=n + 1)
+        - np.bincount(lo[short] + 1, minlength=n + 1)
+    )
+    return x[inside[x - 6] == len(LABEL_GADGET_EDGES)]
+
+
 def _contract_label_gadgets(
-    graph: AnnotatedGraph, keep: set[int]
-) -> tuple[AnnotatedGraph, dict[int, int]]:
+    graph: AnnotatedGraph, runs: BagRuns, keep: set[int]
+) -> tuple[AnnotatedGraph, np.ndarray]:
     """Contract every recognised label gadget to one label site.
 
-    Returns the contracted graph and each contracted vertex's site id, the
-    smallest of its gadget's nine ids (the graph itself and {} when nothing
-    is contracted). Each degree-2 vertex, in sorted order, is tried as role
-    7: first of a gadget in the layout write_hcgraph writes
-    (_gadget_in_layout), then, among what is left, of any gadget
-    (_gadget_at). A stray copy of the gadget, made of plain vertices and
-    parts of written gadgets, would otherwise block the gadgets it touches.
-    A match is taken unless one of its nine ids is in `keep`, is a label
-    site or is already contracted, or two of its ports' outside edges would
-    meet one vertex once contracted, which would make a parallel edge. Each
-    outside edge of a port takes the port's role as its label at the site.
-    The gadget's only covers are one path leaving through ports 1 and 2 and
-    one through 3 and 4, so a site whose two cycle edges carry partner
-    labels, 1 with 2 or 3 with 4, counts exactly what the gadget counts.
+    `runs` is the graph's validated decomposition (PathDecomposition.validate),
+    read for its vertex ids and edges. Returns the contracted graph and, for
+    each vertex by its index in runs.ids, the index of the vertex it becomes:
+    the smallest of its gadget's nine ids, which names the site, or itself
+    (the graph itself when nothing is contracted).
+
+    The gadgets in the layout write_hcgraph writes are found at once from
+    the degrees and the sorted edges (_layout_gadgets) and taken in sorted
+    order of their role 7; then each degree-2 vertex left, in sorted order,
+    is tried as role 7 of any gadget (_gadget_at). A stray copy of the
+    gadget, made of plain vertices and parts of written gadgets, would
+    otherwise block the gadgets it touches. A match is taken unless one of
+    its nine ids is in `keep`, is a label site or is already contracted, or
+    two of its ports' outside edges would meet one vertex once contracted,
+    which would make a parallel edge. Each outside edge of a port takes the
+    port's role as its label at the site. The gadget's only covers are one
+    path leaving through ports 1 and 2 and one through 3 and 4, so a site
+    whose two cycle edges carry partner labels, 1 with 2 or 3 with 4,
+    counts exactly what the gadget counts.
     """
-    adj = graph._adj
+    ids, ends = runs.ids, runs.ends
+    n = len(ids)
     sites = graph.annotations
-    site_of: dict[int, int] = {}
-    port_label: dict[int, int] = {}
-    twos = [x for x in sorted(graph.vertices) if len(adj[x]) == 2]
-    for find in (_gadget_in_layout, _gadget_at):
-        for x in twos:
-            if x in site_of:
-                continue
-            roles = find(adj, x)
-            if roles is None or any(m in keep or m in sites or m in site_of for m in roles):
-                continue
-            outside = [site_of.get(w, w) for m in roles[:4] for w in adj[m] if w not in roles]
-            if len(set(outside)) != len(outside):
-                continue
-            site = min(roles)
-            for m in roles:
-                site_of[m] = site
-            for label, m in enumerate(roles[:4], 1):
-                port_label[m] = label
-    if not site_of:
-        return graph, site_of
-    edges: list[tuple[int, int]] = []
+    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+    deg = np.bincount(ends.ravel(), minlength=n)
+    blocked = np.zeros(n, bool)
+    at, known = _positions(ids, np.array(sorted(keep | sites.keys()), dtype=ids.dtype))
+    blocked[at[known]] = True
+    x = _layout_gadgets(ids, lo, hi, deg)
+    # a gadget holding a kept vertex or a label site is never taken
+    blocked_before = np.concatenate(([0], np.cumsum(blocked)))
+    x = x[blocked_before[x + 3] == blocked_before[x - 6]]
+    site = _merge_all(x - 6, lo, hi, n)
+    port_label = np.zeros(n, np.int64)
+    taken = np.zeros(n, bool)
+
+    def take(roles: list[int], outside: list[int]) -> None:
+        """Contract the gadget on roles 1..9 unless a check above fails."""
+        if blocked[roles].any() or taken[roles].any():
+            return
+        if len(set(site[outside].tolist())) != len(outside):
+            return
+        site[roles] = min(roles)
+        taken[roles] = True
+        port_label[roles[:4]] = range(1, 5)
+
+    if site is not None:
+        windows = x - 6 + np.arange(9)[:, None]  # roles 1..9 by row
+        taken[windows] = True
+        port_label[windows[:4]] = np.arange(1, 5)[:, None]
+    else:
+        # one by one; each vertex's neighbours are nbrs[off[i]:off[i + 1]]
+        site = np.arange(n)
+        order = np.argsort(np.concatenate((lo, hi)), kind="stable")
+        nbrs = np.concatenate((hi, lo))[order].tolist()
+        off = np.concatenate(([0], np.cumsum(deg))).tolist()
+        for r7 in x.tolist():
+            roles = range(r7 - 6, r7 + 3)
+            take(list(roles), [w for p in roles[:4] for w in nbrs[off[p] : off[p + 1]] if w not in roles])
+    adj = graph._adj
+    for r7 in np.flatnonzero((deg == 2) & ~taken).tolist():
+        if taken[r7] or (found := _gadget_at(adj, int(ids[r7]))) is None:
+            continue
+        outside = [w for p in found[:4] for w in adj[p] if w not in found]
+        at, _ = _positions(ids, np.array(found + tuple(outside), dtype=ids.dtype))
+        take(at[:9].tolist(), at[9:].tolist())
+    if not taken.any():
+        return graph, site
+    return _contracted(graph, runs, site, port_label), site
+
+
+def _merge_all(first: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray | None:
+    """Each vertex's index once every gadget window first .. first + 8 of
+    _layout_gadgets merges into its first vertex, or None unless taking
+    the windows one by one would take every one: no window's outside edges
+    may meet one vertex twice even once all are merged (merging fewer, they
+    meet fewer vertices twice). Two such windows never overlap: roles 5..9
+    have no edge leaving their window, and a window starting inside another
+    would need one there. `lo` < `hi` are the edges' ends."""
+    window = np.full(n, -1)
+    window[(first[:, None] + np.arange(9)).ravel()] = np.repeat(np.arange(len(first)), 9)
+    site = np.arange(n)
+    site[window >= 0] = np.repeat(first, 9)
+    wl, wh = window[lo], window[hi]
+    cross = wl != wh
+    # a crossing edge leaves the window at either end, if it has one
+    inner = np.concatenate((wl[cross], wh[cross]))
+    outer = np.concatenate((site[hi[cross]], site[lo[cross]]))
+    codes = np.sort((inner * n + outer)[inner >= 0])
+    return None if (codes[1:] == codes[:-1]).any() else site
+
+
+def _contracted(
+    graph: AnnotatedGraph, runs: BagRuns, site: np.ndarray, port_label: np.ndarray
+) -> AnnotatedGraph:
+    """The graph with vertex i (by index in runs.ids) merged into site[i].
+
+    An edge whose two ends merge goes. An edge at a port, port_label > 0,
+    takes that label at the port's site, and an edge at a label site of
+    the graph keeps its label there.
+    """
+    ids, sites = runs.ids, graph.annotations
+    ends = runs.ends[site[runs.ends[:, 0]] != site[runs.ends[:, 1]]]
+    merged = site[ends]
+    lo, hi = np.minimum(merged[:, 0], merged[:, 1]), np.maximum(merged[:, 0], merged[:, 1])
+    keys = list(zip(ids[lo].tolist(), ids[hi].tolist()))
     labels: dict[int, dict[tuple[int, int], int]] = {}
-    for e in graph.edges:
-        u, v = e
-        su, sv = site_of.get(u, u), site_of.get(v, v)
-        if su == sv:
-            continue  # inside a gadget
-        k = (su, sv) if su < sv else (sv, su)
-        edges.append(k)
-        for w, sw in ((u, su), (v, sv)):
-            if w in port_label:
-                labels.setdefault(sw, {})[k] = port_label[w]
-            elif w in sites:
-                labels.setdefault(w, {})[k] = sites[w][e]
-    vertices = {site_of.get(v, v) for v in graph.vertices}
-    return AnnotatedGraph.from_edges(vertices, edges, labels), site_of
+    for side in (0, 1):
+        at = np.flatnonzero(port_label[ends[:, side]])
+        for e, s, lab in zip(
+            at.tolist(), ids[merged[at, side]].tolist(), port_label[ends[at, side]].tolist()
+        ):
+            labels.setdefault(s, {})[keys[e]] = lab
+    if sites:
+        for e, (u, v) in enumerate(zip(ids[ends[:, 0]].tolist(), ids[ends[:, 1]].tolist())):
+            for w in (u, v):
+                if w in sites:
+                    labels.setdefault(w, {})[keys[e]] = sites[w][edge_key(u, v)]
+    vertices = ids[site == np.arange(len(site))].tolist()
+    return AnnotatedGraph.from_edges(vertices, keys, labels)
 
 
 def _sweep(
@@ -392,21 +487,24 @@ def _sweep(
     bags = [tuple(bag) + tuple(v for v in boundary if v not in bag) for bag in decomposition.bags]
     bags = bags or [boundary]
     keep = set(boundary)
-    first, _ = PathDecomposition(bags).validate(graph)
-    graph, site_of = _contract_label_gadgets(graph, keep)
-    if site_of:
-        # a site's run of bags is the union of its nine ids' runs
-        site_first: dict[int, int] = {}
-        for m, site in site_of.items():
-            site_first[site] = min(first.pop(m), site_first.get(site, len(bags)))
-        first.update(site_first)
+    runs = PathDecomposition(bags).validate(graph)
+    graph, site = _contract_label_gadgets(graph, runs, keep)
+    # a site's run of bags is the union of its nine ids' runs
+    n = len(site)
+    first = np.full(n, len(bags))
+    np.minimum.at(first, site, runs.first)
+    stays = np.flatnonzero(site == np.arange(n))
+    first = dict(zip(runs.ids[stays].tolist(), first[stays].tolist()))
     if any(graph.degree(v) == 0 for v in graph.vertices if v not in keep):
         # an isolated vertex can never reach degree 2
         return {}, 1
     intro, edges_at = _bag_schedule(graph, bags, first)
     # Slot bound: a vertex off the boundary is freed at its last edge's home bag,
     # so every slot holder at bag i is in bag i; smallest-first reuse keeps slots < S.
-    S = max(len({site_of.get(v, v) for v in bag}) for bag in bags)
+    # S is the most distinct vertices of the contracted graph in one bag.
+    held = np.sort(runs.entry_bag * n + site[runs.entries])
+    held = held[np.diff(held, prepend=-1) != 0]
+    S = int(np.bincount(held // n).max()) if len(held) else 0
     W = (S - 1).bit_length()
     FIELD = (1 << W) - 1
     D1 = ((1 << S) - 1) << 1

@@ -142,6 +142,9 @@ BAD_HCGRAPH_FILES = [
     ("hcgraph v1\ne 1 2\n", r"missing 'n' line"),
     # used to read as the empty graph, whose count is 1
     ("hcgraph v1\nn -3\n", r"line 2: negative vertex count -3"),
+    # ids beyond int64 and below 1 are range-checked, never used as indices
+    ("hcgraph v1\nn 3\ne 1 99999999999999999999\n", r"edge endpoint outside 1\.\.n"),
+    ("hcgraph v1\nn 3\ne -1 2\n", r"edge endpoint outside 1\.\.n"),
 ]
 
 
@@ -194,6 +197,25 @@ class TestFileFormats:
         p.write_text("hcgraph v1\nn 2\ne 1 3\n")
         with pytest.raises(ValidationError):
             read_hcgraph(p)
+
+    @pytest.mark.parametrize(
+        "bag,unknown",
+        [("1 2 -1", -1), ("1 2 1000000000000000000", 10**18), ("1 99999999999999999999 2", 10**20 - 1)],
+    )
+    def test_a_bag_id_outside_1_to_n_is_an_unknown_vertex(self, tmp_path, bag, unknown):
+        p = tmp_path / "g.hcg"
+        p.write_text(f"hcgraph v1\nn 2\ne 1 2\nbag {bag}\n")
+        g = read_hcgraph(p)
+        with pytest.raises(DecompositionError, match=f"bag 0 contains unknown vertex {unknown}$"):
+            g.decomposition.validate(g)
+
+    def test_a_repeated_bag_vertex_still_validates(self, tmp_path):
+        p = tmp_path / "g.hcg"
+        p.write_text("hcgraph v1\nn 2\ne 1 2\nbag 1 2 2\n")
+        g = read_hcgraph(p)
+        assert g.decomposition.bags == [(1, 2, 2)]
+        runs = g.decomposition.validate(g)
+        assert runs.first.tolist() == [0, 0] and runs.last.tolist() == [0, 0]
 
     def test_vertex_ceiling_checked_before_any_vertex(self, tmp_path, monkeypatch):
         p = tmp_path / "huge.hcg"
@@ -417,6 +439,15 @@ class TestWrittenExpansion:
         # sorted bags: the site's nine ids first, then its roles 3 and 4
         assert back.decomposition.bags == [(2, *range(3, 12)), (1, 5, 6)]
 
+    def test_a_bag_vertex_the_graph_lacks_is_refused_before_writing(self, tmp_path):
+        for sites in ({}, {1: {(1, 2): 1}}):
+            g = AnnotatedGraph.from_edges((), [(1, 2)], sites)
+            g.decomposition = PathDecomposition([(1, 2), (1, 5)])
+            p = tmp_path / "g.hcg"
+            with pytest.raises(ValidationError, match="bag 1 contains unknown vertex 5"):
+                write_hcgraph(p, g)
+            assert not p.exists()
+
     def test_edge_added_at_a_site_after_construction_is_refused(self, tmp_path):
         g = AnnotatedGraph.from_edges((), [(1, 2), (1, 3)], {1: {(1, 2): 1, (1, 3): 3}})
         with pytest.raises(ValidationError, match=r"label site 1 would leave edge \(1, 4\) unlabeled"):
@@ -638,3 +669,212 @@ class TestViolationsAgainstReference:
         assert len(want) == 29
         assert err.value.violations == want[:20]
         assert str(err.value) == "; ".join(want[:20])
+
+
+# ---------------------------------------------------------------------------
+# read_hcgraph against the line reader it was, on written files and on
+# files edited away from the writer's layout
+
+
+def ref_read_hcgraph(path):
+    """read_hcgraph as one loop over the lines: each tag dispatched, each
+    field converted by int()."""
+    edges, bags, declared = [], [], None
+    with open(path, encoding="ascii") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not ASCII") from None
+    lines = text.splitlines(keepends=True)
+    header = lines[0].strip() if lines else ""
+    if header != "hcgraph v1":
+        raise ValidationError(f"bad header {header!r}, expected 'hcgraph v1'")
+
+    def ints(fields, lineno):
+        try:
+            return [int(x) for x in fields]
+        except ValueError:
+            raise ValidationError(f"line {lineno}: non-integer field in {fields}") from None
+
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] == "e":
+            if len(parts) != 3:
+                raise ValidationError(f"line {lineno}: bad edge line")
+            u, v = ints(parts[1:], lineno)
+            edges.append((min(u, v), max(u, v)))
+        elif parts[0] == "bag":
+            bags.append(tuple(ints(parts[1:], lineno)))
+        elif parts[0] == "n":
+            if len(parts) != 2:
+                raise ValidationError(f"line {lineno}: bad vertex-count line")
+            if declared is not None:
+                raise ValidationError(f"line {lineno}: second 'n' line")
+            (declared,) = ints(parts[1:], lineno)
+            if declared < 0:
+                raise ValidationError(f"line {lineno}: negative vertex count {declared}")
+            if declared > 1_000_000:
+                raise CapacityError(f"line {lineno}: {declared} vertices exceed the 1000000 ceiling")
+        else:
+            raise ValidationError(f"line {lineno}: unknown tag {parts[0]!r}")
+    if declared is None:
+        raise ValidationError("missing 'n' line")
+    g = AnnotatedGraph.from_edges(range(1, declared + 1), edges)
+    if g.vertices and (min(g.vertices) < 1 or max(g.vertices) > declared):
+        raise ValidationError("edge endpoint outside 1..n")
+    if bags:
+        g.decomposition = PathDecomposition(bags)
+    return g
+
+
+def outcome(read, path):
+    """The graph read, or the error raised, as comparable values."""
+    try:
+        g = read(path)
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+    bags = None if g.decomposition is None else g.decomposition.bags
+    return g.vertices, g.edges, g._adj, g.annotations, bags
+
+
+# edits to one line of a written file, each keeping it ASCII
+LINE_EDITS = {
+    "blank": lambda line, draw: line + "\n",
+    "tab": lambda line, draw: line.replace(" ", "\t", 1),
+    "double space": lambda line, draw: line.replace(" ", "  ", 1),
+    "trailing space": lambda line, draw: line + " ",
+    "carriage return": lambda line, draw: line + "\r",
+    "plus": lambda line, draw: line.replace(" ", " +", 1),
+    "leading zero": lambda line, draw: line.replace(" ", " 0", 1),
+    "underscore": lambda line, draw: line[:-1] + "_" + line[-1:] if line[-2:-1].isdigit() else line,
+    "bad token": lambda line, draw: line + " " + draw(
+        st.sampled_from(["x", "-1", "0", "1.5", "99999999999999999999", "9223372036854775808", "e", "bag"])
+    ),
+    "drop token": lambda line, draw: line.rsplit(" ", 1)[0],
+    "tag": lambda line, draw: draw(st.sampled_from(["e", "bag", "n", "q", "E", "bags"]))
+    + line[line.find(" "):],
+}
+
+
+@st.composite
+def edited_files(draw):
+    """The text of a written graph on 1..n with bags, or without, after a
+    few edits: lines edited, repeated, moved or dropped, and maybe no final
+    line end."""
+    g, bags = draw(interval_decompositions(max_vertices=7, max_bags=5))
+    g.decomposition = None if draw(st.integers(0, 4)) == 0 else decomposition_from(bags)
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "g.hcg"
+        write_hcgraph(p, g)
+        lines = p.read_text().splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(sorted(LINE_EDITS) + ["repeat", "move", "drop"]))
+        if kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "move":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind in LINE_EDITS:
+            lines[i] = LINE_EDITS[kind](lines[i], draw)
+    return "\n".join(lines) + ("\n" if draw(st.integers(0, 5)) else "")
+
+
+class TestReadAgainstLineReader:
+    @given(edited_files())
+    @settings(max_examples=400, deadline=None)
+    @example("hcgraph v1\nn 3\ne 1 2\ne 2 3\nbag 1 2\nbag 2 3")
+    @example("hcgraph v1\nn 1\nbag 1\n\nbag 1")
+    @example("hcgraph v1\nn 3\ne 1 2\ne 2 3\nbag 1 2\nbag \nbag 2 3\n")
+    @example("hcgraph v1\nn 3\ne 1 2 3\ne 2\n")
+    @example("hcgraph v1\nn 3\ne 1 2\nbag 1 2\ne 2 3\nbag 2 3\n")
+    @example("hcgraph v1\nn 2\ne 1 2\nbag 1 18446744073709551617\n")
+    @example("hcgraph v1\nn 3\ne 1 +2\ne 2 0_3\n")
+    @example("hcgraph v1\nn 3\ne 3 3\ne 1 2\ne 1 5\n")
+    @example("hcgraph v1\nn 3\ne 1 5\ne 1 2\ne 2 1\n")
+    @example("hcgraph v1\nn 1\nbag \nbag \n")
+    def test_same_graph_and_bags_or_same_error(self, text):
+        import tempfile
+        from pathlib import Path
+
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "g.hcg"
+            p.write_text(text, encoding="ascii")
+            assert outcome(read_hcgraph, p) == outcome(ref_read_hcgraph, p)
+
+    @pytest.mark.parametrize("text,message", BAD_HCGRAPH_FILES)
+    def test_bad_files_name_the_same_error(self, tmp_path, text, message):
+        p = tmp_path / "bad.hcg"
+        p.write_text(text)
+        assert outcome(read_hcgraph, p) == outcome(ref_read_hcgraph, p)
+
+    def test_a_byte_outside_ascii(self, tmp_path):
+        p = tmp_path / "bad.hcg"
+        p.write_bytes(b"hcgraph v1\nn 2\ne 1 2\nbag 1 \xe9\n")
+        assert outcome(read_hcgraph, p) == outcome(ref_read_hcgraph, p)
+        assert "byte 0xe9 is not ASCII" in outcome(read_hcgraph, p)[1]
+
+    @given(interval_decompositions(max_vertices=7, max_bags=5))
+    @settings(max_examples=60, deadline=None)
+    def test_written_files_take_the_array_parse(self, case):
+        import tempfile
+        from pathlib import Path
+
+        from matchconn import graphs
+
+        g, bags = case
+        g.decomposition = decomposition_from(bags)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "g.hcg"
+            write_hcgraph(p, g)
+            assert graphs._parse_arrays(p.read_bytes()) is not None
+            assert_same_graph(read_hcgraph(p), ref_read_hcgraph(p))
+
+
+# ---------------------------------------------------------------------------
+# validate: the array check, and the vertex-by-vertex check behind it
+
+
+class TestValidateAgainstReference:
+    @given(st.one_of(interval_decompositions(), damaged_decompositions()))
+    @settings(max_examples=400, deadline=None)
+    @example((path_graph(3), [(1, 2, 2), (2, 3)]))
+    @example((path_graph(3), [(1, 2, 2), (), (2, 3)]))
+    @example((path_graph(3), [(1, 2, -1), (2, 3)]))
+    @example((path_graph(3), [(1, 2, 2**63), (2, 3, 2**70)]))
+    @example((path_graph(3), [(1, 2), (2, 3, 3), (3,), (1,)]))
+    @example((AnnotatedGraph.from_edges((1,), []), []))
+    def test_raises_exactly_when_the_reference_finds_violations(self, case):
+        g, bags = case
+        d = decomposition_from(bags)
+        want = reference_violations(d.bags, g)
+        if want:
+            with pytest.raises(DecompositionError) as err:
+                d.validate(g)
+            assert err.value.violations == want[:20]
+            return
+        runs = d.validate(g)
+        first, last, _ = d.occurrence_intervals()
+        ids = runs.ids.tolist()
+        assert ids == sorted(g.vertices)
+        assert dict(zip(ids, runs.first.tolist())) == first
+        assert dict(zip(ids, runs.last.tolist())) == last
+        assert sorted(tuple(ids[i] for i in e) for e in runs.ends.tolist()) == sorted(
+            tuple(sorted(e)) for e in g.edges
+        ) == sorted(g.edges)
+
+    @pytest.mark.parametrize("base", [-(2**63), 2**62, 2**63, 2**70])
+    def test_ids_at_and_beyond_the_int64_range(self, base):
+        # sorted ids, compared as Python ints past int64
+        g = AnnotatedGraph.from_edges((), [(base, base + 1), (base + 1, base + 5)])
+        runs = PathDecomposition([(base, base + 1), (base + 1, base + 5)]).validate(g)
+        assert runs.ids.tolist() == [base, base + 1, base + 5]
+        assert runs.first.tolist() == [0, 0, 1] and runs.last.tolist() == [0, 1, 1]
+        with pytest.raises(DecompositionError, match=f"vertex {base + 5} appears in no bag"):
+            PathDecomposition([(base, base + 1)]).validate(g)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matchconn import hcount
+from matchconn import graphs, hcount
 from matchconn.exactalg import CapacityError, ValidationError
 from matchconn.graphs import AnnotatedGraph, DecompositionError, PathDecomposition
 from matchconn.hcount import (
@@ -52,6 +52,12 @@ def set_bags(graph, bags):
     """The graph, its decomposition set to the bags: the counters read it."""
     graph.decomposition = PathDecomposition(bags)
     return graph
+
+
+def first_bags(graph, bags):
+    """Each vertex's first bag, once the bags validate."""
+    runs = PathDecomposition(bags).validate(graph)
+    return dict(zip(runs.ids.tolist(), runs.first.tolist()))
 
 
 def random_graph(rng, n, p=0.5):
@@ -223,15 +229,20 @@ def test_empty_graph_still_checks_its_bags():
 
 
 def test_each_count_scans_the_bags_once(monkeypatch):
-    # validation and the bag schedule share one occurrence-interval pass
+    # validation, contraction and the bag schedule share one array interval
+    # pass, and a valid decomposition is never scanned vertex by vertex
     calls = []
-    scan = PathDecomposition.occurrence_intervals
+    scan = graphs._bag_runs
 
-    def counted(self):
-        calls.append(self)
-        return scan(self)
+    def counted(bags, graph):
+        calls.append(bags)
+        return scan(bags, graph)
 
-    monkeypatch.setattr(PathDecomposition, "occurrence_intervals", counted)
+    def refused(self):
+        raise AssertionError("a valid decomposition was scanned vertex by vertex")
+
+    monkeypatch.setattr(graphs, "_bag_runs", counted)
+    monkeypatch.setattr(PathDecomposition, "occurrence_intervals", refused)
     g = set_bags(cycle_graph(6), [(1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6)])
     for run in (
         lambda: count_hc_pathdp(g),
@@ -498,7 +509,7 @@ def interval_instances(draw):
 @settings(max_examples=200, deadline=None)
 def test_bag_schedule_matches_reference(instance):
     g, bags = instance
-    first, _ = PathDecomposition(bags).validate(g)
+    first = first_bags(g, bags)
     assert _bag_schedule(g, bags, first) == reference_bag_schedule(g, bags)
 
 
@@ -507,7 +518,7 @@ def test_bag_schedule_matches_reference_on_layered_decompositions():
     for _ in range(30):
         g = random_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.9))
         bags = list(layered_decomposition(g).bags)
-        first, _ = PathDecomposition(bags).validate(g)
+        first = first_bags(g, bags)
         assert _bag_schedule(g, bags, first) == reference_bag_schedule(g, bags)
 
 
@@ -520,7 +531,7 @@ def test_validate_and_schedule_scale_linearly():
         g.add_edge(v, v + 1)
     bags = [(v, v + 1) for v in range(1, n)]
     t0 = time.perf_counter()
-    first, _ = PathDecomposition(bags).validate(g)
+    first = first_bags(g, bags)
     intro, edges_at = _bag_schedule(g, bags, first)
     elapsed = time.perf_counter() - t0
     assert all(len(es) == 1 for es in edges_at)
@@ -558,7 +569,7 @@ def brute_force_edge_order(edges, remaining):
 def test_edge_order_matches_brute_force(instance):
     # both orders walk every bag, lowering their own copy of the edge counts
     g, bags = instance
-    first, _ = PathDecomposition(bags).validate(g)
+    first = first_bags(g, bags)
     _, edges_at = _bag_schedule(g, bags, first)
     got_left = {v: g.degree(v) for v in g.vertices}
     want_left = dict(got_left)
@@ -591,7 +602,7 @@ def ref_sweep(graph, bags, keep, modulus, order=None):
     vertex. Returns the final table keyed by (sorted degree items, sorted
     vertex pairing, closed) and the peak.
     """
-    first, _ = PathDecomposition(bags).validate(graph)
+    first = first_bags(graph, bags)
     intro, edges_at = _bag_schedule(graph, bags, first)
     slot_of = {}
     free_slots = []

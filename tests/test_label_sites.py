@@ -9,23 +9,32 @@ contracts back.
 """
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matchconn import hcount
-from matchconn.checks import VERIFY_SEED, random_gadget_spec
+from matchconn import graphs, hcount
+from matchconn.checks import CNF_CORPUS, VERIFY_SEED, random_gadget_spec
 from matchconn.exactalg import ValidationError
-from matchconn.graphs import LABEL_GADGET_EDGES, AnnotatedGraph
+from matchconn.graphs import (
+    LABEL_GADGET_EDGES,
+    AnnotatedGraph,
+    PathDecomposition,
+    read_hcgraph,
+    write_hcgraph,
+)
 from matchconn.hcount import (
     count_hc_bruteforce,
     count_hc_pathdp,
     enumerate_hamiltonian_cycles,
+    layered_decomposition,
     partial_solution_spectrum,
 )
 from matchconn.matchings import Fingerprint, Matching
-from matchconn.reduction import build_fingerprint_gadget
+from matchconn.reduction import assemble, build_fingerprint_gadget, parse_dimacs
 from test_graphs import ref_expand_label_gadgets
 from test_hcount import ref_fingerprint_table, separation_bags, set_bags, with_boundary
 
@@ -57,8 +66,20 @@ def expansion_order(graph, order):
     return out
 
 
+def contract(graph, keep=()):
+    """_contract_label_gadgets on the graph's bags, or its layered ones:
+    the contracted graph, and each contracted vertex's site id."""
+    decomposition = graph.decomposition or layered_decomposition(graph)
+    runs = decomposition.validate(graph)
+    contracted, site = hcount._contract_label_gadgets(graph, runs, set(keep))
+    ids = runs.ids.tolist()
+    sizes = Counter(site.tolist())
+    site_of = {ids[i]: ids[s] for i, s in enumerate(site.tolist()) if sizes[s] > 1}
+    return contracted, site_of
+
+
 def gadget_count(graph):
-    _, site_of = hcount._contract_label_gadgets(graph, set())
+    _, site_of = contract(graph)
     return len(set(site_of.values()))
 
 
@@ -204,7 +225,7 @@ def assert_matches_reference(g, boundary=()):
 
 def test_a_gadget_contracts_to_one_site():
     g = gadget_with_stubs()
-    contracted, site_of = hcount._contract_label_gadgets(g, set())
+    contracted, site_of = contract(g)
     assert site_of == dict.fromkeys(range(1, 10), 1)
     assert contracted.annotations == {1: {(1, 11): 1, (1, 12): 2, (1, 13): 3, (1, 14): 4}}
     # the one cycle leaves the gadget through ports 1 and 2
@@ -238,7 +259,7 @@ def test_a_broken_gadget_stays_expanded(extra):
 def test_a_gadget_with_a_pinned_vertex_stays_expanded():
     g = gadget_with_stubs()
     for v in (1, 5, 7):
-        _, site_of = hcount._contract_label_gadgets(g, {v})
+        _, site_of = contract(g, {v})
         assert not site_of
         assert_matches_reference(g, (v,))
 
@@ -251,7 +272,7 @@ def test_neighbouring_gadgets_may_not_meet_twice():
     g = AnnotatedGraph.from_edges(
         (), sorted({tuple(sorted(e)) for e in a + b + [(1, 23), (2, 24), (3, 21), (4, 22)]})
     )
-    contracted, site_of = hcount._contract_label_gadgets(g, set())
+    contracted, site_of = contract(g)
     assert set(site_of.values()) == {1}
     assert len(contracted.vertices) == 10 and len(contracted.edges) == 10 + 4
     assert_matches_reference(g)
@@ -285,3 +306,155 @@ def test_fingerprint_gadgets_count_the_same_annotated_and_expanded(trial):
     site = min(gadget.annotations)
     with pytest.raises(ValidationError, match="are label sites"):
         partial_solution_spectrum(gadget, spec.boundary + (site,))
+
+
+# -- the layout search against the per-candidate search it replaced ------------
+
+
+def _gadget_in_layout(adj, x):
+    """The ids x - 6 .. x + 2 as roles 1..9, or None unless they are a label
+    gadget there: the layout write_hcgraph writes, role r at offset r - 1."""
+    if x - 1 not in adj[x] or x + 1 not in adj[x]:
+        return None  # roles 6 and 8
+    roles = tuple(range(x - 6, x + 3))
+    if (
+        all(m in adj for m in roles)
+        and all(roles[s - 1] in adj[roles[r - 1]] for r, s in LABEL_GADGET_EDGES)
+        and hcount._is_gadget(adj, roles)
+    ):
+        return roles
+    return None
+
+
+@given(perturbed_expansions(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_layout_search_finds_what_the_per_vertex_search_finds(instance, data):
+    # on the expansion, and on a copy with every id above a cut moved up one,
+    # which breaks the gadget across the cut out of the layout
+    x = instance[0]
+    cut = data.draw(st.sampled_from(sorted(x.vertices)))
+    moved = AnnotatedGraph.from_edges(
+        (), sorted(tuple(v + (v > cut) for v in e) for e in x.edges)
+    )
+    for g in (x, moved):
+        runs = layered_decomposition(g).validate(g)
+        ends = runs.ends
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        deg = np.bincount(ends.ravel(), minlength=len(runs.ids))
+        got = runs.ids[hcount._layout_gadgets(runs.ids, lo, hi, deg)].tolist()
+        assert got == [v for v in sorted(g.vertices) if _gadget_in_layout(g._adj, v)]
+
+
+def ref_site_of(graph, keep=()):
+    """Each contracted vertex's site id, by the per-vertex search: every
+    degree-2 vertex in sorted order tried as role 7 of a gadget in the
+    layout, then of any gadget, with the same checks on each match."""
+    adj, sites = graph._adj, graph.annotations
+    site_of = {}
+    twos = [x for x in sorted(graph.vertices) if len(adj[x]) == 2]
+    for find in (_gadget_in_layout, hcount._gadget_at):
+        for x in twos:
+            if x in site_of:
+                continue
+            roles = find(adj, x)
+            if roles is None or any(m in keep or m in sites or m in site_of for m in roles):
+                continue
+            outside = [site_of.get(w, w) for m in roles[:4] for w in adj[m] if w not in roles]
+            if len(set(outside)) == len(outside):
+                site_of.update(dict.fromkeys(roles, min(roles)))
+    return site_of
+
+
+@given(perturbed_expansions())
+@example(
+    (ref_expand_label_gadgets(_stray_gadget_across_two_sites()[0]), None, (), None)
+)
+@settings(max_examples=200, deadline=None)
+def test_contraction_matches_the_per_vertex_search(instance):
+    x, _, boundary, _ = instance
+    assert contract(x, boundary)[1] == ref_site_of(x, boundary)
+
+
+def count_round_graphs():
+    """The ten graphs of the seed-82 `count` benchmark round, compiled and
+    read back as the benchmark compiles them."""
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(82)
+    for n, m, p in workloads.COUNT_ROUND:
+        num_vars, clauses = workloads.random_3cnf(rng, n, m)
+        yield p, parse_dimacs(workloads.dimacs(num_vars, clauses))
+
+
+def corpus_graphs():
+    for _, cnf in CNF_CORPUS:
+        for p, beta, gamma in ((3, 5, 1), (5, 5, 2), (7, 6, 1), (5, 6, 2)):
+            yield p, cnf, beta, gamma
+
+
+@pytest.fixture(scope="module")
+def written_graphs(tmp_path_factory):
+    """(modulus, graph read back) for the ten seed-82 `count` round formulas
+    and the 24 corpus compiles."""
+    path = tmp_path_factory.mktemp("written") / "g.hcg"
+    out = []
+    for p, cnf, *shape in [(p, cnf, 5, 1) for p, cnf in count_round_graphs()] + list(corpus_graphs()):
+        write_hcgraph(path, assemble(cnf, p, *shape).graph)
+        out.append((p, read_hcgraph(path)))
+    return out
+
+
+def test_written_graphs_contract_like_the_per_vertex_search(written_graphs):
+    sizes = []
+    for _, g in written_graphs[:10]:
+        site_of = contract(g)[1]
+        assert site_of == ref_site_of(g)
+        sizes.append((len(g.vertices), len(set(site_of.values()))))
+    # the 1,402-vertex graphs hold 148 gadgets
+    assert (1402, 148) in sizes
+    for _, g in written_graphs[10:]:
+        assert contract(g)[1] == ref_site_of(g)
+
+
+def test_written_graphs_count_on_the_fast_paths(written_graphs, monkeypatch, tmp_path):
+    # read, validate and contract never fall back: the line reader and the
+    # vertex-by-vertex check refuse, and no written gadget is searched for
+    def refused(*args):
+        raise AssertionError("a written graph left the fast path")
+
+    searched = []
+    gadget_at = hcount._gadget_at
+
+    def recorded(adj, x):
+        searched.append(x)
+        return gadget_at(adj, x)
+
+    path = tmp_path / "g.hcg"
+    want = []
+    for p, g in written_graphs:
+        want.append(count_hc_pathdp(g, p))
+    monkeypatch.setattr(graphs, "_read_lines", refused)
+    monkeypatch.setattr(PathDecomposition, "_violations", refused)
+    monkeypatch.setattr(hcount, "_gadget_at", recorded)
+    for (p, g), w in zip(written_graphs, want):
+        write_hcgraph(path, g)
+        searched.clear()
+        got = count_hc_pathdp(read_hcgraph(path), p)
+        assert (got.value, got.states_peak) == (w.value, w.states_peak)
+        assert not set(searched) & set(ref_site_of(g))
+
+
+@pytest.mark.parametrize("base", [-(2**63), 2**63 - 14, 2**70])
+def test_ids_at_and_beyond_the_int64_range_contract_alike(base):
+    # the same gadget with stubs, its ids shifted: sorted and compared as
+    # Python ints once they pass int64
+    g = gadget_with_stubs()
+    shifted = AnnotatedGraph.from_edges((), sorted((u + base, v + base) for u, v in g.edges))
+    assert contract(shifted)[1] == {v + base: s + base for v, s in contract(g)[1].items()}
+    assert count_hc_pathdp(shifted).value == count_hc_pathdp(g).value == 1

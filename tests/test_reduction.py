@@ -15,6 +15,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -567,7 +568,11 @@ class TestAssemble:
             written = write_and_read(tmp_path, out)
             fast = count_hc_pathdp(written)
             with monkeypatch.context() as m:
-                m.setattr(hcount, "_contract_label_gadgets", lambda graph, keep: (graph, {}))
+                m.setattr(
+                    hcount,
+                    "_contract_label_gadgets",
+                    lambda graph, runs, keep: (graph, np.arange(len(runs.ids))),
+                )
                 slow = count_hc_pathdp(written)
             assert fast.value == slow.value == count_sat(out.padded_cnf)
             assert count_hc_pathdp(written, p).value == out.predicted
