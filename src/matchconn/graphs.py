@@ -48,7 +48,6 @@ from .exactalg import CapacityError, ValidationError
 
 __all__ = [
     "AnnotatedGraph",
-    "BagRuns",
     "PathDecomposition",
     "DecompositionError",
     "write_hcgraph",
@@ -104,7 +103,8 @@ class BagRuns:
     `ids` holds the graph's vertex ids sorted, and every other array names
     a vertex by its index there. Vertex i lives in bags first[i]..last[i];
     `ends` holds each edge's two ends, one row per edge; `entries` lists
-    every bag entry, bag by bag, and `entry_bag` the bag of each.
+    every bag entry, bag by bag, and `entry_bag` the bag of each. These two,
+    the longest arrays, and `first` and `last` are int32.
     """
 
     ids: np.ndarray
@@ -113,6 +113,12 @@ class BagRuns:
     ends: np.ndarray
     entries: np.ndarray
     entry_bag: np.ndarray
+
+    def index(self, vertices: Iterable[int]) -> np.ndarray:
+        """The index in `ids` of each of the given vertices of the graph."""
+        at, known = _positions(self.ids, np.array(list(vertices), dtype=self.ids.dtype))
+        assert known.all()
+        return at
 
 
 def _positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,23 +164,29 @@ def _bag_runs(bags: list[tuple[int, ...]], graph: "AnnotatedGraph") -> tuple[Bag
     del flat  # the arrays here are transient; hold few at once
     if not known.all():
         return None, False
+    entries = entries.astype(np.int32)
     ends, _ = _positions(
         ids, np.fromiter(itertools.chain.from_iterable(graph.edges), ids.dtype, 2 * len(graph.edges))
     )
     ends = ends.reshape(-1, 2)
-    entry_bag = np.repeat(np.arange(count), sizes)
-    first = np.full(n, count)
+    entry_bag = np.repeat(np.arange(count, dtype=np.int32), sizes)
+    first = np.full(n, count, np.int32)  # ufunc.at is fast on one dtype
     np.minimum.at(first, entries, entry_bag)
-    last = np.full(n, -1)
+    last = np.full(n, -1, np.int32)
     np.maximum.at(last, entries, entry_bag)
     runs = BagRuns(ids, first, last, ends, entries, entry_bag)
-    u, v = ends.T
-    codes = entry_bag * n + entries
+    # a vertex listed twice in a bag gives two equal (bag, vertex) codes
+    codes = entry_bag.astype(np.int64)
+    codes *= n
+    codes += entries
     codes.sort()
+    repeats = (codes[1:] == codes[:-1]).any()
+    del codes
+    u, v = ends.T
     passed = bool(
-        (np.bincount(entries, minlength=n) == last - first + 1).all()
+        not repeats
+        and (np.bincount(entries, minlength=n) == last - first + 1).all()
         and (last >= 0).all()
-        and not (codes[1:] == codes[:-1]).any()
         and (np.maximum(first[u], first[v]) <= np.minimum(last[u], last[v])).all()
     )
     return runs, passed
@@ -281,24 +293,24 @@ class PathDecomposition:
         sites = graph.annotations
         if not sites:
             return self.width  # written as they are, repeats too
-        ids = runs.ids.tolist()
-        first = dict(zip(ids, runs.first.tolist()))
-        last = dict(zip(ids, runs.last.tolist()))
+        # each edge labelled 1 or 2 at a site s, and its other end w
+        tagged = [(s, e, lab) for s, labs in sites.items() for e, lab in labs.items() if lab < 3]
+        other = [u if v == s else v for s, (u, v), _ in tagged]
+        at = runs.first[runs.index(s for s, _, _ in tagged)]
+        w = runs.index(other)
+        # w's end, too, may live in its site's first bag alone
+        alone = np.array([x in sites and sites[x][e] < 3 for x, (_, e, _) in zip(other, tagged)], bool)
+        hi = np.where(alone, runs.first[w], runs.last[w])
         probs = []
-        for s, labs in sites.items():
-            at = first[s]
-            for (u, v), lab in labs.items():
-                w = u if v == s else v
-                # w's end, too, may live in its site's first bag alone
-                hi = first[w] if w in sites and sites[w][u, v] < 3 else last[w]
-                if lab < 3 and not first[w] <= at <= hi:
-                    probs.append(f"edge {u}-{v} labelled {lab} at site {s} misses bag {at}")
+        for i in np.flatnonzero((runs.first[w] > at) | (at > hi))[:20].tolist():
+            s, (u, v), lab = tagged[i]
+            probs.append(f"edge {u}-{v} labelled {lab} at site {s} misses bag {at[i]}")
         if probs:
-            raise DecompositionError(probs[:20])
+            raise DecompositionError(probs)
         # each vertex fills the bags of its run once: one id, or a site's nine
         # in its first bag and two later, so bag sizes are prefix sums
-        at_site, _ = _positions(runs.ids, np.array(sorted(sites), dtype=runs.ids.dtype))
-        k = np.ones(len(ids), np.int64)
+        at_site = runs.index(sites)
+        k = np.ones(len(runs.ids), np.int64)
         k[at_site] = 2
         size = np.zeros(len(self.bags) + 1, np.int64)
         np.add.at(size, runs.first, k)

@@ -28,6 +28,7 @@ one or two vertices have none.
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,7 +41,6 @@ from .graphs import (
     AnnotatedGraph,
     BagRuns,
     PathDecomposition,
-    _positions,
     edge_key,
 )
 from .matchings import Fingerprint, Matching
@@ -328,7 +328,7 @@ def _contract_label_gadgets(
     (the graph itself when nothing is contracted).
 
     The gadgets in the layout write_hcgraph writes are found at once from
-    the degrees and the sorted edges (_layout_gadgets) and taken in sorted
+    the degrees and the sorted edges (_layout_gadgets) and tried in sorted
     order of their role 7; then each degree-2 vertex left, in sorted order,
     is tried as role 7 of any gadget (_gadget_at). A stray copy of the
     gadget, made of plain vertices and parts of written gadgets, would
@@ -343,74 +343,37 @@ def _contract_label_gadgets(
     """
     ids, ends = runs.ids, runs.ends
     n = len(ids)
-    sites = graph.annotations
     lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
     deg = np.bincount(ends.ravel(), minlength=n)
-    blocked = np.zeros(n, bool)
-    at, known = _positions(ids, np.array(sorted(keep | sites.keys()), dtype=ids.dtype))
-    blocked[at[known]] = True
-    x = _layout_gadgets(ids, lo, hi, deg)
-    # a gadget holding a kept vertex or a label site is never taken
-    blocked_before = np.concatenate(([0], np.cumsum(blocked)))
-    x = x[blocked_before[x + 3] == blocked_before[x - 6]]
-    site = _merge_all(x - 6, lo, hi, n)
-    port_label = np.zeros(n, np.int64)
-    taken = np.zeros(n, bool)
-
-    def take(roles: list[int], outside: list[int]) -> None:
-        """Contract the gadget on roles 1..9 unless a check above fails."""
-        if blocked[roles].any() or taken[roles].any():
-            return
-        if len(set(site[outside].tolist())) != len(outside):
-            return
-        site[roles] = min(roles)
-        taken[roles] = True
-        port_label[roles[:4]] = range(1, 5)
-
-    if site is not None:
-        windows = x - 6 + np.arange(9)[:, None]  # roles 1..9 by row
-        taken[windows] = True
-        port_label[windows[:4]] = np.arange(1, 5)[:, None]
-    else:
-        # one by one; each vertex's neighbours are nbrs[off[i]:off[i + 1]]
-        site = np.arange(n)
-        order = np.argsort(np.concatenate((lo, hi)), kind="stable")
-        nbrs = np.concatenate((hi, lo))[order].tolist()
-        off = np.concatenate(([0], np.cumsum(deg))).tolist()
-        for r7 in x.tolist():
-            roles = range(r7 - 6, r7 + 3)
-            take(list(roles), [w for p in roles[:4] for w in nbrs[off[p] : off[p + 1]] if w not in roles])
     adj = graph._adj
-    for r7 in np.flatnonzero((deg == 2) & ~taken).tolist():
-        if taken[r7] or (found := _gadget_at(adj, int(ids[r7]))) is None:
-            continue
-        outside = [w for p in found[:4] for w in adj[p] if w not in found]
-        at, _ = _positions(ids, np.array(found + tuple(outside), dtype=ids.dtype))
-        take(at[:9].tolist(), at[9:].tolist())
-    if not taken.any():
-        return graph, site
-    return _contracted(graph, runs, site, port_label), site
+    # the ids no later gadget may hold, each mapped to the vertex it becomes:
+    # kept ids and label sites stay, contracted ids go to their site
+    site_of = {v: v for v in keep | graph.annotations.keys()}
+    taken: list[Sequence[int]] = []
 
+    def take(roles: Sequence[int]) -> None:
+        """Contract the gadget on roles 1..9 unless a check above fails."""
+        if site_of.keys().isdisjoint(roles):
+            outside = [site_of.get(w, w) for p in roles[:4] for w in adj[p] if w not in roles]
+            if len(set(outside)) == len(outside):
+                s = min(roles)
+                for r in roles:
+                    site_of[r] = s
+                taken.append(roles)
 
-def _merge_all(first: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray | None:
-    """Each vertex's index once every gadget window first .. first + 8 of
-    _layout_gadgets merges into its first vertex, or None unless taking
-    the windows one by one would take every one: no window's outside edges
-    may meet one vertex twice even once all are merged (merging fewer, they
-    meet fewer vertices twice). Two such windows never overlap: roles 5..9
-    have no edge leaving their window, and a window starting inside another
-    would need one there. `lo` < `hi` are the edges' ends."""
-    window = np.full(n, -1)
-    window[(first[:, None] + np.arange(9)).ravel()] = np.repeat(np.arange(len(first)), 9)
+    for x in ids[_layout_gadgets(ids, lo, hi, deg)].tolist():
+        take(range(x - 6, x + 3))
+    for x in ids[deg == 2].tolist():
+        if x not in site_of and (roles := _gadget_at(adj, x)) is not None:
+            take(roles)
     site = np.arange(n)
-    site[window >= 0] = np.repeat(first, 9)
-    wl, wh = window[lo], window[hi]
-    cross = wl != wh
-    # a crossing edge leaves the window at either end, if it has one
-    inner = np.concatenate((wl[cross], wh[cross]))
-    outer = np.concatenate((site[hi[cross]], site[lo[cross]]))
-    codes = np.sort((inner * n + outer)[inner >= 0])
-    return None if (codes[1:] == codes[:-1]).any() else site
+    if not taken:
+        return graph, site
+    at = runs.index(itertools.chain.from_iterable(taken)).reshape(-1, 9)
+    site[at] = at.min(axis=1, keepdims=True)
+    port_label = np.zeros(n, np.int64)
+    port_label[at[:, :4]] = np.arange(1, 5)
+    return _contracted(graph, runs, site, port_label), site
 
 
 def _contracted(
@@ -491,7 +454,7 @@ def _sweep(
     graph, site = _contract_label_gadgets(graph, runs, keep)
     # a site's run of bags is the union of its nine ids' runs
     n = len(site)
-    first = np.full(n, len(bags))
+    first = np.full(n, len(bags), runs.first.dtype)
     np.minimum.at(first, site, runs.first)
     stays = np.flatnonzero(site == np.arange(n))
     first = dict(zip(runs.ids[stays].tolist(), first[stays].tolist()))
@@ -502,7 +465,7 @@ def _sweep(
     # Slot bound: a vertex off the boundary is freed at its last edge's home bag,
     # so every slot holder at bag i is in bag i; smallest-first reuse keeps slots < S.
     # S is the most distinct vertices of the contracted graph in one bag.
-    held = np.sort(runs.entry_bag * n + site[runs.entries])
+    held = np.sort(runs.entry_bag.astype(np.int64) * n + site[runs.entries])
     held = held[np.diff(held, prepend=-1) != 0]
     S = int(np.bincount(held // n).max()) if len(held) else 0
     W = (S - 1).bit_length()
