@@ -125,6 +125,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_tableaux(args) -> int:
+    if args.n < 2:
+        raise ValidationError(f"tableaux report n={args.n} is outside 2..{MAX_TABLEAUX_N}")
     if args.n > MAX_TABLEAUX_N:
         raise CapacityError(f"tableaux report n={args.n} exceeds the ceiling {MAX_TABLEAUX_N}")
     lines = _header("tableaux", {"n": args.n})

@@ -26,10 +26,9 @@ the arrays. A file in any other layout, or with anything wrong, goes
 through the line parser instead, which names a bad line by its number;
 both give the same graph, bags and messages.
 
-`PathDecomposition.validate` checks a decomposition as arrays too and
-returns each vertex's run of bags (`BagRuns`); only a decomposition that
-fails that check, or lists a vertex twice in one bag, is checked again
-vertex by vertex to name its violations.
+`PathDecomposition.validate` checks a decomposition as arrays too, in one
+pass that returns each vertex's run of bags (`BagRuns`) or names the
+violations it found.
 
 An optional JSON sidecar next to the graph records reduction metadata.
 """
@@ -137,17 +136,18 @@ def _positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     return index, known
 
 
-def _bag_runs(bags: list[tuple[int, ...]], graph: "AnnotatedGraph") -> tuple[BagRuns | None, bool]:
-    """The array check of `bags` against the graph: (runs, passed).
+def _bag_runs(bags: list[tuple[int, ...]], graph: "AnnotatedGraph") -> BagRuns:
+    """The decomposition check: each vertex's run of bags as arrays, or
+    DecompositionError naming the first 20 violations.
 
-    It passes when every bag entry is a vertex, every vertex is in a bag,
-    each vertex is listed once in each bag from its first to its last
-    (a count per vertex equal to the length of its run) and every edge's
-    two runs meet, max(first) <= min(last). Two runs that meet share a
-    bag, so a pass means a valid decomposition. A fail need not mean an
-    invalid one: a bag may list a vertex twice. `runs` is None when some
-    entry is not a vertex; otherwise it holds each vertex's first and last
-    bag either way. Ids beyond int64 are compared as Python ints.
+    A run is broken when its vertex lies in fewer distinct bags than
+    last - first + 1; an edge fits when neither end's run is broken and
+    the runs meet, max(first) <= min(last), since two unbroken runs that
+    meet share a bag. A failed check names its violations in this order:
+    unknown entries bag by bag (each gets a run too), vertices in no bag,
+    broken runs by first appearance at their first missing bag, then the
+    edges that fit no bag, where only an edge at a broken run scans bags.
+    Ids beyond int64 compare as Python ints.
     """
     n, count = len(graph.vertices), len(bags)
     try:
@@ -158,38 +158,70 @@ def _bag_runs(bags: list[tuple[int, ...]], graph: "AnnotatedGraph") -> tuple[Bag
     sizes = np.fromiter(map(len, bags), np.int64, count)
     try:
         flat = np.fromiter(itertools.chain.from_iterable(bags), ids.dtype, int(sizes.sum()))
-    except OverflowError:
-        return None, False  # an id beyond int64, which no vertex has
+    except OverflowError:  # an entry beyond int64, which no vertex is
+        flat = np.array(list(itertools.chain.from_iterable(bags)), dtype=object)
+        ids = ids.astype(object)
     entries, known = _positions(ids, flat)
-    del flat  # the arrays here are transient; hold few at once
-    if not known.all():
-        return None, False
+    unknown = np.flatnonzero(~known)
+    strays = flat[unknown]
+    if len(unknown):
+        # unknown entries join the ids, so that their runs are computed too
+        ids = np.union1d(ids, strays)
+        entries, _ = _positions(ids, flat)
+    del flat, known  # the arrays here are transient; hold few at once
+    size = len(ids)
     entries = entries.astype(np.int32)
+    entry_bag = np.repeat(np.arange(count, dtype=np.int32), sizes)
+    first = np.full(size, count, np.int32)  # ufunc.at is fast on one dtype
+    np.minimum.at(first, entries, entry_bag)
+    last = np.full(size, -1, np.int32)
+    np.maximum.at(last, entries, entry_bag)
+    # a vertex listed twice in a bag gives two equal (bag, vertex) codes;
+    # each repeat is taken off the vertex's count of bags
+    codes = entry_bag.astype(np.int64)
+    codes *= size
+    codes += entries
+    codes.sort()
+    repeats = codes[1:][codes[1:] == codes[:-1]] % size
+    del codes
+    held = np.bincount(entries, minlength=size)
+    held -= np.bincount(repeats, minlength=size)
+    broken = held < last - first + 1
     ends, _ = _positions(
         ids, np.fromiter(itertools.chain.from_iterable(graph.edges), ids.dtype, 2 * len(graph.edges))
     )
     ends = ends.reshape(-1, 2)
-    entry_bag = np.repeat(np.arange(count, dtype=np.int32), sizes)
-    first = np.full(n, count, np.int32)  # ufunc.at is fast on one dtype
-    np.minimum.at(first, entries, entry_bag)
-    last = np.full(n, -1, np.int32)
-    np.maximum.at(last, entries, entry_bag)
-    runs = BagRuns(ids, first, last, ends, entries, entry_bag)
-    # a vertex listed twice in a bag gives two equal (bag, vertex) codes
-    codes = entry_bag.astype(np.int64)
-    codes *= n
-    codes += entries
-    codes.sort()
-    repeats = (codes[1:] == codes[:-1]).any()
-    del codes
     u, v = ends.T
-    passed = bool(
-        not repeats
-        and (np.bincount(entries, minlength=n) == last - first + 1).all()
-        and (last >= 0).all()
-        and (np.maximum(first[u], first[v]) <= np.minimum(last[u], last[v])).all()
-    )
-    return runs, passed
+    lo = np.maximum(first[u], first[v])
+    hi = np.minimum(last[u], last[v])
+    meet = lo <= hi
+    if not len(unknown) and (last >= 0).all() and not broken.any() and meet.all():
+        return BagRuns(ids, first, last, ends, entries, entry_bag)
+
+    probs = [
+        f"bag {b} contains unknown vertex {x}"
+        for b, x in zip(entry_bag[unknown].tolist(), strays.tolist())
+    ]
+    absent = set(ids[last < 0].tolist())
+    probs += [f"vertex {x} appears in no bag" for x in graph.vertices if x in absent]
+    if broken.any():
+        # sorted by (vertex, bag), a run breaks at its first jump past a bag
+        order = np.lexsort((entry_bag, entries))
+        at, at_bag = entries[order], entry_bag[order]
+        jump = np.flatnonzero((at[1:] == at[:-1]) & (at_bag[1:] > at_bag[:-1] + 1))
+        jump = jump[np.r_[True, at[jump[1:]] != at[jump[:-1]]]]
+        gap = dict(zip(ids[at[jump]].tolist(), (at_bag[jump] + 1).tolist()))
+        probs += [
+            f"vertex {x} missing from bag {gap[x]} inside its run"
+            for x in dict.fromkeys(itertools.chain.from_iterable(bags))
+            if x in gap
+        ]
+    edges = list(graph.edges)
+    for i in np.flatnonzero(meet & (broken[u] | broken[v])).tolist():
+        a, b = edges[i]
+        meet[i] = any(a in bag and b in bag for bag in bags[lo[i] : hi[i] + 1])
+    probs += [f"edge {a}-{b} fits in no bag" for (a, b), fits in zip(edges, meet.tolist()) if not fits]
+    raise DecompositionError(probs[:20])
 
 
 @dataclass
@@ -202,84 +234,10 @@ class PathDecomposition:
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
 
-    def occurrence_intervals(self) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-        """Each vertex's first and last bag, and where its run breaks.
-
-        Returns (first, last, gap) from one pass over the bags. `gap` maps
-        each vertex whose bags are not contiguous to the first bag between
-        its first and last that lacks it; a vertex listed twice in one bag
-        counts once. Costs O(sum of bag sizes).
-        """
-        first: dict[int, int] = {}
-        last: dict[int, int] = {}
-        gap: dict[int, int] = {}
-        for i, bag in enumerate(self.bags):
-            for v in bag:
-                j = last.get(v)
-                if j is None:
-                    first[v] = i
-                elif j == i:
-                    continue
-                elif j != i - 1 and v not in gap:
-                    gap[v] = j + 1
-                last[v] = i
-        return first, last, gap
-
-    def violations(self, graph: "AnnotatedGraph") -> list[str]:
-        """Empty list iff this is a valid path decomposition of the graph.
-
-        Checks: every bag vertex belongs to the graph, every vertex occurs in
-        a nonempty contiguous run of bags, and every edge fits inside some bag.
-        Two contiguous runs share a bag exactly when their intervals meet, so
-        only an edge at a broken run scans bags; on a valid decomposition the
-        cost is O(sum of bag sizes + |E|).
-        """
-        return self._violations(graph, *self.occurrence_intervals())
-
-    def _violations(
-        self,
-        graph: "AnnotatedGraph",
-        first: dict[int, int],
-        last: dict[int, int],
-        gap: dict[int, int],
-    ) -> list[str]:
-        probs: list[str] = []
-        vset = graph.vertices
-        if not vset.issuperset(first):
-            for i, bag in enumerate(self.bags):
-                probs += [f"bag {i} contains unknown vertex {v}" for v in bag if v not in vset]
-        probs += [f"vertex {v} appears in no bag" for v in vset if v not in first]
-        if gap:
-            probs += [
-                f"vertex {v} missing from bag {gap[v]} inside its run" for v in first if v in gap
-            ]
-        for u, v in graph.edges:
-            if u in first and v in first:
-                lo = max(first[u], first[v])
-                hi = min(last[u], last[v])
-                if lo <= hi and (
-                    (u not in gap and v not in gap)
-                    or any(u in b and v in b for b in self.bags[lo : hi + 1])
-                ):
-                    continue
-            probs.append(f"edge {u}-{v} fits in no bag")
-        return probs
-
     def validate(self, graph: "AnnotatedGraph") -> BagRuns:
-        """Raise DecompositionError naming the first 20 violations; otherwise
-        return the bags' runs as arrays.
-
-        The array check (_bag_runs) decides a valid decomposition without
-        repeats; anything else is checked again by _violations, which names
-        the violations, or passes a bag that lists a vertex twice.
-        """
-        runs, passed = _bag_runs(self.bags, graph)
-        if not passed:
-            probs = self._violations(graph, *self.occurrence_intervals())
-            if probs:
-                raise DecompositionError(probs[:20])
-        assert runs is not None  # an entry that is not a vertex is a violation
-        return runs
+        """Return the bags' runs as arrays, or raise DecompositionError
+        naming the first 20 violations (_bag_runs)."""
+        return _bag_runs(self.bags, graph)
 
     def validate_expansion(self, graph: "AnnotatedGraph") -> int:
         """Validate the bags write_hcgraph writes for the graph's expansion

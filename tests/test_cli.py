@@ -155,6 +155,15 @@ def test_tableaux_above_the_ceiling_is_over_capacity(capsys):
     assert "ceiling" in err
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_tableaux_below_two_is_bad_input(capsys, n):
+    # the report's rows start at n = 2, so a smaller n would report nothing
+    code, out, err = run(capsys, "tableaux", n)
+    assert code == 2
+    assert out == ""
+    assert f"tableaux report n={n} is outside 2..{MAX_TABLEAUX_N}" in err
+
+
 def test_amplify_reports_identity(capsys):
     code, out, _ = run(capsys, "amplify", "--B", "4", "--t", "2", "--p", "3")
     assert code == 0

