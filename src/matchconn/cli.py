@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count Hamiltonian cycles of a graph file")
     p.add_argument("--graph", required=True, help="hcgraph v1 file")
-    p.add_argument("--mod", type=int, help="count modulo this prime")
+    p.add_argument("--mod", type=int, help="count modulo this modulus, any integer >= 2")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_count)
 

@@ -119,15 +119,18 @@ class Rationals:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field Z/pZ for a prime p below 2^16 (machine-word arithmetic)."""
+    """The field Z/pZ for a prime p up to `_CERT_PRIME`, the largest the
+    float64 elimination (`_residues`, `_eliminate_mod`) keeps exact."""
 
     p: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or not is_prime(self.p):
             raise ValidationError(f"modulus {self.p!r} is not prime")
-        if self.p >= 1 << 16:
-            raise CapacityError(f"prime {self.p} exceeds the 2^16 machine-word ceiling")
+        if self.p > _CERT_PRIME:
+            raise CapacityError(
+                f"modulus {self.p} exceeds the float64 elimination ceiling {_CERT_PRIME}"
+            )
 
     def __repr__(self) -> str:
         return f"GF({self.p})"

@@ -28,7 +28,8 @@ both give the same graph, bags and messages.
 
 `PathDecomposition.validate` checks a decomposition as arrays too, in one
 pass that returns each vertex's run of bags (`BagRuns`) or names the
-violations it found.
+violations it found. `BagRuns.written_gadgets` finds the label gadgets in
+the layout `write_hcgraph` writes, which the bag sweep contracts.
 
 An optional JSON sidecar next to the graph records reduction metadata.
 """
@@ -79,6 +80,8 @@ LABEL_GADGET_EDGES = (
 )
 # the same edges as sorted (smaller, larger) offsets from role 1
 _GADGET_OFFSETS = tuple(sorted((min(r, s) - 1, max(r, s) - 1) for r, s in LABEL_GADGET_EDGES))
+# Degrees of the gadget's roles 5..9, which have no outside edges.
+_INTERIOR_DEGREES = tuple(sum(r in e for e in LABEL_GADGET_EDGES) for r in range(5, 10))
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -118,6 +121,36 @@ class BagRuns:
         at, known = _positions(self.ids, np.array(list(vertices), dtype=self.ids.dtype))
         assert known.all()
         return at
+
+    def written_gadgets(self) -> np.ndarray:
+        """The indices a, sorted, of role 1 of every label gadget in the
+        layout write_hcgraph writes: ids[a] .. ids[a] + 8 are vertices, at
+        indices a .. a + 8, that hold the ten edges of LABEL_GADGET_EDGES
+        at their offsets, exactly ten edges join two of them, and roles
+        5..9 have no other edge.
+        """
+        ids, ends = self.ids, self.ends
+        n = len(ids)
+        deg = np.bincount(ends.ravel(), minlength=n)
+        a = np.flatnonzero(deg[6 : n - 2] == 2)  # role 7 at a + 6, role 9 at a + 8 < n
+        a = a[(ids[a + 8] - ids[a] == 8).astype(bool)]  # nine consecutive ids
+        if not len(a):
+            return a
+        # one row per role or edge, one column per candidate
+        a = a[(deg[a + np.arange(4, 9)[:, None]] == np.array(_INTERIOR_DEGREES)[:, None]).all(axis=0)]
+        lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+        offsets = np.array(_GADGET_OFFSETS)
+        codes = np.sort(lo * n + hi)
+        want = (a + offsets[:, :1]) * n + a + offsets[:, 1:]
+        at = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
+        a = a[(codes[at] == want).all(axis=0)]
+        # edges inside the window a .. a + 8: those with hi - 8 <= a <= lo
+        short = hi - lo <= 8
+        inside = np.cumsum(
+            np.bincount(np.maximum(hi[short] - 8, 0), minlength=n + 1)
+            - np.bincount(lo[short] + 1, minlength=n + 1)
+        )
+        return a[inside[a] == len(LABEL_GADGET_EDGES)]
 
 
 def _positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

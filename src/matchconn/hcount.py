@@ -10,13 +10,15 @@ other:
     packed-int states along the graph's own path decomposition (or a
     layered one when it has none) that returns fingerprint counts on the
     pinned boundary; both counters read that one table. Before the sweep,
-    every recognised 9-vertex label gadget off the boundary is contracted
-    to one label site, and the sweep lets a site's cycle edges be partner
-    labels only, 1 with 2 or 3 with 4, which counts exactly what the
-    gadget does. So the DP counters accept annotated graphs as well as the
-    plain graphs they expand to. Each bag's edges go in greedy order, the
-    one whose ends have the fewest edges left first, so vertices close and
-    leave the state early. Capacity MAX_DP_STATES live states.
+    every 9-vertex label gadget off the boundary in the layout
+    write_hcgraph writes is contracted to one label site; any other copy
+    of the gadget is counted as plain vertices. The sweep lets a site's
+    cycle edges be partner labels only, 1 with 2 or 3 with 4, which counts
+    exactly what the gadget does. So the DP counters accept annotated
+    graphs as well as the plain graphs they expand to. Each bag's edges go
+    in greedy order, the one whose ends have the fewest edges left first,
+    so vertices close and leave the state early. Capacity MAX_DP_STATES
+    live states.
 
 The oracle and enumerate_hamiltonian_cycles read plain graphs only and
 refuse label sites, as a pinned boundary does.
@@ -36,13 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .exactalg import CapacityError, ValidationError
-from .graphs import (
-    LABEL_GADGET_EDGES,
-    AnnotatedGraph,
-    BagRuns,
-    PathDecomposition,
-    edge_key,
-)
+from .graphs import AnnotatedGraph, BagRuns, PathDecomposition, edge_key
 from .matchings import Fingerprint, Matching
 
 __all__ = [
@@ -233,93 +229,11 @@ def _edge_order(edges: list[tuple[int, int]], remaining: dict[int, int]):
                 heapq.heappush(heap, (remaining[f[0]] + remaining[f[1]], f))
 
 
-# Degrees of the label gadget's roles 5..9, which have no outside edges.
-_INTERIOR_DEGREES = tuple(
-    sum(r in e for e in LABEL_GADGET_EDGES) for r in range(5, 10)
-)
-
-
-def _is_gadget(adj: dict[int, set[int]], roles: tuple[int, ...]) -> bool:
-    """Do the nine ids, holding all ten edges of LABEL_GADGET_EDGES between
-    their roles, induce exactly those? No other edge may join two of them,
-    and roles 5..9 must have no edge to the outside."""
-    members = set(roles)
-    return (
-        len(members) == 9
-        and sum(len(adj[m] & members) for m in roles) == 2 * len(LABEL_GADGET_EDGES)
-        and all(len(adj[m]) == d for m, d in zip(roles[4:], _INTERIOR_DEGREES))
-    )
-
-
-def _gadget_at(adj: dict[int, set[int]], x: int) -> tuple[int, ...] | None:
-    """The ids of roles 1..9 of a label gadget whose role 7 is the degree-2
-    vertex x, or None.
-
-    The gadget's symmetries fix role 7 and take either neighbour of x to
-    role 6 and either other neighbour of role 6 to role 1, so the search
-    takes the smallest each time. Role 3 is then one of the two smallest
-    other neighbours of role 8, the one whose only common neighbour with
-    role 1 is role 5, and role 9 is the only common neighbour of roles 4
-    and 2. The symmetries map each partner pair {1, 2}, {3, 4} onto a
-    partner pair, so the roles found label the site correctly.
-
-    The search has found all ten edges of LABEL_GADGET_EDGES, so _is_gadget
-    checks the rest.
-    """
-    a, b = adj[x]
-    r6, r8 = (a, b) if a < b else (b, a)
-    if len(adj[r6]) < 3 or len(adj[r8]) < 3:
-        return None
-    r1, r4 = sorted(adj[r6] - {x})[:2]
-    e0, e1 = sorted(adj[r8] - {x})[:2]
-    for r3, r2 in ((e0, e1), (e1, e0)):
-        five, nine = adj[r1] & adj[r3], adj[r4] & adj[r2]
-        if len(five) != 1 or len(nine) != 1:
-            continue
-        roles = (r1, r2, r3, r4, *five, r6, x, r8, *nine)
-        if _is_gadget(adj, roles):
-            return roles
-    return None
-
-
-# LABEL_GADGET_EDGES as (smaller, larger) offsets from role 7, role r at r - 7
-_ROLE7_OFFSETS = np.array([sorted((r - 7, s - 7)) for r, s in LABEL_GADGET_EDGES])
-
-
-def _layout_gadgets(ids: np.ndarray, lo: np.ndarray, hi: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """The indices x, sorted, of every vertex that is role 7 of a label
-    gadget in the layout write_hcgraph writes: ids[x] - 6 .. ids[x] + 2 are
-    vertices, at indices x - 6 .. x + 2, that hold the ten edges of
-    LABEL_GADGET_EDGES at their offsets, exactly ten edges join two of
-    them, and roles 5..9 have no other edge.
-
-    `lo` < `hi` are the edges' ends and `deg` the degrees, by index.
-    """
-    n = len(ids)
-    x = np.flatnonzero(deg == 2)
-    x = x[(x >= 6) & (x < n - 2)]
-    x = x[(ids[x + 2] - ids[x - 6] == 8).astype(bool)]  # nine consecutive ids
-    if not len(x) or not len(lo):
-        return x[:0]
-    # one row per role or edge, one column per candidate
-    x = x[(deg[x + np.arange(-2, 3)[:, None]] == np.array(_INTERIOR_DEGREES)[:, None]).all(axis=0)]
-    codes = np.sort(lo * n + hi)
-    want = (x + _ROLE7_OFFSETS[:, :1]) * n + x + _ROLE7_OFFSETS[:, 1:]
-    at = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
-    x = x[(codes[at] == want).all(axis=0)]
-    # edges inside the window a .. a + 8: those with hi - 8 <= a <= lo
-    short = hi - lo <= 8
-    inside = np.cumsum(
-        np.bincount(np.maximum(hi[short] - 8, 0), minlength=n + 1)
-        - np.bincount(lo[short] + 1, minlength=n + 1)
-    )
-    return x[inside[x - 6] == len(LABEL_GADGET_EDGES)]
-
-
 def _contract_label_gadgets(
     graph: AnnotatedGraph, runs: BagRuns, keep: set[int]
 ) -> tuple[AnnotatedGraph, np.ndarray]:
-    """Contract every recognised label gadget to one label site.
+    """Contract every label gadget in the layout write_hcgraph writes to
+    one label site.
 
     `runs` is the graph's validated decomposition (PathDecomposition.validate),
     read for its vertex ids and edges. Returns the contracted graph and, for
@@ -327,31 +241,26 @@ def _contract_label_gadgets(
     the smallest of its gadget's nine ids, which names the site, or itself
     (the graph itself when nothing is contracted).
 
-    The gadgets in the layout write_hcgraph writes are found at once from
-    the degrees and the sorted edges (_layout_gadgets) and tried in sorted
-    order of their role 7; then each degree-2 vertex left, in sorted order,
-    is tried as role 7 of any gadget (_gadget_at). A stray copy of the
-    gadget, made of plain vertices and parts of written gadgets, would
-    otherwise block the gadgets it touches. A match is taken unless one of
-    its nine ids is in `keep`, is a label site or is already contracted, or
-    two of its ports' outside edges would meet one vertex once contracted,
-    which would make a parallel edge. Each outside edge of a port takes the
-    port's role as its label at the site. The gadget's only covers are one
-    path leaving through ports 1 and 2 and one through 3 and 4, so a site
-    whose two cycle edges carry partner labels, 1 with 2 or 3 with 4,
-    counts exactly what the gadget counts.
+    The written gadgets are found at once (BagRuns.written_gadgets) and
+    tried in sorted order of their role 1. A copy of the gadget numbered in
+    any other way stays expanded, and the sweep counts its plain vertices
+    exactly. A match is taken unless one of its nine ids is in `keep`, is
+    a label site or is already contracted, or two of its ports' outside
+    edges would meet one vertex once contracted, which would make a
+    parallel edge. Each outside edge of a port takes the port's role as its
+    label at the site. The gadget's only covers are one path leaving
+    through ports 1 and 2 and one through 3 and 4, so a site whose two
+    cycle edges carry partner labels, 1 with 2 or 3 with 4, counts exactly
+    what the gadget counts.
     """
-    ids, ends = runs.ids, runs.ends
-    n = len(ids)
-    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
-    deg = np.bincount(ends.ravel(), minlength=n)
+    n = len(runs.ids)
     adj = graph._adj
     # the ids no later gadget may hold, each mapped to the vertex it becomes:
     # kept ids and label sites stay, contracted ids go to their site
     site_of = {v: v for v in keep | graph.annotations.keys()}
-    taken: list[Sequence[int]] = []
+    taken: list[range] = []
 
-    def take(roles: Sequence[int]) -> None:
+    def take(roles: range) -> None:
         """Contract the gadget on roles 1..9 unless a check above fails."""
         if site_of.keys().isdisjoint(roles):
             outside = [site_of.get(w, w) for p in roles[:4] for w in adj[p] if w not in roles]
@@ -361,11 +270,8 @@ def _contract_label_gadgets(
                     site_of[r] = s
                 taken.append(roles)
 
-    for x in ids[_layout_gadgets(ids, lo, hi, deg)].tolist():
-        take(range(x - 6, x + 3))
-    for x in ids[deg == 2].tolist():
-        if x not in site_of and (roles := _gadget_at(adj, x)) is not None:
-            take(roles)
+    for a in runs.ids[runs.written_gadgets()].tolist():
+        take(range(a, a + 9))
     site = np.arange(n)
     if not taken:
         return graph, site
@@ -414,7 +320,7 @@ def _sweep(
     (fingerprint counts on the boundary, states_peak). Both DP counters
     read this one table. Raises CapacityError above MAX_DP_STATES states.
 
-    Once the decomposition is validated, every recognised label gadget off
+    Once the decomposition is validated, every written label gadget off
     the boundary is contracted to one label site (_contract_label_gadgets)
     and each bag holds the site in place of its nine ids; the gadget is
     connected, so the bags stay a decomposition and get no wider. The sweep

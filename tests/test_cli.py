@@ -44,6 +44,19 @@ def test_rank_mod_p(capsys):
     assert str(PUBLISHED["ranks_order_10_mod_p"][7]) in out
 
 
+@pytest.mark.parametrize("p", [65537, 999983])
+def test_rank_mod_primes_up_to_the_elimination_ceiling(capsys, p):
+    code, out, _ = run(capsys, "rank", "--k", "8", "--field", f"p:{p}")
+    assert code == 0
+    assert out.splitlines()[-1] == "105"
+
+
+def test_rank_mod_a_prime_above_the_elimination_ceiling_exits_2(capsys):
+    code, out, err = run(capsys, "rank", "--k", "8", "--field", "p:1000033")
+    assert code == 2 and out == ""
+    assert "float64 elimination ceiling 1000003" in err
+
+
 def test_a_bad_memory_setting_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("MATCHCONN_MEMORY_MB", "abc")
     code, out, err = run(capsys, "rank", "--kind", "M", "--k", "4", "--field", "p:7")
@@ -104,6 +117,17 @@ def test_dp_state_ceiling_is_over_capacity(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "count", "--graph", str(graph))
     assert code == 2
     assert "ceiling" in err
+
+
+def test_count_mod_takes_any_modulus(tmp_path, capsys):
+    # K5 has 12 Hamiltonian cycles, 3 mod 9
+    g = AnnotatedGraph.from_edges((), [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
+    g.decomposition = PathDecomposition([(1, 2, 3, 4, 5)])
+    graph = tmp_path / "k5.hcg"
+    write_hcgraph(graph, g)
+    code, out, _ = run(capsys, "count", "--graph", str(graph), "--mod", "9")
+    assert code == 0
+    assert json.loads(out)["residue"] == 3
 
 
 def four_cycle_file(tmp_path, bags):

@@ -1,5 +1,5 @@
-"""Label sites in the bag sweep: contraction of recognised gadgets and the
-partner-label rule.
+"""Label sites in the bag sweep: contraction of the gadgets write_hcgraph
+writes and the partner-label rule.
 
 Three routes must agree on every annotated graph: a label-aware enumeration
 (the plain graph's Hamiltonian cycles whose two edges at each site carry
@@ -11,7 +11,6 @@ contracts back.
 import random
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -117,7 +116,8 @@ def _stray_gadget_across_two_sites():
     # In the expansion (sites 1 and 2 at ids 5..13 and 14..22) the ids
     # (10, 4, 12, 14, 11, 5, 9, 7, 3) are a genuine copy of the gadget, role
     # 7 at vertex 9, made of plain 3 and 4 and parts of both written
-    # gadgets. Taken first, it blocked both, and one site was contracted.
+    # gadgets. Out of the written layout, it is not contracted, so it
+    # cannot block the two written gadgets it touches.
     g = AnnotatedGraph.from_edges(
         (1, 2, 3, 4),
         [(1, 2), (1, 4), (2, 3), (3, 4)],
@@ -255,12 +255,42 @@ def test_a_broken_gadget_stays_expanded(extra):
     assert_matches_reference(g)
 
 
+@pytest.mark.parametrize(
+    "relabel",
+    [
+        {5: 9, 9: 5},  # roles 5 and 9 swap ids: role r is no longer at id r
+        {v: v + 1 for v in range(5, 15)},  # a gap in the ids between roles 4 and 5
+    ],
+)
+def test_a_gadget_out_of_the_written_layout_stays_expanded(relabel):
+    # the copy is counted as plain vertices, which is exact
+    g = gadget_with_stubs()
+    g = AnnotatedGraph.from_edges(
+        (), sorted(tuple(sorted(relabel.get(v, v) for v in e)) for e in g.edges)
+    )
+    assert not len(layered_decomposition(g).validate(g).written_gadgets())
+    assert gadget_count(g) == 0
+    assert_matches_reference(g)
+    assert count_hc_pathdp(g).value == count_hc_bruteforce(g).value == 1
+
+
 def test_a_gadget_with_a_pinned_vertex_stays_expanded():
     g = gadget_with_stubs()
     for v in (1, 5, 7):
         _, site_of = contract(g, {v})
         assert not site_of
         assert_matches_reference(g, (v,))
+
+
+@pytest.mark.parametrize("shift", range(1, 9))
+def test_written_gadgets_never_overlap(shift):
+    # two gadget copies whose windows overlap leave at most one in the
+    # written layout, so no written gadget holds an already contracted id
+    edges = {tuple(sorted(e)) for e in LABEL_GADGET_EDGES}
+    edges |= {(u + shift, v + shift) for u, v in edges}
+    g = AnnotatedGraph.from_edges((), sorted(edges))
+    runs = layered_decomposition(g).validate(g)
+    assert len(runs.written_gadgets()) <= 1
 
 
 def test_neighbouring_gadgets_may_not_meet_twice():
@@ -307,7 +337,20 @@ def test_fingerprint_gadgets_count_the_same_annotated_and_expanded(trial):
         partial_solution_spectrum(gadget, spec.boundary + (site,))
 
 
-# -- the layout search against the per-candidate search it replaced ------------
+# -- the layout search against a per-vertex search on dicts ---------------------
+
+
+def _is_gadget(adj, roles):
+    """Do the nine ids, holding all ten edges of LABEL_GADGET_EDGES between
+    their roles, induce exactly those? No other edge may join two of them,
+    and roles 5..9 must have no edge to the outside."""
+    members = set(roles)
+    interior = [sum(r in e for e in LABEL_GADGET_EDGES) for r in range(5, 10)]
+    return (
+        len(members) == 9
+        and sum(len(adj[m] & members) for m in roles) == 2 * len(LABEL_GADGET_EDGES)
+        and all(len(adj[m]) == d for m, d in zip(roles[4:], interior))
+    )
 
 
 def _gadget_in_layout(adj, x):
@@ -319,7 +362,7 @@ def _gadget_in_layout(adj, x):
     if (
         all(m in adj for m in roles)
         and all(roles[s - 1] in adj[roles[r - 1]] for r, s in LABEL_GADGET_EDGES)
-        and hcount._is_gadget(adj, roles)
+        and _is_gadget(adj, roles)
     ):
         return roles
     return None
@@ -337,30 +380,25 @@ def test_layout_search_finds_what_the_per_vertex_search_finds(instance, data):
     )
     for g in (x, moved):
         runs = layered_decomposition(g).validate(g)
-        ends = runs.ends
-        lo, hi = ends.min(axis=1), ends.max(axis=1)
-        deg = np.bincount(ends.ravel(), minlength=len(runs.ids))
-        got = runs.ids[hcount._layout_gadgets(runs.ids, lo, hi, deg)].tolist()
-        assert got == [v for v in sorted(g.vertices) if _gadget_in_layout(g._adj, v)]
+        got = runs.ids[runs.written_gadgets()].tolist()
+        assert got == [v - 6 for v in sorted(g.vertices) if _gadget_in_layout(g._adj, v)]
 
 
 def ref_site_of(graph, keep=()):
     """Each contracted vertex's site id, by the per-vertex search: every
     degree-2 vertex in sorted order tried as role 7 of a gadget in the
-    layout, then of any gadget, with the same checks on each match."""
+    layout, with the same checks on each match."""
     adj, sites = graph._adj, graph.annotations
     site_of = {}
-    twos = [x for x in sorted(graph.vertices) if len(adj[x]) == 2]
-    for find in (_gadget_in_layout, hcount._gadget_at):
-        for x in twos:
-            if x in site_of:
-                continue
-            roles = find(adj, x)
-            if roles is None or any(m in keep or m in sites or m in site_of for m in roles):
-                continue
-            outside = [site_of.get(w, w) for m in roles[:4] for w in adj[m] if w not in roles]
-            if len(set(outside)) == len(outside):
-                site_of.update(dict.fromkeys(roles, min(roles)))
+    for x in sorted(graph.vertices):
+        if len(adj[x]) != 2 or x in site_of:
+            continue
+        roles = _gadget_in_layout(adj, x)
+        if roles is None or any(m in keep or m in sites or m in site_of for m in roles):
+            continue
+        outside = [site_of.get(w, w) for m in roles[:4] for w in adj[m] if w not in roles]
+        if len(set(outside)) == len(outside):
+            site_of.update(dict.fromkeys(roles, min(roles)))
     return site_of
 
 
@@ -422,30 +460,19 @@ def test_written_graphs_contract_like_the_per_vertex_search(written_graphs):
 
 
 def test_written_graphs_count_on_the_fast_paths(written_graphs, monkeypatch, tmp_path):
-    # read and contract never fall back: the line reader refuses, and no
-    # written gadget is searched for
+    # reading a written graph never falls back: the line reader refuses
     def refused(*args):
         raise AssertionError("a written graph left the fast path")
-
-    searched = []
-    gadget_at = hcount._gadget_at
-
-    def recorded(adj, x):
-        searched.append(x)
-        return gadget_at(adj, x)
 
     path = tmp_path / "g.hcg"
     want = []
     for p, g in written_graphs:
         want.append(count_hc_pathdp(g, p))
     monkeypatch.setattr(graphs, "_read_lines", refused)
-    monkeypatch.setattr(hcount, "_gadget_at", recorded)
     for (p, g), w in zip(written_graphs, want):
         write_hcgraph(path, g)
-        searched.clear()
         got = count_hc_pathdp(read_hcgraph(path), p)
         assert (got.value, got.states_peak) == (w.value, w.states_peak)
-        assert not set(searched) & set(ref_site_of(g))
 
 
 @pytest.mark.parametrize("base", [-(2**63), 2**63 - 14, 2**70])
