@@ -12,13 +12,14 @@ other:
     pinned boundary; both counters read that one table. Before the sweep,
     every 9-vertex label gadget off the boundary in the layout
     write_hcgraph writes is contracted to one label site; any other copy
-    of the gadget is counted as plain vertices. The sweep lets a site's
-    cycle edges be partner labels only, 1 with 2 or 3 with 4, which counts
-    exactly what the gadget does. So the DP counters accept annotated
-    graphs as well as the plain graphs they expand to. Each bag's edges go
-    in greedy order, the one whose ends have the fewest edges left first,
-    so vertices close and leave the state early. Capacity MAX_DP_STATES
-    live states.
+    of the gadget is counted as plain vertices. The contracted graph is
+    read from the checked decomposition's arrays, never built. The sweep
+    lets a site's cycle edges be partner labels only, 1 with 2 or 3 with 4,
+    which counts exactly what the gadget does. So the DP counters accept
+    annotated graphs as well as the plain graphs they expand to. Each bag's
+    edges go in greedy order, the one whose ends have the fewest edges left
+    first, so vertices close and leave the state early. Capacity
+    MAX_DP_STATES live states.
 
 The oracle and enumerate_hamiltonian_cycles read plain graphs only and
 refuse label sites, as a pinned boundary does.
@@ -30,7 +31,6 @@ one or two vertices have none.
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -185,20 +185,6 @@ def enumerate_hamiltonian_cycles(graph: AnnotatedGraph):
 # bag sweep DP
 
 
-def _bag_schedule(graph: AnnotatedGraph, bags: list[tuple[int, ...]], first: dict[int, int]):
-    """Per-bag introduce and edge lists from each vertex's first bag. An
-    edge's home is max(first[u], first[v]), the first bag holding both ends
-    once every run is contiguous; costs O(sum of bag sizes + |E|) + sorting.
-    """
-    intro = [[] for _ in bags]
-    edges_at = [[] for _ in bags]
-    for v in sorted(graph.vertices):
-        intro[first[v]].append(v)
-    for u, v in sorted(graph.edges):
-        edges_at[max(first[u], first[v])].append((u, v))
-    return intro, edges_at
-
-
 def _edge_order(edges: list[tuple[int, int]], remaining: dict[int, int]):
     """Yield a bag's edges greedily: next is the pending edge (u, v) with the
     smallest remaining[u] + remaining[v], ties broken by (u, v).
@@ -231,15 +217,16 @@ def _edge_order(edges: list[tuple[int, int]], remaining: dict[int, int]):
 
 def _contract_label_gadgets(
     graph: AnnotatedGraph, runs: BagRuns, keep: set[int]
-) -> tuple[AnnotatedGraph, np.ndarray]:
-    """Contract every label gadget in the layout write_hcgraph writes to
-    one label site.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Find the label gadgets, in the layout write_hcgraph writes, that the
+    sweep contracts to one label site each.
 
     `runs` is the graph's validated decomposition (PathDecomposition.validate),
-    read for its vertex ids and edges. Returns the contracted graph and, for
-    each vertex by its index in runs.ids, the index of the vertex it becomes:
-    the smallest of its gadget's nine ids, which names the site, or itself
-    (the graph itself when nothing is contracted).
+    read for its vertex ids and edges. Returns two arrays over the indices
+    of runs.ids: `site`, the index of the vertex each one becomes (role 1
+    of its gadget, the smallest of the nine ids, which names the site, or
+    itself), and `port_label`, the label its outside edges take at its
+    site (the port's role, 1..4, and 0 off a port).
 
     The written gadgets are found at once (BagRuns.written_gadgets) and
     tried in sorted order of their role 1. A copy of the gadget numbered in
@@ -253,63 +240,74 @@ def _contract_label_gadgets(
     cycle edges carry partner labels, 1 with 2 or 3 with 4, counts exactly
     what the gadget counts.
     """
-    n = len(runs.ids)
     adj = graph._adj
     # the ids no later gadget may hold, each mapped to the vertex it becomes:
     # kept ids and label sites stay, contracted ids go to their site
     site_of = {v: v for v in keep | graph.annotations.keys()}
-    taken: list[range] = []
-
-    def take(roles: range) -> None:
-        """Contract the gadget on roles 1..9 unless a check above fails."""
+    taken = []
+    found = runs.written_gadgets()
+    for a, s in zip(found.tolist(), runs.ids[found].tolist()):
+        roles = range(s, s + 9)
         if site_of.keys().isdisjoint(roles):
             outside = [site_of.get(w, w) for p in roles[:4] for w in adj[p] if w not in roles]
             if len(set(outside)) == len(outside):
-                s = min(roles)
-                for r in roles:
-                    site_of[r] = s
-                taken.append(roles)
-
-    for a in runs.ids[runs.written_gadgets()].tolist():
-        take(range(a, a + 9))
-    site = np.arange(n)
-    if not taken:
-        return graph, site
-    at = runs.index(itertools.chain.from_iterable(taken)).reshape(-1, 9)
-    site[at] = at.min(axis=1, keepdims=True)
-    port_label = np.zeros(n, np.int64)
+                site_of.update(dict.fromkeys(roles, s))
+                taken.append(a)
+    # the nine vertices of a gadget taken at index a are at a .. a + 8
+    at = np.array(taken, np.intp)[:, None] + np.arange(9)
+    site = np.arange(len(runs.ids))
+    site[at] = at[:, :1]
+    port_label = np.zeros(len(site), np.int64)
     port_label[at[:, :4]] = np.arange(1, 5)
-    return _contracted(graph, runs, site, port_label), site
+    return site, port_label
 
 
-def _contracted(
-    graph: AnnotatedGraph, runs: BagRuns, site: np.ndarray, port_label: np.ndarray
-) -> AnnotatedGraph:
-    """The graph with vertex i (by index in runs.ids) merged into site[i].
+def _schedule(runs: BagRuns, site: np.ndarray, port_label: np.ndarray, sites: dict, count: int):
+    """What the bag sweep reads of the graph with vertex i (by index in
+    runs.ids) merged into site[i], along `count` bags: (intro, edges_at,
+    labels, remaining).
 
-    An edge whose two ends merge goes. An edge at a port, port_label > 0,
-    takes that label at the port's site, and an edge at a label site of
-    the graph keeps its label there.
+    The vertices are the ids i with site[i] == i, each introduced, in sorted
+    order, at the first bag of the runs merged into it. An edge whose ends
+    merge goes; every other edge (u, v), u < v, is listed, sorted, at its
+    home bag max(first[u], first[v]), the first holding both ends once every
+    run is contiguous. An edge's label at a port's site is the port_label of
+    that end, and at a label site of the graph (`sites`, its annotations)
+    its own label there. remaining counts each vertex's edges. Costs
+    O(sum of bag sizes + |E|) + sorting.
     """
-    ids, sites = runs.ids, graph.annotations
+    ids, n = runs.ids, len(site)
+    first = np.full(n, count, runs.first.dtype)
+    np.minimum.at(first, site, runs.first)
+    stays = np.flatnonzero(site == np.arange(n))
+    intro = [[] for _ in range(count)]
+    for b, v in zip(first[stays].tolist(), ids[stays].tolist()):
+        intro[b].append(v)
     ends = runs.ends[site[runs.ends[:, 0]] != site[runs.ends[:, 1]]]
-    merged = site[ends]
-    lo, hi = np.minimum(merged[:, 0], merged[:, 1]), np.maximum(merged[:, 0], merged[:, 1])
-    keys = list(zip(ids[lo].tolist(), ids[hi].tolist()))
+    merged, lab = site[ends], port_label[ends]
+    # each edge's ends in sorted order, and each end's port label with it
+    swap = merged[:, 0] > merged[:, 1]
+    merged[swap], lab[swap] = merged[swap, ::-1], lab[swap, ::-1]
+    home = np.maximum(first[merged[:, 0]], first[merged[:, 1]])
+    order = np.lexsort((merged[:, 1], merged[:, 0], home))
+    ends, merged, lab, home = ends[order], merged[order], lab[order], home[order]
+    keys = list(zip(ids[merged[:, 0]].tolist(), ids[merged[:, 1]].tolist()))
+    edges_at = [[] for _ in range(count)]
+    for b, e in zip(home.tolist(), keys):
+        edges_at[b].append(e)
     labels: dict[int, dict[tuple[int, int], int]] = {}
     for side in (0, 1):
-        at = np.flatnonzero(port_label[ends[:, side]])
-        for e, s, lab in zip(
-            at.tolist(), ids[merged[at, side]].tolist(), port_label[ends[at, side]].tolist()
-        ):
-            labels.setdefault(s, {})[keys[e]] = lab
+        at = np.flatnonzero(lab[:, side])
+        for e, s, code in zip(at.tolist(), ids[merged[at, side]].tolist(), lab[at, side].tolist()):
+            labels.setdefault(s, {})[keys[e]] = code
     if sites:
         for e, (u, v) in enumerate(zip(ids[ends[:, 0]].tolist(), ids[ends[:, 1]].tolist())):
             for w in (u, v):
                 if w in sites:
                     labels.setdefault(w, {})[keys[e]] = sites[w][edge_key(u, v)]
-    vertices = ids[site == np.arange(len(site))].tolist()
-    return AnnotatedGraph.from_edges(vertices, keys, labels)
+    degree = np.bincount(merged.ravel(), minlength=n)
+    remaining = dict(zip(ids[stays].tolist(), degree[stays].tolist()))
+    return intro, edges_at, labels, remaining
 
 
 def _sweep(
@@ -324,8 +322,8 @@ def _sweep(
     the boundary is contracted to one label site (_contract_label_gadgets)
     and each bag holds the site in place of its nine ids; the gadget is
     connected, so the bags stay a decomposition and get no wider. The sweep
-    then runs on the contracted graph, where a plain vertex is a site
-    without labels.
+    reads the contracted graph from the validated arrays (_schedule),
+    without building it, and a plain vertex is a site without labels.
 
     A state is one int, closed | d1 << 1 | d2 << (1 + S) | partner fields
     << (1 + 2S) | label fields << (1 + 2S + SW). S bounds the vertex slots,
@@ -357,17 +355,13 @@ def _sweep(
     bags = bags or [boundary]
     keep = set(boundary)
     runs = PathDecomposition(bags).validate(graph)
-    graph, site = _contract_label_gadgets(graph, runs, keep)
-    # a site's run of bags is the union of its nine ids' runs
-    n = len(site)
-    first = np.full(n, len(bags), runs.first.dtype)
-    np.minimum.at(first, site, runs.first)
-    stays = np.flatnonzero(site == np.arange(n))
-    first = dict(zip(runs.ids[stays].tolist(), first[stays].tolist()))
-    if any(graph.degree(v) == 0 for v in graph.vertices if v not in keep):
+    site, port_label = _contract_label_gadgets(graph, runs, keep)
+    # a vertex is forgotten eagerly once its last incident edge is processed
+    intro, edges_at, labels, remaining = _schedule(runs, site, port_label, graph.annotations, len(bags))
+    if any(not remaining[v] for v in remaining.keys() - keep):
         # an isolated vertex can never reach degree 2
         return {}, 1
-    intro, edges_at = _bag_schedule(graph, bags, first)
+    n = len(site)
     # Slot bound: a vertex off the boundary is freed at its last edge's home bag,
     # so every slot holder at bag i is in bag i; smallest-first reuse keeps slots < S.
     # S is the most distinct vertices of the contracted graph in one bag.
@@ -380,13 +374,10 @@ def _sweep(
     D2 = D1 << S
     off = [1 + 2 * S + s * W for s in range(S)]
     lab_off = [1 + 2 * S + S * W + 2 * s for s in range(S)]
-    labels = graph.annotations
     slot_of: dict[int, int] = {}
     free_slots: list[int] = []
     states: dict[int, int] = {0: 1}
     peak = 1
-    # a vertex is forgotten eagerly once its last incident edge is processed
-    remaining = {v: graph.degree(v) for v in graph.vertices}
 
     for i in range(len(bags)):
         for v in intro[i]:

@@ -324,9 +324,6 @@ class Fingerprint:
         if self.matching.vertices() != ones:
             raise ValidationError("matching must pair exactly the degree-1 vertices")
 
-    def degree_of(self, v: int) -> int:
-        return self.degrees[self.boundary.index(v)]
-
     def degree_set(self, d: int) -> tuple[int, ...]:
         return tuple(v for v, dv in zip(self.boundary, self.degrees) if dv == d)
 

@@ -702,7 +702,6 @@ def assemble(
     p: int,
     beta: int = 5,
     gamma: int = 1,
-    allow_empty: bool = False,
 ) -> ReductionOutput:
     """Compile the formula into a closed graph counting its models mod p.
 
@@ -720,10 +719,8 @@ def assemble(
     """
     if gamma < 1:
         raise ValidationError("encoding width must be at least 1")
-    if not cnf.clauses and not allow_empty:
-        raise ValidationError(
-            "formula has no clauses; pass allow_empty to compile it anyway"
-        )
+    if not cnf.clauses:
+        raise ValidationError("formula has no clauses")
     pad = (-cnf.num_vars) % gamma
     nvars = cnf.num_vars + pad
     if nvars == 0:
@@ -738,7 +735,7 @@ def assemble(
         params = select_basis(beta, gamma, p)
 
     q = nvars // gamma
-    clauses = cnf.clauses if cnf.clauses else ((1, -1),)
+    clauses = cnf.clauses
     padded = Cnf(nvars, clauses)
     m = len(clauses)
     var_blocks = [tuple(range(i * gamma + 1, (i + 1) * gamma + 1)) for i in range(q)]

@@ -179,7 +179,7 @@ def spectrum_primes(n: int, count: int = 2, floor: int = 50) -> list[int]:
     return out
 
 
-def certify_spectrum(n: int, primes: list[int] | None = None) -> tuple[list[SpectralLine], bool]:
+def certify_spectrum(n: int) -> tuple[list[SpectralLine], bool]:
     """Measure eigenspace dimensions of the order-2n matrix and check them.
 
     For each partition lambda of n: nullity of (M - eta(lambda) I) must be
@@ -198,15 +198,7 @@ def certify_spectrum(n: int, primes: list[int] | None = None) -> tuple[list[Spec
     if n <= 4:
         fields = [RATIONALS]
     else:
-        primes = primes if primes is not None else spectrum_primes(n)
-        for p, q in zip(primes, primes[1:]):
-            if p == q:
-                raise ValidationError("spectrum primes must be distinct")
-        etas = [eigenvalue_eta(n, lam) for lam in lams]
-        for p in primes:
-            if len({e % p for e in etas}) != len(etas):
-                raise ValidationError(f"eigenvalues collide mod {p}")
-        fields = [PrimeField(p) for p in primes]
+        fields = [PrimeField(p) for p in spectrum_primes(n)]
     per_field: list[list[int]] = []
     for fld in fields:
         Mf = M.with_field(fld)

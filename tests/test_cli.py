@@ -354,6 +354,35 @@ def test_count_refuses_a_second_vertex_count_line(tmp_path, capsys, text, line):
     assert f"line {line}: second 'n' line" in err
 
 
+def test_count_builds_one_graph(tmp_path, capsys, monkeypatch):
+    # read_hcgraph builds the graph; the sweep contracts its label gadgets
+    # from the decomposition's arrays without building another
+    cnf = tmp_path / "xor.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 -2 0\n", encoding="ascii")
+    out = tmp_path / "xor.hcg"
+    assert run(capsys, "reduce", "--cnf", str(cnf), "--p", "5", "--out", str(out))[0] == 0
+    calls = []
+    build = AnnotatedGraph.from_edges.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(AnnotatedGraph, "from_edges", classmethod(counted))
+    code, text, _ = run(capsys, "count", "--graph", str(out), "--mod", "5")
+    assert code == 0 and json.loads(text)["residue"] == 2
+    assert len(calls) == 1
+
+
+def test_reduce_refuses_an_empty_formula_with_exit_2(tmp_path, capsys):
+    cnf = tmp_path / "empty.cnf"
+    cnf.write_text("p cnf 0 0\n", encoding="ascii")
+    code, out, err = run(capsys, "reduce", "--cnf", str(cnf), "--p", "3")
+    assert code == 2 and out == ""
+    assert err == "error: formula has no clauses\n"
+    assert not (tmp_path / "empty.hcg").exists()
+
+
 def test_reduce_refuses_a_second_problem_line(tmp_path, capsys):
     # used to take the second line as the header: 3 variables, 2 clauses
     cnf = tmp_path / "two.cnf"

@@ -10,6 +10,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from matchconn import graphs, hcount
 from matchconn.exactalg import CapacityError, ValidationError
 from matchconn.graphs import AnnotatedGraph, DecompositionError, PathDecomposition
 from matchconn.hcount import (
-    _bag_schedule,
+    _schedule,
     count_hc_bruteforce,
     count_hc_pathdp,
     enumerate_hamiltonian_cycles,
@@ -54,10 +55,12 @@ def set_bags(graph, bags):
     return graph
 
 
-def first_bags(graph, bags):
-    """Each vertex's first bag, once the bags validate."""
+def plain_schedule(graph, bags):
+    """_schedule along the bags, once they validate, with nothing
+    contracted: (intro, edges_at, labels, remaining)."""
     runs = PathDecomposition(bags).validate(graph)
-    return dict(zip(runs.ids.tolist(), runs.first.tolist()))
+    n = len(runs.ids)
+    return _schedule(runs, np.arange(n), np.zeros(n, np.int64), graph.annotations, len(bags))
 
 
 def random_graph(rng, n, p=0.5):
@@ -133,7 +136,7 @@ def ref_count_partial(graph, boundary, fp):
     internal = set(graph.vertices) - bset
     target = {v: 2 for v in internal}
     for v in boundary:
-        target[v] = fp.degree_of(v)
+        target[v] = fp.degrees[fp.boundary.index(v)]
     # remaining degree capacity per vertex as edges are scanned in order
     remaining = {v: 0 for v in graph.vertices}
     for u, v in edges:
@@ -505,8 +508,10 @@ def interval_instances(draw):
 @settings(max_examples=200, deadline=None)
 def test_bag_schedule_matches_reference(instance):
     g, bags = instance
-    first = first_bags(g, bags)
-    assert _bag_schedule(g, bags, first) == reference_bag_schedule(g, bags)
+    intro, edges_at, labels, remaining = plain_schedule(g, bags)
+    assert (intro, edges_at) == reference_bag_schedule(g, bags)
+    assert labels == {}
+    assert remaining == {v: g.degree(v) for v in g.vertices}
 
 
 def test_bag_schedule_matches_reference_on_layered_decompositions():
@@ -514,8 +519,7 @@ def test_bag_schedule_matches_reference_on_layered_decompositions():
     for _ in range(30):
         g = random_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.9))
         bags = list(layered_decomposition(g).bags)
-        first = first_bags(g, bags)
-        assert _bag_schedule(g, bags, first) == reference_bag_schedule(g, bags)
+        assert plain_schedule(g, bags)[:2] == reference_bag_schedule(g, bags)
 
 
 def test_validate_and_schedule_scale_linearly():
@@ -527,8 +531,7 @@ def test_validate_and_schedule_scale_linearly():
         g.add_edge(v, v + 1)
     bags = [(v, v + 1) for v in range(1, n)]
     t0 = time.perf_counter()
-    first = first_bags(g, bags)
-    intro, edges_at = _bag_schedule(g, bags, first)
+    intro, edges_at, _, _ = plain_schedule(g, bags)
     elapsed = time.perf_counter() - t0
     assert all(len(es) == 1 for es in edges_at)
     assert intro[0] == [1, 2]
@@ -577,8 +580,7 @@ def brute_force_edge_order(edges, remaining):
 def test_edge_order_matches_brute_force(instance):
     # both orders walk every bag, lowering their own copy of the edge counts
     g, bags = instance
-    first = first_bags(g, bags)
-    _, edges_at = _bag_schedule(g, bags, first)
+    _, edges_at, _, _ = plain_schedule(g, bags)
     got_left = {v: g.degree(v) for v in g.vertices}
     want_left = dict(got_left)
     for edges in edges_at:
@@ -610,8 +612,7 @@ def ref_sweep(graph, bags, keep, modulus, order=None):
     vertex. Returns the final table keyed by (sorted degree items, sorted
     vertex pairing, closed) and the peak.
     """
-    first = first_bags(graph, bags)
-    intro, edges_at = _bag_schedule(graph, bags, first)
+    intro, edges_at = reference_bag_schedule(graph, bags)
     slot_of = {}
     free_slots = []
     next_slot = 0

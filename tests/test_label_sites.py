@@ -8,6 +8,8 @@ and the bag sweep itself, on the annotated graph and on the expansion it
 contracts back.
 """
 
+import dataclasses
+import itertools
 import random
 from collections import Counter
 
@@ -21,6 +23,7 @@ from matchconn.exactalg import ValidationError
 from matchconn.graphs import (
     LABEL_GADGET_EDGES,
     AnnotatedGraph,
+    PathDecomposition,
     read_hcgraph,
     write_hcgraph,
 )
@@ -66,10 +69,19 @@ def expansion_order(graph, order):
 
 def contract(graph, keep=()):
     """_contract_label_gadgets on the graph's bags, or its layered ones:
-    the contracted graph, and each contracted vertex's site id."""
+    the contracted graph, built from the sweep's schedule through
+    from_edges so that its labels are checked, and each contracted
+    vertex's site id."""
     decomposition = graph.decomposition or layered_decomposition(graph)
     runs = decomposition.validate(graph)
-    contracted, site = hcount._contract_label_gadgets(graph, runs, set(keep))
+    site, port_label = hcount._contract_label_gadgets(graph, runs, set(keep))
+    intro, edges_at, labels, remaining = hcount._schedule(
+        runs, site, port_label, graph.annotations, len(decomposition.bags)
+    )
+    contracted = AnnotatedGraph.from_edges(
+        itertools.chain.from_iterable(intro), list(itertools.chain.from_iterable(edges_at)), labels
+    )
+    assert remaining == {v: contracted.degree(v) for v in contracted.vertices}
     ids = runs.ids.tolist()
     sizes = Counter(site.tolist())
     site_of = {ids[i]: ids[s] for i, s in enumerate(site.tolist()) if sizes[s] > 1}
@@ -230,6 +242,24 @@ def test_a_gadget_contracts_to_one_site():
     # the one cycle leaves the gadget through ports 1 and 2
     assert assert_matches_reference(g) == {EMPTY: 1}
     assert count_hc_bruteforce(g).value == 1
+
+
+def test_the_schedule_reads_an_edge_either_way_round():
+    # BagRuns does not order an edge's two ends; reversed, each port's label
+    # and the graph's own label at site 13 stay with their ends
+    g = gadget_with_stubs()
+    labels = {13: {(3, 13): 2, (11, 13): 1, (13, 14): 3}}
+    g = AnnotatedGraph.from_edges((), sorted(g.edges), labels)
+    bags = layered_decomposition(g).bags
+    runs = PathDecomposition(bags).validate(g)
+    site, port_label = hcount._contract_label_gadgets(g, runs, set())
+    want = hcount._schedule(runs, site, port_label, labels, len(bags))
+    assert want[2] == {
+        1: {(1, 11): 1, (1, 12): 2, (1, 13): 3, (1, 14): 4},
+        13: {(1, 13): 2, (11, 13): 1, (13, 14): 3},
+    }
+    flipped = dataclasses.replace(runs, ends=runs.ends[:, ::-1])
+    assert hcount._schedule(flipped, site, port_label, labels, len(bags)) == want
 
 
 def test_a_gadget_alone_has_no_cycle():

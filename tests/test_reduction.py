@@ -571,7 +571,9 @@ class TestAssemble:
                 m.setattr(
                     hcount,
                     "_contract_label_gadgets",
-                    lambda graph, runs, keep: (graph, np.arange(len(runs.ids))),
+                    lambda graph, runs, keep: (
+                        np.arange(len(runs.ids)), np.zeros(len(runs.ids), np.int64)
+                    ),
                 )
                 slow = count_hc_pathdp(written)
             assert fast.value == slow.value == count_sat(out.padded_cnf)
@@ -610,13 +612,8 @@ class TestAssemble:
         assert out.padded_cnf == Cnf(1, ((1,),))
 
     def test_empty_formula_needs_flag(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="formula has no clauses"):
             assemble(Cnf(0, ()), 3)
-        out = assemble(Cnf(0, ()), 3, allow_empty=True)
-        assert out.padded_cnf == Cnf(1, ((1, -1),))
-        assert out.predicted == 2
-        res = count_hc_pathdp(out.graph, modulus=3)
-        assert res.value == 2
 
     def test_empty_clause_kills_every_model(self):
         out = assemble(Cnf(1, ((),)), 3)

@@ -176,15 +176,6 @@ class TestSpectrumCertificate:
         with pytest.raises(CapacityError):
             certify_spectrum(6)
 
-    def test_colliding_primes_rejected(self):
-        # 384 and -8 agree mod 7, so 7 can never certify order ten
-        with pytest.raises(ValidationError):
-            certify_spectrum(5, primes=[7, 11])
-
-    def test_repeated_primes_rejected(self):
-        with pytest.raises(ValidationError):
-            certify_spectrum(5, primes=[53, 53])
-
 
 class TestSpectrumPrimes:
     def test_frozen_for_order_ten(self):
