@@ -191,13 +191,13 @@ def _cmd_reduce(args) -> int:
         cnf = parse_dimacs(fh.read())
     result = assemble(cnf, args.p, beta=args.beta, gamma=args.gamma)
     out = args.out or str(Path(args.cnf).with_suffix(".hcg"))
-    write_hcgraph(out, result.graph)
+    write_hcgraph(out, result.written)
     write_sidecar(out + ".json", result.sidecar())
     # each label site is written as nine vertices and ten more edges
-    graph, sites = result.graph, len(result.graph.annotations)
+    runs, sites = result.written.runs, len(result.written.sites)
     print(
-        f"wrote {out} ({len(graph.vertices) + 8 * sites} vertices, "
-        f"{len(graph.edges) + 10 * sites} edges, width {result.width} <= "
+        f"wrote {out} ({len(runs.ids) + 8 * sites} vertices, "
+        f"{len(runs.ends) + 10 * sites} edges, width {result.width} <= "
         f"{result.width_bound}) and {out}.json "
         f"(predicted residue {result.predicted} mod {args.p})"
     )

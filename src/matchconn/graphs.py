@@ -31,6 +31,14 @@ pass that returns each vertex's run of bags (`BagRuns`) or names the
 violations it found. `BagRuns.written_gadgets` finds the label gadgets in
 the layout `write_hcgraph` writes, which the bag sweep contracts.
 
+The compiler builds no graph: `GraphArrays.check` takes its edge keys, the
+labels at their ends and its bags, refuses what `from_edges` and
+`validate` refuse, in their words, and returns the checked arrays
+(`GraphArrays`). `write_hcgraph` writes from those arrays; it converts an
+AnnotatedGraph to them on entry, so both go through one writer.
+`GraphArrays.graph` builds the AnnotatedGraph of the arrays for the
+callers that want one.
+
 An optional JSON sidecar next to the graph records reduction metadata.
 """
 
@@ -50,6 +58,7 @@ __all__ = [
     "AnnotatedGraph",
     "PathDecomposition",
     "DecompositionError",
+    "GraphArrays",
     "write_hcgraph",
     "read_hcgraph",
     "write_sidecar",
@@ -100,13 +109,15 @@ class DecompositionError(ValidationError):
 
 @dataclass(frozen=True)
 class BagRuns:
-    """A validated decomposition and its graph as integer arrays.
+    """A decomposition and its graph as integer arrays; the check
+    (`_bag_runs`) returns them only for a valid decomposition.
 
     `ids` holds the graph's vertex ids sorted, and every other array names
     a vertex by its index there. Vertex i lives in bags first[i]..last[i];
     `ends` holds each edge's two ends, one row per edge; `entries` lists
     every bag entry, bag by bag, and `entry_bag` the bag of each. These two,
-    the longest arrays, and `first` and `last` are int32.
+    the longest arrays, and `first` and `last` are int32. There are `count`
+    bags.
     """
 
     ids: np.ndarray
@@ -115,6 +126,7 @@ class BagRuns:
     ends: np.ndarray
     entries: np.ndarray
     entry_bag: np.ndarray
+    count: int
 
     def index(self, vertices: Iterable[int]) -> np.ndarray:
         """The index in `ids` of each of the given vertices of the graph."""
@@ -169,9 +181,26 @@ def _positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     return index, known
 
 
-def _bag_runs(bags: list[tuple[int, ...]], graph: "AnnotatedGraph") -> BagRuns:
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The values sorted, each once; sorts `values` in place. One sort and
+    a mask, which here beat np.unique's hash pass."""
+    values.sort()
+    keep = np.ones(len(values), bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _bag_runs(
+    bags: list[tuple[int, ...]], graph: "AnnotatedGraph | None", edges: np.ndarray | None = None
+) -> BagRuns:
     """The decomposition check: each vertex's run of bags as arrays, or
     DecompositionError naming the first 20 violations.
+
+    The graph is `graph` or, when that is None, the graph of `edges`, an
+    (E, 2) int64 array of sorted edge keys, on the vertices of the bags
+    and of the edges. That graph is built, as AnnotatedGraph.from_edges
+    builds it, only to name the violations of a failed check, so both
+    entries name them alike.
 
     A run is broken when its vertex lies in fewer distinct bags than
     last - first + 1; an edge fits when neither end's run is broken and
@@ -182,18 +211,24 @@ def _bag_runs(bags: list[tuple[int, ...]], graph: "AnnotatedGraph") -> BagRuns:
     edges that fit no bag, where only an edge at a broken run scans bags.
     Ids beyond int64 compare as Python ints.
     """
-    n, count = len(graph.vertices), len(bags)
-    try:
-        ids = np.fromiter(graph.vertices, np.int64, n)
-    except OverflowError:
-        ids = np.array(list(graph.vertices), dtype=object)
-    ids.sort()
+    count = len(bags)
     sizes = np.fromiter(map(len, bags), np.int64, count)
-    try:
-        flat = np.fromiter(itertools.chain.from_iterable(bags), ids.dtype, int(sizes.sum()))
-    except OverflowError:  # an entry beyond int64, which no vertex is
-        flat = np.array(list(itertools.chain.from_iterable(bags)), dtype=object)
-        ids = ids.astype(object)
+    if graph is None:
+        flat = np.fromiter(itertools.chain.from_iterable(bags), np.int64, int(sizes.sum()))
+        edge_ends = edges.ravel()
+        ids = _sorted_distinct(np.concatenate((flat, edge_ends)))
+    else:
+        try:
+            ids = np.fromiter(graph.vertices, np.int64, len(graph.vertices))
+        except OverflowError:
+            ids = np.array(list(graph.vertices), dtype=object)
+        ids.sort()
+        try:
+            flat = np.fromiter(itertools.chain.from_iterable(bags), ids.dtype, int(sizes.sum()))
+        except OverflowError:  # an entry beyond int64, which no vertex is
+            flat = np.array(list(itertools.chain.from_iterable(bags)), dtype=object)
+            ids = ids.astype(object)
+        edge_ends = np.fromiter(itertools.chain.from_iterable(graph.edges), ids.dtype, 2 * len(graph.edges))
     entries, known = _positions(ids, flat)
     unknown = np.flatnonzero(~known)
     strays = flat[unknown]
@@ -220,16 +255,18 @@ def _bag_runs(bags: list[tuple[int, ...]], graph: "AnnotatedGraph") -> BagRuns:
     held = np.bincount(entries, minlength=size)
     held -= np.bincount(repeats, minlength=size)
     broken = held < last - first + 1
-    ends, _ = _positions(
-        ids, np.fromiter(itertools.chain.from_iterable(graph.edges), ids.dtype, 2 * len(graph.edges))
-    )
+    ends, _ = _positions(ids, edge_ends)
     ends = ends.reshape(-1, 2)
     u, v = ends.T
     lo = np.maximum(first[u], first[v])
     hi = np.minimum(last[u], last[v])
     meet = lo <= hi
     if not len(unknown) and (last >= 0).all() and not broken.any() and meet.all():
-        return BagRuns(ids, first, last, ends, entries, entry_bag)
+        return BagRuns(ids, first, last, ends, entries, entry_bag, count)
+    if graph is None:
+        # the graph's own check fails too, and names the violations
+        keys = list(map(tuple, edges.tolist()))
+        return _bag_runs(bags, AnnotatedGraph.from_edges(itertools.chain.from_iterable(bags), keys))
 
     probs = [
         f"bag {b} contains unknown vertex {x}"
@@ -274,41 +311,149 @@ class PathDecomposition:
 
     def validate_expansion(self, graph: "AnnotatedGraph") -> int:
         """Validate the bags write_hcgraph writes for the graph's expansion
-        from these, and return their width.
+        from these, and return their width (GraphArrays.expansion_width)."""
+        return GraphArrays.of(graph, self.validate(graph)).expansion_width()
+
+
+def _check_labelled_edges(edges: np.ndarray, tags: np.ndarray) -> None:
+    """AnnotatedGraph.from_edges' checks of edges and labels, in its words,
+    on an (E, 2) array of edge keys and the labels at their ends, 0 at a
+    plain end; a site is a vertex with a label at one of its edges.
+
+    The first repeated key in edge order is refused, then the first loop or
+    unsorted key; then, at the smallest site with a fault, a label outside
+    1..4 or, failing that, the edges left without a label there.
+    """
+    u, v = edges.T
+    order = np.lexsort((v, u))
+    same = (u[order][1:] == u[order][:-1]) & (v[order][1:] == v[order][:-1])
+    if same.any():
+        # lexsort is stable, so the later of two equal keys sorts second
+        raise ValidationError(f"duplicate edge {tuple(edges[order[1:][same].min()].tolist())}")
+    bad = np.flatnonzero(u >= v)
+    if len(bad):
+        a, b = edges[bad[0]].tolist()
+        raise ValidationError(f"loop edge at vertex {a}" if a == b else f"edge key {(a, b)} is not sorted")
+    outside = (tags < 0) | (tags > 4)
+    faults = outside | ((tags == 0) & np.isin(edges, edges[tags != 0]))
+    if faults.any():
+        site = edges[faults].min()
+        at = edges == site
+        wrong = tags[at & outside]
+        if len(wrong):
+            raise ValidationError(f"label {wrong[0]} outside 1..4")
+        missing = sorted(map(tuple, edges[(at & (tags == 0)).any(axis=1)].tolist()))
+        raise ValidationError(f"vertex {site} leaves incident edges unlabeled: {missing}")
+
+
+@dataclass(frozen=True)
+class GraphArrays:
+    """A graph with label sites and its bags, as the integer arrays
+    write_hcgraph writes from: `runs` holds its vertices, edges and bag
+    entries, `tags` the label at each end of each edge of runs.ends, 0 at a
+    plain end, and `sites` the indices in runs.ids of its label sites,
+    sorted.
+    """
+
+    runs: BagRuns
+    tags: np.ndarray
+    sites: np.ndarray
+
+    @classmethod
+    def check(cls, edges: np.ndarray, tags: np.ndarray, bags: list[tuple[int, ...]]) -> "GraphArrays":
+        """The graph of `edges`, an (E, 2) int64 array of edge keys whose
+        ends carry the labels `tags`, on the vertices of the bags and the
+        edges, and its bags, checked without building it: as
+        AnnotatedGraph.from_edges and then PathDecomposition.validate check
+        it, in their words (_check_labelled_edges, _bag_runs)."""
+        _check_labelled_edges(edges, tags)
+        runs = _bag_runs(bags, None, edges)
+        return cls(runs, tags, np.flatnonzero(np.bincount(runs.ends[tags > 0], minlength=len(runs.ids))))
+
+    @classmethod
+    def of(cls, graph: "AnnotatedGraph", runs: BagRuns) -> "GraphArrays":
+        """The arrays of a graph whose edges `runs` lists in graph.edges
+        order."""
+        sites = graph.annotations
+        tags = np.fromiter(
+            itertools.chain.from_iterable(
+                (sites[u][u, v] if u in sites else 0, sites[v][u, v] if v in sites else 0)
+                for u, v in graph.edges
+            ),
+            np.int64,
+            2 * len(graph.edges),
+        )
+        return cls(runs, tags.reshape(-1, 2), np.sort(runs.index(sites)))
+
+    def graph(self) -> "AnnotatedGraph":
+        """The AnnotatedGraph and bags these arrays hold, built as
+        from_edges builds it from the bags' vertices, the edges and their
+        labels."""
+        runs = self.runs
+        ids = runs.ids.tolist()
+        keys = [(ids[a], ids[b]) for a, b in runs.ends.tolist()]
+        flat = [ids[i] for i in runs.entries.tolist()]
+        stops = np.cumsum(np.bincount(runs.entry_bag, minlength=runs.count)).tolist()
+        bags = [tuple(flat[a:b]) for a, b in zip([0] + stops, stops)]
+        graph = AnnotatedGraph.from_edges(
+            itertools.chain.from_iterable(bags), keys, site_labels(keys, self.tags.tolist())
+        )
+        graph.decomposition = PathDecomposition(bags)
+        return graph
+
+    def expansion_width(self) -> int:
+        """Validate the bags write_hcgraph writes for the expansion of this
+        graph, whose own bags passed the check, and return their width.
 
         Roles 3 and 4 of a label site s live over the run of s and the other
-        roles in first[s] alone. So once `validate` passes, only an edge
+        roles in first[s] alone. So once the check passes, only an edge
         labelled 1 or 2 at s can miss: its other end must be in first[s].
+        A miss raises DecompositionError, naming the first 20 by site.
         """
-        runs = self.validate(graph)
-        sites = graph.annotations
-        if not sites:
-            return self.width  # written as they are, repeats too
-        # each edge labelled 1 or 2 at a site s, and its other end w
-        tagged = [(s, e, lab) for s, labs in sites.items() for e, lab in labs.items() if lab < 3]
-        other = [u if v == s else v for s, (u, v), _ in tagged]
-        at = runs.first[runs.index(s for s, _, _ in tagged)]
-        w = runs.index(other)
+        runs, tags, sites = self.runs, self.tags, self.sites
+        if not len(sites):
+            # written as they are, repeats too
+            return int(np.bincount(runs.entry_bag, minlength=runs.count).max(initial=0)) - 1
+        # each edge end labelled 1 or 2 at a site s, and the edge's other end w
+        early = (tags == 1) | (tags == 2)
+        row, side = np.nonzero(early)
+        s, w = runs.ends[row, side], runs.ends[row, 1 - side]
+        at = runs.first[s]
         # w's end, too, may live in its site's first bag alone
-        alone = np.array([x in sites and sites[x][e] < 3 for x, (_, e, _) in zip(other, tagged)], bool)
-        hi = np.where(alone, runs.first[w], runs.last[w])
-        probs = []
-        for i in np.flatnonzero((runs.first[w] > at) | (at > hi))[:20].tolist():
-            s, (u, v), lab = tagged[i]
-            probs.append(f"edge {u}-{v} labelled {lab} at site {s} misses bag {at[i]}")
-        if probs:
-            raise DecompositionError(probs)
+        hi = np.where(early[row, 1 - side], runs.first[w], runs.last[w])
+        miss = np.flatnonzero((runs.first[w] > at) | (at > hi))
+        if len(miss):
+            miss = miss[np.argsort(s[miss], kind="stable")][:20]
+            ids = runs.ids
+            raise DecompositionError([
+                f"edge {ids[runs.ends[r, 0]]}-{ids[runs.ends[r, 1]]} labelled {tags[r, j]} "
+                f"at site {ids[s[i]]} misses bag {at[i]}"
+                for i, r, j in zip(miss.tolist(), row[miss].tolist(), side[miss].tolist())
+            ])
         # each vertex fills the bags of its run once: one id, or a site's nine
         # in its first bag and two later, so bag sizes are prefix sums
-        at_site = runs.index(sites)
         k = np.ones(len(runs.ids), np.int64)
-        k[at_site] = 2
-        size = np.zeros(len(self.bags) + 1, np.int64)
+        k[sites] = 2
+        size = np.zeros(runs.count + 1, np.int64)
         np.add.at(size, runs.first, k)
         np.add.at(size, runs.last + 1, -k)
-        np.add.at(size, runs.first[at_site], 7)
-        np.add.at(size, runs.first[at_site] + 1, -7)
+        np.add.at(size, runs.first[sites], 7)
+        np.add.at(size, runs.first[sites] + 1, -7)
         return int(np.cumsum(size).max()) - 1
+
+
+def site_labels(
+    edges: list[tuple[int, int]], tags: Iterable[tuple[int, int]]
+) -> dict[int, dict[tuple[int, int], int]]:
+    """The `labels` AnnotatedGraph.from_edges takes, from edge keys and the
+    label at each end of each, 0 at a plain end; sites in sorted order."""
+    labels: dict[int, dict[tuple[int, int], int]] = {}
+    for k, (a, b) in zip(edges, tags):
+        if a:
+            labels.setdefault(k[0], {})[k] = a
+        if b:
+            labels.setdefault(k[1], {})[k] = b
+    return dict(sorted(labels.items()))
 
 
 class AnnotatedGraph:
@@ -412,55 +557,95 @@ class AnnotatedGraph:
 # serialization
 
 
-def write_hcgraph(path, graph: AnnotatedGraph) -> None:
-    """Write the graph and its decomposition's bags, if it has one, with
-    vertices renumbered to 1..n in sorted order.
+def _layout(bags: list[tuple[int, ...]], graph: AnnotatedGraph) -> BagRuns:
+    """The arrays of the graph and of `bags`, which need not be a valid
+    decomposition of it; a bag entry that is no vertex raises
+    ValidationError."""
+    order = sorted(graph.vertices)
+    at = dict(zip(order, itertools.count()))
+    try:
+        entries = np.array([at[x] for x in itertools.chain.from_iterable(bags)], np.int32)
+    except KeyError:
+        b, x = next((b, x) for b, bag in enumerate(bags) for x in bag if x not in at)
+        raise ValidationError(f"bag {b} contains unknown vertex {x}") from None
+    ends = np.array([at[x] for x in itertools.chain.from_iterable(graph.edges)], np.int64)
+    try:
+        ids = np.array(order, np.int64)
+    except OverflowError:
+        ids = np.array(order, object)
+    count = len(bags)
+    entry_bag = np.repeat(np.arange(count, dtype=np.int32), np.fromiter(map(len, bags), np.int64, count))
+    first = np.full(len(order), count, np.int32)
+    np.minimum.at(first, entries, entry_bag)
+    last = np.full(len(order), -1, np.int32)
+    np.maximum.at(last, entries, entry_bag)
+    return BagRuns(ids, first, last, ends.reshape(-1, 2), entries, entry_bag, count)
+
+
+def write_hcgraph(path, graph: AnnotatedGraph | GraphArrays) -> None:
+    """Write the graph and its bags, if it has any, with vertices renumbered
+    to 1..n in sorted order.
+
+    The graph is an AnnotatedGraph with its decomposition, whose bags need
+    not be valid, or the checked arrays of one (GraphArrays); the first is
+    converted to the second on entry, and a bag vertex it lacks raises
+    ValidationError before any file is written.
 
     A label site is written as its gadget, the sorted sites in blocks of
     nine ids above the plain vertices, role r at offset r - 1; an edge
     labelled r ends at role r. A site's first bag lists its nine ids and
-    later bags roles 3 and 4. Bags with sites come out sorted, each id once.
-    A bag vertex the graph lacks raises ValidationError before any file is
-    written.
+    later bags roles 3 and 4. The edges are sorted by one sort of their
+    codes. Bags with sites come out sorted, each id once: one sort of the
+    (bag, id) codes, a site standing for its block. Bags without sites are
+    written as they are, repeats too.
     """
-    sites = graph.annotations
-    decomp = graph.decomposition
-    order = sorted(graph.vertices.difference(sites))
-    top = len(order)
+    if isinstance(graph, AnnotatedGraph):
+        bags = graph.decomposition.bags if graph.decomposition is not None else []
+        graph = GraphArrays.of(graph, _layout(bags, graph))
+    runs, sites = graph.runs, graph.sites
+    size = len(runs.ids)
+    top = size - len(sites)
     n = top + 9 * len(sites)
     # a site is named by its role 1
-    name = {v: i for i, v in enumerate(order, start=1)}
-    name.update(zip(sorted(sites), range(top + 1, n, 9)))
-    edges = [(i + r, i + s) for i in range(top + 1, n, 9) for r, s in _GADGET_OFFSETS]
-    for e in graph.edges:
-        u, v = e
-        x = name[u] + sites[u][e] - 1 if u in sites else name[u]
-        y = name[v] + sites[v][e] - 1 if v in sites else name[v]
-        edges.append((x, y) if x < y else (y, x))
-    edges.sort()
-    word = list(map(str, range(n + 1)))
-    lines = ["hcgraph v1", f"n {n}"]
-    lines += [f"e {word[x]} {word[y]}" for x, y in edges]
-    if decomp is not None:
-        # a site's word is its nine ids until its first bag is written
-        for i in range(top + 1, n, 9):
-            word[i] = " ".join(word[i : i + 9])
-        for at, bag in enumerate(decomp.bags):
-            try:
-                ids = list(map(name.__getitem__, bag))
-            except KeyError as exc:
-                raise ValidationError(f"bag {at} contains unknown vertex {exc.args[0]}") from None
-            # with sites, as the expansion lists them: sorted, each id once
-            if sites:
-                ids = sorted(set(ids))
-            lines.append("bag " + " ".join(map(word.__getitem__, ids)))
-            # sites sort last; their later bags hold roles 3 and 4
-            for i in reversed(ids):
-                if i <= top:
-                    break
-                word[i] = f"{i + 2} {i + 3}"
+    name = np.empty(size, np.int64)
+    plain = np.ones(size, bool)
+    plain[sites] = False
+    name[plain] = np.arange(1, top + 1)
+    base = name[sites] = np.arange(top + 1, n, 9)
+    ends = name[runs.ends] + np.maximum(graph.tags - 1, 0)
+    inner = (base[:, None, None] + np.array(_GADGET_OFFSETS)).reshape(-1, 2)
+    codes = np.concatenate((ends.min(axis=1) * (n + 1) + ends.max(axis=1), inner[:, 0] * (n + 1) + inner[:, 1]))
+    codes.sort()
+    x, y = np.divmod(codes, n + 1)
+    digits = list(map(str, range(n + 1)))
+    # the word of each id, and from n + 1 on the words of sites' first bags
+    word = np.full(2 * (n + 1), "", object)
+    word[: n + 1] = digits
+    # one block at a time: the edge lines are gone before the bag lines come
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"hcgraph v1\nn {n}\n")
+        fh.write("".join([f"e {a} {b}\n" for a, b in zip(word[x].tolist(), word[y].tolist())]))
+        if not runs.count:
+            return
+        if len(sites):
+            # (bag, id) codes, in int32 when they fit
+            small = np.int32 if (runs.count + 1) * (n + 1) < 2**31 else np.int64
+            codes = runs.entry_bag.astype(small)
+            codes *= n + 1
+            codes += name.astype(small)[runs.entries]
+            bag, at = np.divmod(_sorted_distinct(codes), n + 1)
+            # a site's word is its nine ids in its first bag and its roles 3
+            # and 4 in later bags
+            first = np.full(n + 1, -1, small)
+            first[base] = runs.first[sites]
+            at += (n + 1) * (first[at] == bag)
+            word[base + n + 1] = [" ".join(digits[i : i + 9]) for i in base.tolist()]
+            word[base] = [f"{i + 2} {i + 3}" for i in base.tolist()]
+        else:
+            bag, at = runs.entry_bag, name[runs.entries]
+        words = word[at].tolist()
+        stops = np.cumsum(np.bincount(bag, minlength=runs.count)).tolist()
+        fh.write("".join(["bag " + " ".join(words[a:b]) + "\n" for a, b in zip([0] + stops, stops)]))
 
 
 def _line_ints(fields: list[str], lineno: int) -> list[int]:

@@ -17,23 +17,29 @@ close to the number of variables. The stages:
     boundary and returns the final graph with its decomposition and the
     predicted residue.
 
-The stages pass plain data, not graphs: sorted edge keys, the labels
-(1..4) of each label site, and bags, which hold every vertex, so the next
-free id is one above the largest bag vertex. assemble builds the one graph from all of it in a single `AnnotatedGraph.from_edges` call, which
-also checks that every edge at a site carries a label. A label site stays
-one vertex instead of nine all the way through: `write_hcgraph` writes each
-site as its 9-vertex gadget, and the bag sweep counts sites directly. Every
-stage runs in passes linear in its edges and bags and trusts the parts it
-wrote itself; assemble validates once, with
-`PathDecomposition.validate_expansion`, the bags written for the graph it
-returns, at a cost of O(sum of bag sizes + edges).
+The stages pass plain data, not graphs: sorted edge keys, the labels at
+the two ends of each (1..4 at a label site, 0 at a plain end), and bags,
+which hold every vertex, so the next free id is one above the largest bag
+vertex. assemble builds no graph either: it hands the edges, labels and
+bags to `GraphArrays.check` as integer arrays, which refuses what
+`AnnotatedGraph.from_edges` would, such as an edge at a site without a
+label, and returns the checked arrays that `write_hcgraph` writes from. A
+label site stays one vertex instead of nine all the way through:
+`write_hcgraph` writes each site as its 9-vertex gadget, and the bag sweep
+counts sites directly. Every stage runs in passes linear in its edges and
+bags and trusts the parts it wrote itself; assemble validates once, with
+`GraphArrays.expansion_width`, the bags written for the graph it returns,
+at a cost of O(sum of bag sizes + edges), plus the sorts of the check.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .exactalg import (
     ExactMatrix,
@@ -42,7 +48,7 @@ from .exactalg import (
     full_rank_submatrix,
     inverse,
 )
-from .graphs import AnnotatedGraph, PathDecomposition, _line_ints, edge_key
+from .graphs import AnnotatedGraph, GraphArrays, PathDecomposition, _line_ints, edge_key, site_labels
 from .matchings import Fingerprint, Matching, build_H
 
 __all__ = [
@@ -337,9 +343,9 @@ class GadgetSpec:
 
 
 def _gadget_parts(spec: GadgetSpec, start_id: int | None):
-    """The edge keys, site labels and bags of `build_fingerprint_gadget`'s
-    graph, and the first id above the fresh ones it took. Every vertex of
-    the gadget is in its bags."""
+    """The edge keys, the labels at their ends and the bags of
+    `build_fingerprint_gadget`'s graph, and the first id above the fresh
+    ones it took. Every vertex of the gadget is in its bags."""
     a, b = spec.anchors
     start = start_id if start_id is not None else spec.boundary[-1] + 1
     if start <= spec.boundary[-1]:
@@ -349,9 +355,10 @@ def _gadget_parts(spec: GadgetSpec, start_id: int | None):
     tail_mid, chain_start, collector, entry_hub = range(start, start + 4)
     next_id = start + 4
     # Fresh ids exceed the boundary and grow in the order they are taken, so
-    # every key below is written sorted: (older id, newer id).
+    # every key below is written sorted: (older id, newer id). tags[i] holds
+    # the labels at the two ends of edges[i], 0 at a plain end.
     edges = [(a, tail_mid), (tail_mid, chain_start), (collector, entry_hub)]
-    labels: dict[int, dict[tuple[int, int], int]] = {}
+    tags = [(0, 0)] * 3
 
     anchor_pair = edge_key(a, b)
     chains: list[list[int]] = []
@@ -363,29 +370,23 @@ def _gadget_parts(spec: GadgetSpec, start_id: int | None):
             sites = list(range(next_id, next_id + len(edge_seq)))
             next_id += len(edge_seq)
             for j, (site, (u, v)) in enumerate(zip(sites, edge_seq)):
-                e1, e2 = (u, site), (v, site)
-                edges += (e1, e2)
-                labs = labels[site] = {e1: 1, e2: 2}
+                edges += ((u, site), (v, site))
+                tags += ((0, 1), (0, 2))
                 if j:
-                    link = (sites[j - 1], site)
-                    edges.append(link)
-                    labels[link[0]][link] = 4
-                    labs[link] = 3
+                    edges.append((sites[j - 1], site))
+                    tags.append((4, 3))
             chains.append(sites)
 
     heads = [sites[0] for sites in chains]
     ends = [sites[-1] for sites in chains]
     # consecutive chains, then the skip edges that jump one whole chain
-    for link in itertools.chain(zip(ends, heads[1:]), zip(ends, heads[2:])):
-        edges.append(link)
-        labels[link[0]][link] = 4
-        labels[link[1]][link] = 3
-    for head in heads[:2]:
-        edges.append((entry_hub, head))
-        labels[head][entry_hub, head] = 3
-    for end in ends[-2:]:
-        edges.append((b, end))
-        labels[end][b, end] = 4
+    links = [*zip(ends, heads[1:]), *zip(ends, heads[2:])]
+    edges += links
+    tags += [(4, 3)] * len(links)
+    edges += [(entry_hub, head) for head in heads[:2]]
+    tags += [(0, 3)] * len(heads[:2])
+    edges += [(b, end) for end in ends[-2:]]
+    tags += [(0, 4)] * len(ends[-2:])
 
     core = spec.boundary + (chain_start, collector, entry_hub)
     bags: list[tuple[int, ...]] = [tuple(sorted(core + (tail_mid,)))]
@@ -399,7 +400,7 @@ def _gadget_parts(spec: GadgetSpec, start_id: int | None):
             if ci > 1 and j == 0:
                 extra.add(ends[ci - 2])
             bags.append(core + tuple(sorted(extra)))
-    return edges, labels, bags, next_id
+    return edges, tags, bags, next_id
 
 
 def build_fingerprint_gadget(spec: GadgetSpec, start_id: int | None = None) -> AnnotatedGraph:
@@ -421,8 +422,8 @@ def build_fingerprint_gadget(spec: GadgetSpec, start_id: int | None = None) -> A
     size plus a constant. Fresh ids start at `start_id`, by default one
     above the boundary, and must exceed it.
     """
-    edges, labels, bags, _ = _gadget_parts(spec, start_id)
-    graph = AnnotatedGraph.from_edges(spec.boundary, edges, labels)
+    edges, tags, bags, _ = _gadget_parts(spec, start_id)
+    graph = AnnotatedGraph.from_edges(spec.boundary, edges, site_labels(edges, tags))
     graph.decomposition = PathDecomposition(bags)
     return graph
 
@@ -435,12 +436,13 @@ def build_fingerprint_gadget(spec: GadgetSpec, start_id: int | None = None) -> A
 class ClausePiece:
     """One or more glued clause columns, open at the left and right boundary.
 
-    The piece is its sorted edge keys, the labels of its label sites and
-    its bags; its vertices are the vertices of its bags.
+    The piece is its sorted edge keys, the labels at the two ends of each
+    (`tags`, 0 at a plain end) and its bags; its vertices are the vertices
+    of its bags.
     """
 
     edges: list[tuple[int, int]]
-    labels: dict[int, dict[tuple[int, int], int]]
+    tags: list[tuple[int, int]]
     bags: list[tuple[int, ...]]
     left_blocks: tuple[tuple[int, ...], ...]
     right_blocks: tuple[tuple[int, ...], ...]
@@ -524,7 +526,7 @@ def build_base_case(
     chain = list(range(start_id, start_id + q + 1))  # chain[i-1]=bottom_i, chain[i]=top_i
     next_id = chain[-1] + 1
     edges: list[tuple[int, int]] = []
-    labels: dict[int, dict[tuple[int, int], int]] = {}
+    tags: list[tuple[int, int]] = []
     bags: list[tuple[int, ...]] = []
     all_left = [v for blk in left_blocks for v in blk]
     all_right = [v for blk in right_blocks for v in blk]
@@ -553,9 +555,9 @@ def build_base_case(
                     counts[fp] = mult
         boundary = tuple(sorted(left_ids + right_ids + (top, bottom)))
         spec = GadgetSpec.make(boundary, (left_ids[0], right_ids[0]), counts)
-        g_edges, g_labels, g_bags, next_id = _gadget_parts(spec, next_id)
+        g_edges, g_tags, g_bags, next_id = _gadget_parts(spec, next_id)
         edges += g_edges
-        labels.update(g_labels)  # fresh sites: no gadget labels another's
+        tags += g_tags
         hold = set(
             v
             for blk in itertools.chain(left_blocks[i - 1 :], right_blocks[: i - 1])
@@ -571,7 +573,7 @@ def build_base_case(
     bags.append(tuple(sorted(all_right)))
     return ClausePiece(
         edges=edges,
-        labels=labels,
+        tags=tags,
         bags=bags,
         left_blocks=tuple(tuple(b) for b in left_blocks),
         right_blocks=tuple(tuple(b) for b in right_blocks),
@@ -585,12 +587,12 @@ def compose_clause(*pieces: ClausePiece) -> ClausePiece:
     Each neighbouring pair must share its boundary blocks, no edge of
     either piece may join two vertices of that boundary, and no piece may
     meet an earlier one off the boundary they share. The glued piece copies
-    each piece's edges, labels and bags once.
+    each piece's edges, tags and bags once.
     """
     if not pieces:
         raise ValidationError("need at least one clause piece")
     edges = list(pieces[0].edges)
-    labels = dict(pieces[0].labels)
+    tags = list(pieces[0].tags)
     bags = list(pieces[0].bags)
     seen = set(itertools.chain.from_iterable(bags))
     for left, right in zip(pieces, pieces[1:]):
@@ -616,11 +618,11 @@ def compose_clause(*pieces: ClausePiece) -> ClausePiece:
             )
         seen |= mine
         edges += right.edges
-        labels.update(right.labels)
+        tags += right.tags
         bags += right.bags
     return ClausePiece(
         edges=edges,
-        labels=labels,
+        tags=tags,
         bags=bags,
         left_blocks=pieces[0].left_blocks,
         right_blocks=pieces[-1].right_blocks,
@@ -657,10 +659,15 @@ def _left_attachment_fingerprint(
 
 @dataclass
 class ReductionOutput:
-    """Compiled graph, label sites kept, plus everything needed to check it;
-    `width` is that of the bags write_hcgraph writes."""
+    """Compiled graph, label sites kept, plus everything needed to check it.
 
-    graph: AnnotatedGraph
+    `written` holds the graph and its bags as the checked arrays that
+    write_hcgraph writes from; `width` is that of the bags it writes.
+    `graph`, the same graph as an AnnotatedGraph with its decomposition,
+    is built from those arrays on first access and then kept.
+    """
+
+    written: GraphArrays
     params: ReductionParams
     predicted: int
     width: int
@@ -678,6 +685,15 @@ class ReductionOutput:
             "width": self.width,
             "predicted_mod_p": self.predicted,
         }
+
+    @cached_property
+    def graph(self) -> AnnotatedGraph:
+        return self.written.graph()
+
+
+def _pairs(rows: list[tuple[int, int]]) -> np.ndarray:
+    """A list of integer pairs as an (n, 2) int64 array."""
+    return np.fromiter(itertools.chain.from_iterable(rows), np.int64, 2 * len(rows)).reshape(-1, 2)
 
 
 class _stage:
@@ -756,7 +772,7 @@ def assemble(
         column = compose_clause(*pieces)
     # compose_clause returned fresh lists, so the attachments' parts are
     # added to them in place
-    edges, labels = column.edges, column.labels
+    edges, tags = column.edges, column.tags
 
     # Right attachments: every right-basis fingerprint realized once.
     with _stage("right_attachment"):
@@ -766,9 +782,9 @@ def assemble(
             mapping = {j + 1: block[j] for j in range(beta)}
             counts = {fp.relabel(mapping): 1 for fp in params.right_basis}
             spec = GadgetSpec.make(block, (block[0], block[1]), counts)
-            g_edges, g_labels, g_bags, next_id = _gadget_parts(spec, next_id)
+            g_edges, g_tags, g_bags, next_id = _gadget_parts(spec, next_id)
             edges += g_edges
-            labels.update(g_labels)
+            tags += g_tags
             right_bags.append(g_bags)
 
     # Left attachments thread a ring: the top of block i is the bottom of
@@ -783,6 +799,7 @@ def assemble(
             tops = [top_v]
             bottoms = [bottom_v]
             edges += [(top_v, mid_v), (bottom_v, mid_v)]
+            tags += [(0, 0)] * 2
         next_id += len(ring)
         left_bags = []
         for i in range(q):
@@ -795,9 +812,9 @@ def assemble(
                 counts[_left_attachment_fingerprint(f_a, block, tops[i], bottoms[i])] = weight
             boundary = tuple(sorted(block + (tops[i], bottoms[i])))
             spec = GadgetSpec.make(boundary, (block[0], tops[i]), counts)
-            g_edges, g_labels, g_bags, next_id = _gadget_parts(spec, next_id)
+            g_edges, g_tags, g_bags, next_id = _gadget_parts(spec, next_id)
             edges += g_edges
-            labels.update(g_labels)
+            tags += g_tags
             left_bags.append(g_bags)
 
     with _stage("assemble"):
@@ -815,13 +832,12 @@ def assemble(
         for g_bags in right_bags:
             for gb in g_bags:
                 bags.append(tuple(sorted(all_right | set(gb))))
-        # every vertex of the parts is in a bag
-        full = AnnotatedGraph.from_edges(itertools.chain.from_iterable(bags), edges, labels)
-        full.decomposition = PathDecomposition(bags)
-
-        # The one validation of the pipeline, of the bags write_hcgraph
-        # writes for this graph: a bad bag anywhere upstream is caught here.
-        width = full.decomposition.validate_expansion(full)
+        # The one validation of the pipeline, of the graph on the vertices
+        # of the bags, which hold every vertex of the parts, and of the bags
+        # write_hcgraph writes for it, as arrays: a bad edge, label or bag
+        # anywhere upstream is caught here.
+        written = GraphArrays.check(_pairs(edges), _pairs(tags), bags)
+        width = written.expansion_width()
 
     bound = q * beta + WIDTH_CONSTANT * beta
     if width > bound:
@@ -831,7 +847,7 @@ def assemble(
         )
     predicted = count_sat(padded) % p
     return ReductionOutput(
-        graph=full,
+        written=written,
         params=params,
         predicted=predicted,
         width=width,

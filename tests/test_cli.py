@@ -293,6 +293,24 @@ def test_reduce_writes_the_golden_bytes_without_an_expanded_graph(
     assert digest == GOLDEN_HCGRAPH_SHA256[(corpus_index, p, beta, gamma)]
 
 
+@pytest.mark.parametrize("corpus_index,p,beta,gamma", sorted(GOLDEN_HCGRAPH_SHA256))
+def test_reduce_builds_no_graph(tmp_path, capsys, monkeypatch, corpus_index, p, beta, gamma):
+    # reduce checks, writes and reports from arrays alone
+    def no_graph(*args, **kwargs):
+        raise AssertionError("reduce built a graph")
+
+    monkeypatch.setattr(AnnotatedGraph, "from_edges", no_graph)
+    monkeypatch.setattr(AnnotatedGraph, "__init__", no_graph)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(format_dimacs(CNF_CORPUS[corpus_index][1]), encoding="ascii")
+    out = tmp_path / "f.hcg"
+    code, text, _ = run(capsys, "reduce", "--cnf", str(cnf), "--p", str(p), "--beta", str(beta),
+                        "--gamma", str(gamma), "--out", str(out))
+    assert code == 0 and text.startswith(f"wrote {out} (")
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_HCGRAPH_SHA256[(corpus_index, p, beta, gamma)]
+
+
 def test_one_parser_serves_successive_calls(capsys, monkeypatch):
     real, built = cli.build_parser, []
 

@@ -9,8 +9,9 @@ per-edge expansion `ref_expand_label_gadgets`."""
 import itertools
 import json
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from matchconn.exactalg import CapacityError, ValidationError
@@ -18,9 +19,11 @@ from matchconn.graphs import (
     LABEL_GADGET_EDGES,
     AnnotatedGraph,
     DecompositionError,
+    GraphArrays,
     PathDecomposition,
     edge_key,
     read_hcgraph,
+    site_labels,
     write_hcgraph,
     write_sidecar,
 )
@@ -557,6 +560,48 @@ class TestValidateExpansion:
         g.decomposition = PathDecomposition([(1, 2, 3), (1, 2, 3), (2, 3)])
         assert g.decomposition.validate_expansion(g) == 10
         assert assert_expansion_checked_like_the_reference(g)
+
+    @given(annotated_decompositions())
+    @settings(max_examples=300, deadline=None)
+    def test_the_array_entry_checks_and_writes_like_the_graph_entry(self, g):
+        # the arrays' graph lives on the vertices of its bags and edges, and
+        # a site is a vertex with a label on an edge
+        import tempfile
+        from pathlib import Path
+
+        bags, edges, sites = g.decomposition.bags, sorted(g.edges), g.annotations
+        assume(all(sites.values()))
+        tags = [(sites[u][u, v] if u in sites else 0, sites[v][u, v] if v in sites else 0) for u, v in edges]
+        assert site_labels(edges, tags) == sites
+        on_bags = AnnotatedGraph.from_edges(itertools.chain.from_iterable(bags), edges, sites)
+        on_bags.decomposition = g.decomposition
+        ends, tags = (np.array(x, np.int64).reshape(-1, 2) for x in (edges, tags))
+        try:
+            arrays = GraphArrays.check(ends, tags, bags)
+        except DecompositionError as err:
+            built = AnnotatedGraph.from_edges(itertools.chain.from_iterable(bags), edges)
+            assert err.violations == violations(bags, built) == reference_violations(bags, built)[:20]
+            assert sorted(err.violations) == sorted(violations(bags, on_bags))
+            return
+        try:
+            width = arrays.expansion_width()
+        except DecompositionError as err:
+            with pytest.raises(DecompositionError) as want:
+                on_bags.decomposition.validate_expansion(on_bags)
+            assert sorted(err.violations) == sorted(want.value.violations)
+            return
+        assert width == on_bags.decomposition.validate_expansion(on_bags)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.hcg", Path(tmp) / "want.hcg"
+            write_hcgraph(got, arrays)
+            write_hcgraph(want, on_bags)
+            assert got.read_bytes() == want.read_bytes()
+        assert_same_graph(arrays.graph(), on_bags)
+
+    def test_the_array_entry_names_a_missed_first_bag(self):
+        arrays = GraphArrays.check(np.array([[1, 2]]), np.array([[0, 1]]), [(2,), (1, 2)])
+        with pytest.raises(DecompositionError, match="^edge 1-2 labelled 1 at site 2 misses bag 0$"):
+            arrays.expansion_width()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchconn import hcount, reduction
+from matchconn import graphs, hcount, reduction
 from matchconn.checks import CNF_CORPUS, random_gadget_spec
 from matchconn.exactalg import ValidationError
 from matchconn.graphs import (
@@ -30,6 +30,7 @@ from matchconn.graphs import (
     PathDecomposition,
     edge_key,
     read_hcgraph,
+    site_labels,
     write_hcgraph,
 )
 from matchconn.hcount import count_hc_pathdp, partial_solution_spectrum
@@ -804,7 +805,7 @@ def piece_graph(piece):
     """The graph of a clause piece, on the vertices of its bags, with its
     bags as the decomposition."""
     graph = AnnotatedGraph.from_edges(
-        itertools.chain.from_iterable(piece.bags), piece.edges, piece.labels
+        itertools.chain.from_iterable(piece.bags), piece.edges, site_labels(piece.edges, piece.tags)
     )
     graph.decomposition = PathDecomposition(piece.bags)
     return graph
@@ -851,7 +852,7 @@ class TestPiecesValidateOutsideTheCompiler:
         alone = compose_clause(p1)
         assert_same_graph(piece_graph(alone), piece_graph(p1))
         assert alone.edges is not p1.edges
-        assert alone.labels is not p1.labels
+        assert alone.tags is not p1.tags
         assert alone.bags is not p1.bags
 
     def test_compose_refuses_an_edge_inside_the_shared_boundary(self):
@@ -875,29 +876,35 @@ class TestPiecesValidateOutsideTheCompiler:
             compose_clause()
 
 
+# (p, beta, gamma) of the corpus compiles checked against the references
+COMPILE_SHAPES = ((3, 5, 1), (5, 5, 2), (7, 6, 1), (5, 6, 2))
+
+
 class TestSingleValidation:
     def test_assemble_validates_exactly_once(self, monkeypatch):
+        # one decomposition check, on arrays: no graph is passed to it
         calls = []
-        validate = PathDecomposition.validate
+        bag_runs = graphs._bag_runs
 
-        def spy(self, graph):
+        def spy(bags, graph, edges=None):
             calls.append(graph)
-            return validate(self, graph)
+            return bag_runs(bags, graph, edges)
 
-        monkeypatch.setattr(PathDecomposition, "validate", spy)
+        monkeypatch.setattr(graphs, "_bag_runs", spy)
         out = assemble(CNF_CORPUS[4][1], 5)
-        assert calls == [out.graph]
+        assert calls == [None]
+        assert out.written.runs.count == len(out.graph.decomposition.bags)
 
     def test_a_corrupted_piece_fails_the_final_validation(self, monkeypatch):
         parts = reduction._gadget_parts
         built = []
 
         def drop_last_bag(spec, start_id):
-            edges, labels, bags, after = parts(spec, start_id)
+            edges, tags, bags, after = parts(spec, start_id)
             built.append(spec)
             if len(built) == 3:
                 bags.pop()
-            return edges, labels, bags, after
+            return edges, tags, bags, after
 
         monkeypatch.setattr(reduction, "_gadget_parts", drop_last_bag)
         with pytest.raises(DecompositionError) as exc:
@@ -905,33 +912,56 @@ class TestSingleValidation:
         assert str(exc.value).startswith("[assemble] ")
         assert len(built) > 3
 
+    @pytest.mark.parametrize("defect", ["duplicate", "loop", "unsorted", "label 5", "unlabelled"])
+    def test_the_array_check_refuses_what_from_edges_refuses(self, monkeypatch, defect):
+        # one defect in the third gadget's parts; assemble refuses it with
+        # the words from_edges has for the same gadget
+        parts = reduction._gadget_parts
+        built, refused = [], []
+
+        def damage(spec, start_id):
+            edges, tags, bags, after = parts(spec, start_id)
+            built.append(spec)
+            if len(built) == 3:
+                (u, v), site = edges[0], tags.index((0, 1))
+                if defect == "duplicate":
+                    edges.append((u, v))
+                    tags.append((0, 0))
+                elif defect in ("loop", "unsorted"):
+                    edges.append((v, v) if defect == "loop" else (v, u))
+                    tags.append((0, 0))
+                else:
+                    tags[site] = (0, 5) if defect == "label 5" else (0, 0)
+                with pytest.raises(ValidationError) as exc:
+                    AnnotatedGraph.from_edges(spec.boundary, edges, site_labels(edges, tags))
+                refused.append(str(exc.value))
+            return edges, tags, bags, after
+
+        monkeypatch.setattr(reduction, "_gadget_parts", damage)
+        with pytest.raises(ValidationError) as exc:
+            assemble(CNF_CORPUS[4][1], 5)
+        assert str(exc.value) == f"[assemble] {refused[0]}"
+        assert not isinstance(exc.value, DecompositionError)
+        words = {"duplicate": "duplicate edge", "loop": "loop edge at vertex", "unsorted": "is not sorted",
+                 "label 5": "label 5 outside 1..4", "unlabelled": "leaves incident edges unlabeled"}
+        assert words[defect] in refused[0]
+
     @pytest.mark.parametrize("name,cnf", CNF_CORPUS)
-    def test_corpus_compiles_match_the_per_edge_builders(self, monkeypatch, name, cnf):
-        # assemble builds one graph, through one from_edges call, and no
-        # gadget graph on the way
-        init, from_edges = AnnotatedGraph.__init__, AnnotatedGraph.from_edges.__func__
-        graphs, bulk = [], []
+    def test_corpus_compiles_match_the_per_edge_builders(self, tmp_path, monkeypatch, name, cnf):
+        # assemble builds no graph; the one its output builds on first
+        # access is written byte for byte as the arrays it checked are
+        def no_graph(*args):
+            raise AssertionError("assemble built a graph")
 
-        def counted_init(self):
-            init(self)
-            graphs.append(self)
-
-        def counted_from_edges(cls, *args):
-            bulk.append(from_edges(cls, *args))
-            return bulk[-1]
-
-        def no_gadget_graph(*args):
-            raise AssertionError("assemble built a gadget graph")
-
-        for p, beta, gamma in ((3, 5, 1), (5, 5, 2)):
+        for p, beta, gamma in COMPILE_SHAPES:
             with monkeypatch.context() as patch:
-                patch.setattr(AnnotatedGraph, "__init__", counted_init)
-                patch.setattr(AnnotatedGraph, "from_edges", classmethod(counted_from_edges))
-                patch.setattr(reduction, "build_fingerprint_gadget", no_gadget_graph)
+                patch.setattr(AnnotatedGraph, "__init__", no_graph)
+                patch.setattr(reduction, "build_fingerprint_gadget", no_graph)
                 out = assemble(cnf, p, beta=beta, gamma=gamma)
-            assert graphs == bulk == [out.graph]
-            graphs.clear()
-            bulk.clear()
+            assert out.graph is out.graph
+            write_hcgraph(tmp_path / "arrays.hcg", out.written)
+            write_hcgraph(tmp_path / "graph.hcg", out.graph)
+            assert (tmp_path / "arrays.hcg").read_bytes() == (tmp_path / "graph.hcg").read_bytes()
             expanded = assert_written_like_the_reference(out.graph)
             assert out.width == expanded.decomposition.width
 
@@ -939,7 +969,7 @@ class TestSingleValidation:
         st.integers(min_value=1, max_value=3),
         st.lists(st.lists(st.integers(min_value=-3, max_value=3).filter(bool), max_size=3),
                  min_size=1, max_size=3),
-        st.sampled_from([(3, 5, 1), (5, 5, 2), (7, 6, 1), (5, 6, 2)]),
+        st.sampled_from(COMPILE_SHAPES),
     )
     @settings(max_examples=12, deadline=None)
     def test_random_compiles_are_written_like_the_reference(self, num_vars, clauses, shape):
